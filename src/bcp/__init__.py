@@ -35,7 +35,6 @@ from .kernels import (
     bcp_linear_one_sided,
     g_one_sided,
     g_two_sided,
-    h_term,
 )
 from .mc import (
     BcpEstimate,
@@ -96,7 +95,6 @@ __all__ = [
     "estimate_bcp_bracketed",
     "g_one_sided",
     "g_two_sided",
-    "h_term",
     "parse_boundary",
     "reduce",
     "reduce_gbm",

@@ -154,7 +154,8 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, default=128, help="partition subintervals")
     p.add_argument("--paths", type=int, default=1_000_000)
     p.add_argument("--seed", type=int, required=True, help="RNG seed (no silent entropy)")
-    p.add_argument("--series-terms", type=int, default=6)
+    p.add_argument("--series-terms", type=int, default=1,
+                   help="floor on the two-sided series terms per interval")
     p.add_argument("--envelope-samples", type=int, default=50)
     p.add_argument("--chunk-size", type=int, default=4_096)
     p.add_argument("--antithetic", action="store_true")
@@ -261,7 +262,7 @@ def run_request(args: argparse.Namespace) -> RunReport:
         paths=args.paths,
         seed=args.seed,
         chunk_size=args.chunk_size,
-        series=SeriesConfig(max_terms=args.series_terms),
+        series=SeriesConfig(min_terms=args.series_terms),
         antithetic=args.antithetic,
     )
     lower = reduced.lower if reduced.lower.finite else None
@@ -293,20 +294,18 @@ def run_request(args: argparse.Namespace) -> RunReport:
         "upper": est.bracket[1],
         "bracket_width": est.bracket_width,
     }
-    if est.series_cap_hit:
-        results["series_cap_hit"] = True
-    curves = {}
-    for name, gb in (("original_lower", a), ("original_upper", b)):
-        s = _curve_samples(gb, args.T)
-        if s:
-            curves[name] = s
-    for name, gb in (
-        ("transformed_lower", lower),
-        ("transformed_upper", upper),
-    ):
-        s = _curve_samples(gb, reduced.horizon)
-        if s:
-            curves[name] = s
+    curves = None
+    if args.format == "plot-data":
+        curves = {}
+        for name, gb, T in (
+            ("original_lower", a, args.T),
+            ("original_upper", b, args.T),
+            ("transformed_lower", lower, reduced.horizon),
+            ("transformed_upper", upper, reduced.horizon),
+        ):
+            s = _curve_samples(gb, T)
+            if s:
+                curves[name] = s
     return RunReport(
         request=request,
         results=results,
@@ -349,8 +348,7 @@ def run_reproduce(args: argparse.Namespace, out) -> int:
     rows = []
     for label, argv, reference in _PAPER7_CASES:
         sub_args = parser.parse_args(
-            argv + ["--n", "128", "--paths", str(args.paths), "--seed", str(args.seed),
-                    "--series-terms", "6"]
+            argv + ["--n", "128", "--paths", str(args.paths), "--seed", str(args.seed)]
         )
         report = run_request(sub_args)
         rows.append((label, report, reference))

@@ -2,10 +2,18 @@
 
 The kernel g is the conditional probability that a Brownian path stays
 inside the band given its values at the partition nodes; averaging g
-over node samples gives the crossing-free probability of the band.  The
-two-sided kernel carries an infinite series per subinterval which is
-truncated adaptively; per-interval factors are clamped to [0, 1] so the
-result stays a probability under rounding.
+over node samples gives the crossing-free probability of the band.  On
+each subinterval g has the factor 1 - S, where S is the single-reflection
+term of a one-sided band, or the reflection series of a two-sided band.
+
+Series truncation is fixed by the band before any sampling.  With band
+widths d0, d1 at the interval's ends, q = d0*d1/dt and a path inside the
+band, every series term of index j >= 2 is at most exp(-2(j-1)^2 q), so
+stopping after index J omits at most 4 exp(-2 J^2 q) / (1 - exp(-4 J q)).
+Each interval uses the smallest J (at least the configured floor) that
+brings this below 2^-64.  Since the factors lie in [0, 1], the summed
+per-interval bounds also bound the error of g.  Factors are clamped to
+[0, 1] so the result stays a probability under rounding.
 """
 
 from __future__ import annotations
@@ -16,25 +24,22 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import norm
 
-from .boundary import PiecewiseLinearBand, PiecewiseLinearBoundary
+from .boundary import PiecewiseLinearBand
 from .errors import InvalidBoundariesError, StartOutsideBandError
 
-#: Truncation indices never exceed this, regardless of configuration.
-SERIES_HARD_CAP = 64
+#: Per-interval bound on the omitted series tail.
+TAIL_BOUND = 2.0**-64
 
 
 @dataclass(frozen=True)
 class SeriesConfig:
     """Truncation policy for the two-sided series."""
 
-    max_terms: int = 6
-    tail_tolerance: float = 1e-12
+    min_terms: int = 1
 
     def __post_init__(self):
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be >= 1")
-        if self.tail_tolerance < 0:
-            raise ValueError("tail_tolerance must be >= 0")
+        if self.min_terms < 1:
+            raise ValueError("min_terms must be >= 1")
 
 
 def _as_paths(x, n: int) -> tuple[np.ndarray, bool]:
@@ -49,109 +54,99 @@ def _as_paths(x, n: int) -> tuple[np.ndarray, bool]:
     return a, single
 
 
-def _interval_arrays(b: PiecewiseLinearBoundary):
-    # Value entering interval i from the left node (right limit) and the
-    # value at the interval's right node (left limit); indicators use the
-    # left limits, the restrictive side for outward jumps.
-    prev = b.right[:-1]
-    cur = b.left[1:]
-    return prev, cur, cur
+def check_start(band: PiecewiseLinearBand) -> None:
+    """Raise unless the start point 0 lies strictly inside the band at t=0."""
+    lo = band.lower.right[0]
+    hi = band.upper.right[0]
+    if not lo < 0 < hi:
+        raise StartOutsideBandError(
+            f"start point 0 not strictly inside ({lo}, {hi}) at t=0"
+        )
 
 
-def _one_sided_values(band: PiecewiseLinearBand, x: np.ndarray) -> np.ndarray:
-    beta_prev, beta_cur, beta_ind = _interval_arrays(band.upper)
-    if not band.upper.right[0] > 0:
-        raise StartOutsideBandError("start point must lie strictly below the upper boundary")
-    scale = -2.0 / band.partition.dt
-    xprev = np.empty_like(x)
-    xprev[:, 0] = 0.0
-    xprev[:, 1:] = x[:, :-1]
-    ok = np.all(x < beta_ind, axis=1)
-    # In-place pipeline over one (paths, n) buffer; the exponent is
-    # non-positive whenever the path respects the indicators, so exp
-    # overflow can only occur on paths that are zeroed out anyway.
-    with np.errstate(over="ignore", invalid="ignore"):
-        work = np.subtract(beta_prev, xprev, out=xprev)
-        np.multiply(work, beta_cur - x, out=work)
-        np.multiply(work, scale, out=work)
-        np.exp(work, out=work)
-        np.subtract(1.0, work, out=work)
-        np.clip(work, 0.0, 1.0, out=work)
-        g = np.prod(work, axis=1)
-    g[~ok] = 0.0
-    return g
+def _tail(q: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    return 4.0 * np.exp(-2.0 * terms**2 * q) / -np.expm1(-4.0 * terms * q)
 
 
-def _reflect(b: PiecewiseLinearBoundary) -> PiecewiseLinearBoundary:
-    side = "upper" if b.side == "lower" else "lower"
-    return PiecewiseLinearBoundary(b.partition, side, -b.right, -b.left)
+def _term_counts(band: PiecewiseLinearBand, min_terms: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-interval term counts J of a two-sided band and their tail bounds."""
+    width = band.upper.right - band.lower.right
+    q = width[:-1] * (band.upper.left - band.lower.left)[1:] / band.partition.dt
+    # 4 exp(-2 J^2 q) alone must fall below the bound, so this J is never too large.
+    terms = np.maximum(min_terms, np.floor(np.sqrt(-math.log(TAIL_BOUND / 4.0) / (2.0 * q))))
+    while np.any(short := _tail(q, terms) >= TAIL_BOUND):
+        terms[short] += 1
+    return terms.astype(np.int64), _tail(q, terms)
 
 
-def _two_sided_values(
-    band: PiecewiseLinearBand, x: np.ndarray, cfg: SeriesConfig
-) -> tuple[np.ndarray, bool]:
-    alpha_prev, alpha_cur, alpha_ind = _interval_arrays(band.lower)
-    beta_prev, beta_cur, beta_ind = _interval_arrays(band.upper)
-    if not (band.lower.right[0] < 0 < band.upper.right[0]):
-        raise StartOutsideBandError("start point must lie strictly inside the band")
-    dt = band.partition.dt
-    xprev = np.concatenate([np.zeros((x.shape[0], 1)), x[:, :-1]], axis=1)
-    ok = np.all((x > alpha_ind) & (x < beta_ind), axis=1)
-
-    dprev = beta_prev - alpha_prev
-    dcur = beta_cur - alpha_cur
-    ap = alpha_prev - xprev
-    ac = alpha_cur - x
-    bp = beta_prev - xprev
-    bc = beta_cur - x
-
-    total = np.zeros_like(x)
-    cap_hit = False
-    j = 0
-    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        while True:
-            j += 1
-            t1 = np.exp(-2.0 / dt * (j * dprev + ap) * (j * dcur + ac))
-            t2 = np.exp(-2.0 * j / dt * (j * dprev * dcur + dprev * ac - dcur * ap))
-            t3 = np.exp(-2.0 / dt * (j * dprev - bp) * (j * dcur - bc))
-            t4 = np.exp(-2.0 * j / dt * (j * dprev * dcur - dprev * bc + dcur * bp))
-            h = t1 - t2 + t3 - t4
-            total += h
-            tail = float(np.max(np.abs(np.where(ok[:, None], h, 0.0)))) if h.size else 0.0
-            if j >= cfg.max_terms and tail < cfg.tail_tolerance:
-                break
-            if j >= SERIES_HARD_CAP:
-                cap_hit = tail >= cfg.tail_tolerance
-                break
-        fac = np.clip(1.0 - total, 0.0, 1.0)
-        g = np.prod(fac, axis=1)
-    g = np.where(ok, g, 0.0)
-    return g, cap_hit
+def _series_term(j, dt, dprev, dcur, ap, ac, bp, bc):
+    t1 = np.exp(-2.0 / dt * (j * dprev + ap) * (j * dcur + ac))
+    t2 = np.exp(-2.0 * j / dt * (j * dprev * dcur + dprev * ac - dcur * ap))
+    t3 = np.exp(-2.0 / dt * (j * dprev - bp) * (j * dcur - bc))
+    t4 = np.exp(-2.0 * j / dt * (j * dprev * dcur - dprev * bc + dcur * bp))
+    return t1 - t2 + t3 - t4
 
 
 def band_kernel(
     band: PiecewiseLinearBand, x, cfg: SeriesConfig | None = None
-) -> tuple[np.ndarray, bool]:
-    """Evaluate g for every path in x, routing by boundary finiteness.
+) -> tuple[np.ndarray, float]:
+    """Evaluate g for every path in x.
 
     x may be a single node vector (length n) or a (paths, n) matrix.
-    Returns the kernel values plus a flag set when the series hard cap
-    was reached with the tail still above tolerance.
+    Returns the kernel values and a bound on their truncation error:
+    the sum of the per-interval tail bounds, 0 for a one-sided band.
     """
     cfg = cfg or SeriesConfig()
-    x2d, single = _as_paths(x, band.partition.n)
-    lo_inf = band.lower.is_infinite
-    hi_inf = band.upper.is_infinite
-    if lo_inf and hi_inf:
-        g, cap = np.ones(x2d.shape[0]), False
-    elif lo_inf:
-        g, cap = _one_sided_values(band, x2d), False
-    elif hi_inf:
-        reflected = PiecewiseLinearBand(_reflect(band.upper), _reflect(band.lower))
-        g, cap = _one_sided_values(reflected, -x2d), False
-    else:
-        g, cap = _two_sided_values(band, x2d, cfg)
-    return (g[0] if single else g), cap
+    x, single = _as_paths(x, band.partition.n)
+    check_start(band)
+    lo, hi = band.lower, band.upper
+    dt = band.partition.dt
+    # Interval i runs from the right limit at its left node to the left
+    # limit at its right node; indicators use the left limits, the
+    # restrictive side for outward jumps.
+    ok = np.ones(x.shape[0], dtype=bool)
+    if not lo.is_infinite:
+        ok &= np.all(x > lo.left[1:], axis=1)
+    if not hi.is_infinite:
+        ok &= np.all(x < hi.left[1:], axis=1)
+    xprev = np.empty_like(x)
+    xprev[:, 0] = 0.0
+    xprev[:, 1:] = x[:, :-1]
+    tail = 0.0
+    # Exponents are non-positive on paths that respect the indicators, so
+    # overflow and NaN can only occur on paths that are zeroed out anyway.
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        if lo.is_infinite and hi.is_infinite:
+            s = np.zeros_like(x)
+        elif lo.is_infinite or hi.is_infinite:
+            # Single reflection off the finite side, in place over one buffer.
+            b = hi if lo.is_infinite else lo
+            s = np.subtract(b.right[:-1], xprev, out=xprev)
+            np.multiply(s, b.left[1:] - x, out=s)
+            np.multiply(s, -2.0 / dt, out=s)
+            np.exp(s, out=s)
+        else:
+            # Index j = 1 holds both single reflections (t1 off the upper
+            # side, t3 off the lower); later indices only where J needs them.
+            terms, tails = _term_counts(band, cfg.min_terms)
+            tail = float(np.sum(tails))
+            dprev = hi.right[:-1] - lo.right[:-1]
+            dcur = hi.left[1:] - lo.left[1:]
+            ap = lo.right[:-1] - xprev
+            ac = lo.left[1:] - x
+            bp = hi.right[:-1] - xprev
+            bc = hi.left[1:] - x
+            s = _series_term(1, dt, dprev, dcur, ap, ac, bp, bc)
+            for j in range(2, int(terms.max()) + 1):
+                c = terms >= j
+                s[:, c] += _series_term(
+                    j, dt[c], dprev[c], dcur[c], ap[:, c], ac[:, c], bp[:, c], bc[:, c]
+                )
+        np.subtract(1.0, s, out=s)
+        np.clip(s, 0.0, 1.0, out=s)
+        g = np.prod(s, axis=1)
+    g[~ok] = 0.0
+    return (g[0] if single else g), tail
 
 
 def g_one_sided(band: PiecewiseLinearBand, x) -> float | np.ndarray:
@@ -160,9 +155,8 @@ def g_one_sided(band: PiecewiseLinearBand, x) -> float | np.ndarray:
         raise ValueError("g_one_sided requires an infinite lower boundary")
     if band.upper.is_infinite:
         raise InvalidBoundariesError("upper boundary must be finite")
-    x2d, single = _as_paths(x, band.partition.n)
-    g = _one_sided_values(band, x2d)
-    return float(g[0]) if single else g
+    g, _ = band_kernel(band, x)
+    return g if np.ndim(g) else float(g)
 
 
 def g_two_sided(
@@ -171,36 +165,8 @@ def g_two_sided(
     """Non-crossing kernel for a two-sided band (both boundaries finite)."""
     if band.lower.is_infinite or band.upper.is_infinite:
         raise InvalidBoundariesError("g_two_sided requires finite boundaries")
-    x2d, single = _as_paths(x, band.partition.n)
-    g, _ = _two_sided_values(band, x2d, cfg or SeriesConfig())
-    return float(g[0]) if single else g
-
-
-def h_term(i: int, j: int, x_prev: float, x_cur: float, band: PiecewiseLinearBand) -> float:
-    """Single series term for subinterval i (1-based) at index j."""
-    n = band.partition.n
-    if not 1 <= i <= n:
-        raise ValueError(f"interval index {i} out of range 1..{n}")
-    if j < 1:
-        raise ValueError("series index must be >= 1")
-    dt = float(band.partition.dt[i - 1])
-    a_prev = float(band.lower.right[i - 1])
-    a_cur = float(band.lower.left[i])
-    b_prev = float(band.upper.right[i - 1])
-    b_cur = float(band.upper.left[i])
-    if not all(map(math.isfinite, (a_prev, a_cur, b_prev, b_cur))):
-        raise InvalidBoundariesError("h_term needs finite band values on the interval")
-    dprev = b_prev - a_prev
-    dcur = b_cur - a_cur
-    ap = a_prev - x_prev
-    ac = a_cur - x_cur
-    bp = b_prev - x_prev
-    bc = b_cur - x_cur
-    t1 = math.exp(-2.0 / dt * (j * dprev + ap) * (j * dcur + ac))
-    t2 = math.exp(-2.0 * j / dt * (j * dprev * dcur + dprev * ac - dcur * ap))
-    t3 = math.exp(-2.0 / dt * (j * dprev - bp) * (j * dcur - bc))
-    t4 = math.exp(-2.0 * j / dt * (j * dprev * dcur - dprev * bc + dcur * bp))
-    return t1 - t2 + t3 - t4
+    g, _ = band_kernel(band, x, cfg)
+    return g if np.ndim(g) else float(g)
 
 
 def bcp_linear_one_sided(intercept: float, slope: float, T: float) -> float:

@@ -23,8 +23,7 @@ from .boundary import (
     PiecewiseLinearBoundary,
     envelopes,
 )
-from .errors import StartOutsideBandError
-from .kernels import SeriesConfig, band_kernel
+from .kernels import SeriesConfig, band_kernel, check_start
 
 
 @dataclass(frozen=True)
@@ -48,7 +47,6 @@ class BcpEstimate:
     std_error: float
     paths: int
     bracket: tuple[float, float] | None = None
-    series_cap_hit: bool = False
 
     def __post_init__(self):
         if not 0.0 <= self.mean <= 1.0:
@@ -87,8 +85,10 @@ def _evaluate_bands(
     bands: list[PiecewiseLinearBand],
     cfg: McConfig,
     threads: int | None = None,
-) -> tuple[list[tuple[float, float]], bool]:
+) -> list[tuple[float, float]]:
     """Accumulate (sum g, sum g^2) per band over all chunks, in chunk order."""
+    for band in bands:  # fail before sampling, not in every chunk
+        check_start(band)
     p = bands[0].partition
     sqrt_dt = np.sqrt(p.dt)
     n_chunks = -(-cfg.paths // cfg.chunk_size)
@@ -98,16 +98,13 @@ def _evaluate_bands(
         z = _chunk_stream(cfg.seed, k).standard_normal((count, p.n))
         x = np.cumsum(np.multiply(z, sqrt_dt, out=z), axis=1)
         stats = []
-        cap = False
         for band in bands:
-            g, c = band_kernel(band, x, cfg.series)
+            g, _ = band_kernel(band, x, cfg.series)
             if cfg.antithetic:
-                g2, c2 = band_kernel(band, -x, cfg.series)
+                g2, _ = band_kernel(band, -x, cfg.series)
                 g = 0.5 * (g + g2)
-                c = c or c2
-            cap = cap or c
             stats.append((float(np.sum(g)), float(np.sum(g * g))))
-        return stats, cap
+        return stats
 
     lanes = _worker_lanes(threads, n_chunks)
     if lanes == 1:
@@ -116,13 +113,12 @@ def _evaluate_bands(
         with ThreadPoolExecutor(max_workers=lanes) as pool:
             results = list(pool.map(run_chunk, range(n_chunks)))
 
-    cap_hit = any(cap for _, cap in results)
     totals = []
     for b in range(len(bands)):
-        s1 = math.fsum(stats[b][0] for stats, _ in results)
-        s2 = math.fsum(stats[b][1] for stats, _ in results)
+        s1 = math.fsum(stats[b][0] for stats in results)
+        s2 = math.fsum(stats[b][1] for stats in results)
         totals.append((s1, s2))
-    return totals, cap_hit
+    return totals
 
 
 def _mean_se(s1: float, s2: float, paths: int) -> tuple[float, float]:
@@ -135,23 +131,13 @@ def _mean_se(s1: float, s2: float, paths: int) -> tuple[float, float]:
     return mean, se
 
 
-def _check_start(band: PiecewiseLinearBand) -> None:
-    lo = band.lower.right[0]
-    hi = band.upper.right[0]
-    if not lo < 0 < hi:
-        raise StartOutsideBandError(
-            f"start point 0 not strictly inside ({lo}, {hi}) at t=0"
-        )
-
-
 def estimate_bcp(
     band: PiecewiseLinearBand, cfg: McConfig, threads: int | None = None
 ) -> BcpEstimate:
     """Plain Monte Carlo average of the kernel over cfg.paths samples."""
-    _check_start(band)
-    totals, cap_hit = _evaluate_bands([band], cfg, threads)
+    totals = _evaluate_bands([band], cfg, threads)
     mean, se = _mean_se(*totals[0], cfg.paths)
-    return BcpEstimate(mean=mean, std_error=se, paths=cfg.paths, series_cap_hit=cap_hit)
+    return BcpEstimate(mean=mean, std_error=se, paths=cfg.paths)
 
 
 def _envelope_pair(
@@ -181,8 +167,7 @@ def estimate_bcp_bracketed(
     hi_in, hi_out = _envelope_pair(gb_upper, p, m, "upper")
     inner = PiecewiseLinearBand(lo_in, hi_in)
     outer = PiecewiseLinearBand(lo_out, hi_out)
-    _check_start(inner)
-    totals, cap_hit = _evaluate_bands([inner, outer], cfg, threads)
+    totals = _evaluate_bands([inner, outer], cfg, threads)
     mean_in, _ = _mean_se(*totals[0], cfg.paths)
     mean_out, se_out = _mean_se(*totals[1], cfg.paths)
     return BcpEstimate(
@@ -190,5 +175,4 @@ def estimate_bcp_bracketed(
         std_error=se_out,
         paths=cfg.paths,
         bracket=(mean_in, mean_out),
-        series_cap_hit=cap_hit,
     )

@@ -2,8 +2,9 @@
 
 Everything here is deliberately written without touching the library's
 production code paths: composite Simpson instead of adaptive quadrature,
-the method-of-images barrier series, and a plain Euler-Maruyama
-simulator for the original (untransformed) diffusions.
+the method-of-images barrier series, a scalar form of the two-sided
+kernel series, and a plain Euler-Maruyama simulator for the original
+(untransformed) diffusions.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import math
 import numpy as np
 from scipy.integrate import quad
 from scipy.stats import norm
+
+from bcp.errors import InvalidBoundariesError
 
 
 def simpson_fixed(f, a: float, b: float, n: int = 2048) -> float:
@@ -54,6 +57,57 @@ def bridge_abs_max_survival(half_width: float, dt: float, kmax: int = 50) -> flo
     for k in range(1, kmax + 1):
         total += (-1) ** (k + 1) * math.exp(-2.0 * k * k * half_width**2 / dt)
     return 1.0 - 2.0 * total
+
+
+def bridge_abs_max_theta(half_width: float, dt: float, kmax: int = 50) -> float:
+    """P(max |bridge| < half_width) for a 0->0 bridge over dt, theta form.
+
+    The Jacobi transform of `bridge_abs_max_survival`; its terms decay
+    fast when the band is narrow against sqrt(dt), where the reflection
+    form needs many terms.
+    """
+    total = 0.0
+    for k in range(1, kmax + 1):
+        total += math.exp(-((2 * k - 1) ** 2) * math.pi**2 * dt / (8.0 * half_width**2))
+    return math.sqrt(2.0 * math.pi * dt) / half_width * total
+
+
+def h_terms(i: int, j: int, x_prev: float, x_cur: float, band) -> tuple[float, ...]:
+    """The four exponentials of series term j on subinterval i (1-based).
+
+    Term j is t1 - t2 + t3 - t4; at j = 1, t1 and t3 are the single
+    reflections off the upper and the lower side.
+    """
+    n = band.partition.n
+    if not 1 <= i <= n:
+        raise ValueError(f"interval index {i} out of range 1..{n}")
+    if j < 1:
+        raise ValueError("series index must be >= 1")
+    dt = float(band.partition.dt[i - 1])
+    a_prev = float(band.lower.right[i - 1])
+    a_cur = float(band.lower.left[i])
+    b_prev = float(band.upper.right[i - 1])
+    b_cur = float(band.upper.left[i])
+    if not all(map(math.isfinite, (a_prev, a_cur, b_prev, b_cur))):
+        raise InvalidBoundariesError("h_term needs finite band values on the interval")
+    dprev = b_prev - a_prev
+    dcur = b_cur - a_cur
+    ap = a_prev - x_prev
+    ac = a_cur - x_cur
+    bp = b_prev - x_prev
+    bc = b_cur - x_cur
+    return (
+        math.exp(-2.0 / dt * (j * dprev + ap) * (j * dcur + ac)),
+        math.exp(-2.0 * j / dt * (j * dprev * dcur + dprev * ac - dcur * ap)),
+        math.exp(-2.0 / dt * (j * dprev - bp) * (j * dcur - bc)),
+        math.exp(-2.0 * j / dt * (j * dprev * dcur - dprev * bc + dcur * bp)),
+    )
+
+
+def h_term(i: int, j: int, x_prev: float, x_cur: float, band) -> float:
+    """Two-sided series term j on subinterval i, as a scalar reference."""
+    t1, t2, t3, t4 = h_terms(i, j, x_prev, x_cur, band)
+    return t1 - t2 + t3 - t4
 
 
 def quad_one_sided_n1(beta0: float, beta1: float, t1: float) -> float:

@@ -50,6 +50,17 @@ class TestJsonOutput:
         d1.pop("timing_ms"), d2.pop("timing_ms")
         assert d1 == d2
 
+    def test_narrow_band_long_horizon(self, capsys):
+        # The bridge stays within +-0.01 over T=10 with probability below
+        # 1e-40; a fixed cap on the series terms once gave 0.0018 here.
+        argv = ["bm", "--n", "1", "--lower=-0.01", "--upper", "0.01", "--T", "10",
+                "--paths", "4096", "--seed", "1"]
+        code, out, _ = run_capture(argv, capsys)
+        assert code == EXIT_OK
+        results = json.loads(out)["results"]
+        assert results["mean"] < 1e-9
+        assert "series_cap_hit" not in results
+
     def test_output_file(self, tmp_path, capsys):
         target = tmp_path / "report.json"
         code, out, _ = run_capture(
@@ -75,6 +86,12 @@ class TestCsvOutput:
 
 
 class TestPlotData:
+    def test_curves_only_for_plot_data(self):
+        from bcp.cli import build_parser, run_request
+
+        argv = ["bm", "--upper", "1", "--T", "1"] + FAST
+        assert run_request(build_parser().parse_args(argv)).curves is None
+
     def test_curves_for_transformed_barrier(self, capsys):
         argv = ["gbm", "--sigma", "0.1", "--rate", "0.1+0.05*exp(-t)", "--x0", "10",
                 "--upper", "12", "--T", "1", "--format", "plot-data"] + FAST

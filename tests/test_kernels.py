@@ -15,10 +15,14 @@ from bcp import (
     bcp_linear_one_sided,
     g_one_sided,
     g_two_sided,
-    h_term,
     uniform_partition,
 )
+from bcp.kernels import TAIL_BOUND
+from bcp.mc import _chunk_stream
 from oracles import (
+    bridge_abs_max_theta,
+    h_term,
+    h_terms,
     quad_of_kernel_n1,
     quad_one_sided_n1,
     reflection_one_sided,
@@ -71,6 +75,16 @@ class TestOneSided:
         band = one_sided_band(-0.5, n=1)
         with pytest.raises(StartOutsideBandError):
             g_one_sided(band, [0.0])
+
+    def test_start_outside_lower_only(self):
+        # The message names the band as given, not a reflected copy.
+        p = uniform_partition(1.0, 1)
+        band = PiecewiseLinearBand(
+            PiecewiseLinearBoundary.from_values(p, "lower", [0.2, 0.2]),
+            PiecewiseLinearBoundary.infinite(p, "upper"),
+        )
+        with pytest.raises(StartOutsideBandError, match=r"\(0\.2, inf\) at t=0"):
+            band_kernel(band, [0.5])
 
     def test_length_mismatch(self):
         band = one_sided_band(1.0, n=2)
@@ -147,7 +161,7 @@ class TestTwoSided:
         band = two_sided_band(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
         vals = {}
         for terms in (6, 12):
-            cfg = SeriesConfig(max_terms=terms, tail_tolerance=0.0)
+            cfg = SeriesConfig(min_terms=terms)
             vals[terms] = quad_of_kernel_n1(
                 lambda x: g_two_sided(band, [x], cfg), -1.0, 1.0, 1.0
             )
@@ -160,8 +174,8 @@ class TestTwoSided:
             PiecewiseLinearBoundary.from_values(uniform_partition(1.0, 2), "upper", upper),
         )
         x = np.array([[0.3, -0.4], [0.1, 0.2]])
-        g, cap = band_kernel(band_inf, x)
-        assert not cap
+        g, tail = band_kernel(band_inf, x)
+        assert tail == 0.0
         assert np.allclose(g, g_one_sided(band_inf, x))
 
     def test_reflected_routing_lower_only(self):
@@ -173,11 +187,45 @@ class TestTwoSided:
         mirrored = one_sided_band(np.array([1.0, 0.9, 1.1]))
         assert np.allclose(g, g_one_sided(mirrored, -x))
 
-    def test_series_cap_diagnostic(self):
-        # Very narrow band over a long interval decays slowly in j.
-        band = two_sided_band(np.array([-0.01, -0.01]), np.array([0.01, 0.01]), T=10.0)
-        _, cap = band_kernel(band, np.array([[0.0]]), SeriesConfig(tail_tolerance=1e-300))
-        assert cap
+    @pytest.mark.parametrize("h, T", [(0.01, 10.0), (0.2, 1.0), (0.5, 1.0), (1.0, 1.0)])
+    def test_bridge_centre_matches_theta_series(self, h, T):
+        # A narrow band over a long interval needs hundreds of terms; a
+        # fixed cap on the term count returned 0.72 for (0.01, 10).
+        band = two_sided_band(np.array([-h, -h]), np.array([h, h]), T=T)
+        g, tail = band_kernel(band, [0.0])
+        assert g == pytest.approx(bridge_abs_max_theta(h, T), abs=1e-12)
+        assert 0.0 < tail < TAIL_BOUND
+
+    def test_recorded_chunk_matches_scalar_series(self):
+        # Width about 0.5 against dt = 0.25 needs several terms per interval.
+        p = uniform_partition(2.0, 8)
+        lower = -0.25 - 0.05 * np.sin(3.0 * p.nodes)
+        upper = 0.25 + 0.1 * p.nodes * (2.0 - p.nodes)
+        band = two_sided_band(lower, upper, T=2.0)
+        q = (upper - lower)[:-1] * (upper - lower)[1:] / p.dt
+        assert np.all(4 * np.exp(-2 * q) / -np.expm1(-4 * q) > TAIL_BOUND)  # J > 1
+        # Steps smaller than Brownian ones keep many paths inside the band.
+        x = np.cumsum(_chunk_stream(31, 0).standard_normal((256, 8)) * 0.15, axis=1)
+        g, tail = band_kernel(band, x)
+        assert 0.0 < tail < 8 * TAIL_BOUND
+        inside = np.all((x > lower[1:]) & (x < upper[1:]), axis=1)
+        assert 20 <= inside.sum() < 256 and np.all(g[~inside] == 0.0)
+        for row in np.flatnonzero(inside):
+            path = np.concatenate([[0.0], x[row]])
+            expected = 1.0
+            for i in range(1, 9):
+                s = 0.0
+                for j in range(1, 31):
+                    terms = h_terms(i, j, path[i - 1], path[i], band)
+                    if j >= 2:
+                        assert max(terms) <= math.exp(-2 * (j - 1) ** 2 * q[i - 1]) * (1 + 1e-12)
+                    s += terms[0] - terms[1] + terms[2] - terms[3]
+                expected *= 1.0 - s
+            assert g[row] == pytest.approx(expected, abs=1e-14)
+
+    def test_term_floor_validated(self):
+        with pytest.raises(ValueError):
+            SeriesConfig(min_terms=0)
 
 
 class TestMonotonicity:

@@ -172,6 +172,15 @@ class TestValidation:
         with pytest.raises(StartOutsideBandError):
             estimate_bcp(band, McConfig(paths=100, seed=0))
 
+    def test_start_below_lower_only_band(self):
+        p = uniform_partition(1.0, 2)
+        band = PiecewiseLinearBand(
+            PiecewiseLinearBoundary.from_values(p, "lower", [0.2, 0.1, 0.0]),
+            PiecewiseLinearBoundary.infinite(p, "upper"),
+        )
+        with pytest.raises(StartOutsideBandError, match=r"\(0\.2, inf\) at t=0"):
+            estimate_bcp(band, McConfig(paths=100, seed=0))
+
     def test_bad_config(self):
         with pytest.raises(ValueError):
             McConfig(paths=0)

@@ -1,11 +1,11 @@
 """Reducing diffusions to Brownian motion before computing anything.
 
-Mean-reverting, Gompertz-growth and geometric Brownian processes can be
-mapped onto a standard Brownian motion by a deterministic change of
-space and time.  The boundary is pushed through the same map, so one
-engine (the Brownian kernel Monte Carlo) serves every family.  This
-script shows the transformed boundaries and validates two cases against
-exact closed forms.
+Mean-reverting (constant or time-varying coefficients), Gompertz-growth
+and geometric Brownian processes can be mapped onto a standard Brownian
+motion by a deterministic change of space and time.  The boundary is
+pushed through the same map, so one engine (the Brownian kernel Monte
+Carlo) serves every family.  This script shows the transformed
+boundaries and validates two cases against exact closed forms.
 
 Run: python3 demos/03_reductions.py
 """
@@ -20,6 +20,7 @@ from bcp import (
     GrowthSpec,
     McConfig,
     OUSpec,
+    TimeVaryingOUSpec,
     check_reducibility,
     closed_form_bcp,
     estimate_bcp_bracketed,
@@ -31,11 +32,9 @@ from bcp import (
 def show_reduction(title, red, samples=5):
     print(title)
     print(f"  transformed horizon S = {red.horizon:.6f}")
-    for s in np.linspace(0.0, red.horizon, samples):
-        print(
-            f"    s={s:8.4f} -> t={red.time_map(float(s)):6.4f}"
-            f"   boundary(s) = {red.upper(float(s)): .6f}"
-        )
+    s = np.linspace(0.0, red.horizon, samples)
+    for si, ti, ui in zip(s, red.time_map(s), red.upper(s)):
+        print(f"    s={si:8.4f} -> t={ti:6.4f}   boundary(s) = {ui: .6f}")
     print()
 
 
@@ -49,6 +48,23 @@ def main() -> None:
         "Mean-reverting (kappa=0.5, alpha=0, sigma=1, x0=0), barrier b=1:\n"
         "  the constant barrier becomes sqrt(1+s) on [0, e-1].",
         red_ou,
+    )
+
+    # Time-varying coefficients: one ODE solve in the new clock s gives
+    # the horizon and the inverse time change t(s).
+    outd = TimeVaryingOUSpec(
+        x0=0.0,
+        kappa=lambda t: 0.5 + 0.25 * math.sin(t),
+        alpha=lambda t: 0.1 * t,
+        sigma=lambda t: 1.0 + 0.2 * t,
+    )
+    barrier = GeneralBoundary(lambda t: 1.0 + 0.5 * t, "upper", 1.0)
+    red_outd = reduce(outd, None, barrier, 1.0)
+    show_reduction(
+        "Mean-reverting with kappa(t)=0.5+0.25 sin t, alpha(t)=0.1t,\n"
+        "  sigma(t)=1+0.2t, x0=0, barrier b=1+0.5t: clock and centering\n"
+        "  come from one ODE integrated in the new time s.",
+        red_outd,
     )
 
     # A growth process chosen so its reduction is the *same* problem.

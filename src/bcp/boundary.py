@@ -183,33 +183,53 @@ def band_values(band: PiecewiseLinearBand, i: int, side: Literal["left", "right"
 
 @dataclass(frozen=True)
 class GeneralBoundary:
-    """Arbitrary boundary function with side tag and finiteness metadata."""
+    """Arbitrary boundary function with side tag and finiteness metadata.
+
+    Calling it with a scalar returns a float; calling it with an array
+    returns a float array of the same shape.  For an array the evaluator
+    is called once on the whole array, and a result of exactly that shape
+    is taken as the elementwise values.  If that call raises TypeError or
+    ValueError, or returns any other shape (a scalar, say), the evaluator
+    is called once per element instead, so scalar-only callables such as
+    ``lambda t: math.exp(t)`` work unchanged.
+    """
 
     evaluator: Callable[[float], float]
     side: Side
     horizon: float
     finite: bool = True
 
-    def __call__(self, t) -> float:
-        return float(self.evaluator(t))
+    def __call__(self, t):
+        if np.ndim(t) == 0:
+            return float(self.evaluator(t))
+        t = np.asarray(t, dtype=np.float64)
+        try:
+            out = self.evaluator(t)
+            if np.shape(out) == t.shape:
+                return np.asarray(out, dtype=np.float64)
+        except (TypeError, ValueError):
+            pass
+        vals = [float(self.evaluator(x)) for x in t.ravel().tolist()]
+        return np.array(vals, dtype=np.float64).reshape(t.shape)
 
     @classmethod
     def constant(cls, value: float, side: Side, horizon: float) -> "GeneralBoundary":
-        return cls(lambda t: value, side, horizon, finite=math.isfinite(value))
+        return cls(lambda t: np.full(np.shape(t), value), side, horizon,
+                   finite=math.isfinite(value))
 
     @classmethod
     def infinite(cls, side: Side, horizon: float) -> "GeneralBoundary":
         value = -math.inf if side == "lower" else math.inf
-        return cls(lambda t: value, side, horizon, finite=False)
+        return cls(lambda t: np.full(np.shape(t), value), side, horizon, finite=False)
 
 
-def _node_values(gb: GeneralBoundary, p: Partition) -> np.ndarray:
-    vals = np.empty(p.n + 1)
-    for k, t in enumerate(p.nodes):
-        v = gb(float(t))
-        if math.isnan(v):
-            raise EvaluationError(f"boundary evaluated to NaN at t={t}", t=float(t))
-        vals[k] = v
+def _values(gb: GeneralBoundary, ts: np.ndarray) -> np.ndarray:
+    """gb on the grid ts, raising at the first NaN in row-major order."""
+    vals = gb(ts)
+    bad = np.isnan(vals)
+    if bad.any():
+        t = float(ts.flat[np.argmax(bad)])
+        raise EvaluationError(f"boundary evaluated to NaN at t={t}", t=t)
     return vals
 
 
@@ -217,7 +237,7 @@ def chord_boundary(gb: GeneralBoundary, p: Partition) -> PiecewiseLinearBoundary
     """Continuous piecewise-linear interpolant through gb at the nodes."""
     if abs(p.T - gb.horizon) > 1e-12 * max(1.0, gb.horizon):
         raise ValueError("partition horizon does not match boundary horizon")
-    return PiecewiseLinearBoundary.from_values(p, gb.side, _node_values(gb, p))
+    return PiecewiseLinearBoundary.from_values(p, gb.side, _values(gb, p.nodes))
 
 
 def envelopes(
@@ -229,36 +249,28 @@ def envelopes(
     all sampled times; for a lower boundary inner >= gb >= outer (inner
     is always the band-narrowing side).  Per subinterval the chord is
     shifted by the largest sampled chord-vs-boundary excess; node values
-    take the larger of the two adjacent shifts so no jumps appear.
+    take the larger of the two adjacent shifts so no jumps appear.  gb is
+    evaluated once, on the (n, m) grid of samples; the nodes are its
+    first and last columns.
     """
     if m < 2:
         raise ValueError(f"need at least 2 samples per interval, got {m}")
     if not gb.finite:
         raise InvalidBoundariesError("cannot build envelopes for an infinite boundary")
     sign = 1.0 if gb.side == "upper" else -1.0
-    nodes = p.nodes
-    node_vals = _node_values(gb, p)
-    u_nodes = sign * node_vals
-
-    n = p.n
-    shift_in = np.zeros(n)  # chord sits above the boundary by this much
-    shift_out = np.zeros(n)  # boundary sits above the chord by this much
-    for i in range(n):
-        ts = np.linspace(nodes[i], nodes[i + 1], m)
-        w = (ts - nodes[i]) / (nodes[i + 1] - nodes[i])
-        chord = (1 - w) * u_nodes[i] + w * u_nodes[i + 1]
-        us = np.empty(m)
-        for k, t in enumerate(ts):
-            v = gb(float(t))
-            if math.isnan(v):
-                raise EvaluationError(f"boundary evaluated to NaN at t={t}", t=float(t))
-            us[k] = sign * v
-        # The sampled max can miss the true extremum by ~|gap''| d^2 / 8
-        # (d = sample spacing); pad both shifts by that second-difference
-        # estimate so the envelopes stay on the correct side between samples.
-        pad = float(np.max(np.abs(np.diff(us, n=2)))) / 8.0 if m > 2 else 0.0
-        shift_in[i] = max(0.0, float(np.max(chord - us))) + pad
-        shift_out[i] = max(0.0, float(np.max(us - chord))) + pad
+    t0 = p.nodes[:-1, None]
+    t1 = p.nodes[1:, None]
+    ts = np.linspace(p.nodes[:-1], p.nodes[1:], m, axis=1)
+    us = sign * _values(gb, ts)
+    u_nodes = np.append(us[:, 0], us[-1, -1])
+    w = (ts - t0) / (t1 - t0)
+    chord = (1 - w) * u_nodes[:-1, None] + w * u_nodes[1:, None]
+    # The sampled max can miss the true extremum by ~|gap''| d^2 / 8
+    # (d = sample spacing); pad both shifts by that second-difference
+    # estimate so the envelopes stay on the correct side between samples.
+    pad = np.max(np.abs(np.diff(us, n=2, axis=1)), axis=1) / 8.0 if m > 2 else 0.0
+    shift_in = np.maximum(0.0, np.max(chord - us, axis=1)) + pad  # chord above boundary
+    shift_out = np.maximum(0.0, np.max(us - chord, axis=1)) + pad  # boundary above chord
 
     # Node k borders intervals k-1 and k; use the more conservative shift.
     down = np.maximum(np.concatenate([[shift_in[0]], shift_in]),

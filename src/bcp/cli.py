@@ -144,7 +144,7 @@ def _curve_samples(gb: GeneralBoundary | None, T: float, points: int = 129):
     ts = np.linspace(0.0, T, points)
     if gb is None:
         return None
-    return [float(t) for t in ts], [gb(float(t)) for t in ts]
+    return ts.tolist(), gb(ts).tolist()
 
 
 def _common_flags(p: argparse.ArgumentParser) -> None:

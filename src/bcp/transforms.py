@@ -17,14 +17,11 @@ from typing import Callable
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .boundary import GeneralBoundary
 from .errors import InvalidBoundariesError, InvalidDomainError, NumericFailureError
 from .kernels import bcp_linear_one_sided
-
-_EPS = float(np.finfo(np.float64).eps)
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +93,7 @@ class ReducedProblem:
     lower: GeneralBoundary
     upper: GeneralBoundary
     horizon: float
-    time_map: Callable[[float], float]  # s -> original time t
+    time_map: Callable  # s -> original time t, elementwise on arrays
     provenance: dict
 
     def __post_init__(self):
@@ -119,8 +116,8 @@ def _validate_band_inputs(
     if not T > 0:
         raise ValueError(f"horizon must be positive, got {T}")
     ts = np.linspace(0.0, T, probes)
-    av = np.array([a(t) if (a is not None and a.finite) else -math.inf for t in ts])
-    bv = np.array([b(t) if (b is not None and b.finite) else math.inf for t in ts])
+    av = a(ts) if (a is not None and a.finite) else np.full(probes, -math.inf)
+    bv = b(ts) if (b is not None and b.finite) else np.full(probes, math.inf)
     if positive:
         if np.any(bv[np.isfinite(bv)] <= 0):
             raise InvalidBoundariesError("upper boundary must be positive")
@@ -136,7 +133,7 @@ def _transformed(
     gb: GeneralBoundary | None,
     side: str,
     S: float,
-    mapper: Callable[[float], float],
+    mapper: Callable,
 ) -> GeneralBoundary:
     """Wrap `mapper` (s -> transformed boundary value) as a GeneralBoundary."""
     if gb is None or not gb.finite:
@@ -144,24 +141,22 @@ def _transformed(
     return GeneralBoundary(mapper, side, S, finite=True)
 
 
-def _dense_ode(rhs, y0, T: float, what: str):
-    sol = solve_ivp(
-        rhs, (0.0, T), y0, method="DOP853", dense_output=True, rtol=1e-12, atol=1e-14
-    )
+def _dense_values(sol, t):
+    """Dense output of an OdeSolution at t of any shape: (dims,) + shape."""
+    t = np.asarray(t, dtype=np.float64)
+    return sol.sol(t.ravel()).reshape((-1,) + t.shape)
+
+
+def _rate_integral(rate: Callable[[float], float] | float, T: float) -> Callable:
+    """R(t) = integral of the rate over [0, t], elementwise on arrays."""
+    if not callable(rate):
+        r_const = float(rate)
+        return lambda t: r_const * t
+    sol = solve_ivp(lambda t, y: [float(rate(t))], (0.0, T), [0.0], method="DOP853",
+                    dense_output=True, rtol=1e-12, atol=1e-14)
     if not sol.success:
-        raise NumericFailureError(f"integration of {what} failed: {sol.message}")
-    return sol
-
-
-def _monotone_inverse(s_of_t: Callable[[float], float], S: float, T: float):
-    def t_of_s(s: float) -> float:
-        if s <= 0.0:
-            return 0.0
-        if s >= S:
-            return T
-        return brentq(lambda t: s_of_t(t) - s, 0.0, T, xtol=1e-14, rtol=4 * _EPS)
-
-    return t_of_s
+        raise NumericFailureError(f"integration of the rate integral failed: {sol.message}")
+    return lambda t: _dense_values(sol, t)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -176,12 +171,12 @@ def reduce_ou(
     k, al, s2, x0 = spec.kappa, spec.alpha, spec.sigma**2, spec.x0
     S = s2 * math.expm1(2.0 * k * T) / (2.0 * k)
 
-    def t_of_s(s: float) -> float:
-        return math.log1p(2.0 * k * s / s2) / (2.0 * k)
+    def t_of_s(s):
+        return np.log1p(2.0 * k * s / s2) / (2.0 * k)
 
     def mapper(gb):
-        def value(s: float) -> float:
-            return al - x0 + (gb(t_of_s(s)) - al) * math.sqrt(1.0 + 2.0 * k * s / s2)
+        def value(s):
+            return al - x0 + (gb(t_of_s(s)) - al) * np.sqrt(1.0 + 2.0 * k * s / s2)
 
         return value
 
@@ -202,41 +197,51 @@ def reduce_ou_td(
 ) -> ReducedProblem:
     """Time-dependent mean-reverting reduction; integrals done numerically.
 
-    The centering function gamma solves gamma' = kappa*(alpha - gamma),
-    gamma(0) = alpha(0), which removes the drift of the transformed
-    process for arbitrary kappa.
+    With K = integral of kappa, the time change is s(t) = integral of
+    exp(2K) sigma^2.  Integrating (t, K, gamma) in s instead, with
+    dt/ds = exp(-2K)/sigma(t)^2 up to the event t = T, gives the horizon
+    S and the inverse time change t(s) as dense output, so no root
+    finding is needed.  The centering function gamma solves
+    gamma' = kappa*(alpha - gamma), gamma(0) = alpha(0), which removes
+    the drift of the transformed process for arbitrary kappa.
     """
     _validate_band_inputs(a, b, T, spec.x0)
     kappa, alpha, sigma = spec.kappa, spec.alpha, spec.sigma
     x0 = spec.x0
     alpha0 = float(alpha(0.0))
 
-    def rhs(t, y):
-        big_k, _, gamma = y
+    def rhs(s, y):
+        t, big_k, gamma = y
+        t = min(t, T)  # the step that crosses the event may probe past T
         kt = float(kappa(t))
         st = float(sigma(t))
         if kt <= 0 or st <= 0:
             raise NumericFailureError("kappa and sigma must stay positive on [0, T]")
-        return [kt, math.exp(2.0 * big_k) * st * st, kt * (float(alpha(t)) - gamma)]
+        dt = math.exp(-2.0 * big_k) / (st * st)
+        return [dt, kt * dt, kt * (float(alpha(t)) - gamma) * dt]
 
-    sol = _dense_ode(rhs, [0.0, 0.0, alpha0], T, "the time change")
-    S = float(sol.y[1, -1])
+    def reached_horizon(s, y):
+        return y[0] - T
 
-    def big_k(t: float) -> float:
-        return float(sol.sol(t)[0])
+    reached_horizon.terminal = True
+    sol = solve_ivp(rhs, (0.0, np.inf), [0.0, 0.0, alpha0], method="DOP853",
+                    events=reached_horizon, dense_output=True, rtol=1e-13, atol=1e-15)
+    if sol.status != 1 or sol.t_events[0].size == 0:
+        raise NumericFailureError(f"integration of the time change failed: {sol.message}")
+    S = float(sol.t_events[0][0])
 
-    def s_of_t(t: float) -> float:
-        return float(sol.sol(t)[1])
+    def state(s):
+        """(t, K, gamma) at s, with s clamped to [0, S] and t to [0, T]."""
+        y = _dense_values(sol, np.clip(s, 0.0, S))
+        return np.clip(y[0], 0.0, T), y[1], y[2]
 
-    def gamma(t: float) -> float:
-        return float(sol.sol(t)[2])
-
-    t_of_s = _monotone_inverse(s_of_t, S, T)
+    def t_of_s(s):
+        return state(s)[0]
 
     def mapper(gb):
-        def value(s: float) -> float:
-            t = t_of_s(s)
-            return alpha0 - x0 + (gb(t) - gamma(t)) * math.exp(big_k(t))
+        def value(s):
+            t, big_k, gamma = state(s)
+            return alpha0 - x0 + (gb(t) - gamma) * np.exp(big_k)
 
         return value
 
@@ -259,24 +264,22 @@ def reduce_growth(
     base = (math.log(x0) + shift) / sg
     S = math.expm1(2.0 * be * T) / (2.0 * be)
 
-    def t_of_s(s: float) -> float:
-        return math.log1p(2.0 * be * s) / (2.0 * be)
+    def t_of_s(s):
+        return np.log1p(2.0 * be * s) / (2.0 * be)
 
     def mapper(gb):
-        def value(s: float) -> float:
+        def value(s):
             v = gb(t_of_s(s))
-            if v <= 0.0:
-                return -math.inf
-            return math.sqrt(1.0 + 2.0 * be * s) * (math.log(v) + shift) / sg - base
+            with np.errstate(divide="ignore", invalid="ignore"):
+                u = np.sqrt(1.0 + 2.0 * be * s) * (np.log(v) + shift) / sg - base
+            return np.where(v <= 0.0, -math.inf, u)
 
         return value
 
     # A boundary that is identically zero is one-sided after the log map.
     a_eff = a
-    if a is not None and a.finite:
-        probes = np.linspace(0.0, T, 65)
-        if all(a(t) == 0.0 for t in probes):
-            a_eff = None
+    if a is not None and a.finite and np.all(a(np.linspace(0.0, T, 65)) == 0.0):
+        a_eff = None
 
     return ReducedProblem(
         lower=_transformed(a_eff, "lower", S, mapper(a)),
@@ -293,25 +296,14 @@ def reduce_gbm(
     """Geometric-BM reduction; identity time change."""
     _validate_band_inputs(a, b, T, spec.x0, positive=True)
     sg, x0 = spec.sigma, spec.x0
-    rate = spec.rate
-    if callable(rate):
-        sol = _dense_ode(lambda t, y: [float(rate(t))], [0.0], T, "the rate integral")
-
-        def big_r(t: float) -> float:
-            return float(sol.sol(t)[0])
-
-    else:
-        r_const = float(rate)
-
-        def big_r(t: float) -> float:
-            return r_const * t
+    big_r = _rate_integral(spec.rate, T)
 
     def mapper(gb):
-        def value(t: float) -> float:
+        def value(t):
             v = gb(t)
-            if v <= 0.0:
-                return -math.inf
-            return (math.log(v / x0) + 0.5 * sg * sg * t - big_r(t)) / sg
+            with np.errstate(divide="ignore", invalid="ignore"):
+                u = (np.log(v / x0) + 0.5 * sg * sg * t - big_r(t)) / sg
+            return np.where(v <= 0.0, -math.inf, u)
 
         return value
 
@@ -350,8 +342,8 @@ def _clip01(p: float) -> float:
 def _ou_exp_up(kappa, alpha, sigma, x0, h, T):
     e2 = math.exp(2.0 * kappa * T)
     den = sigma * math.sqrt((e2 - 1.0) / (2.0 * kappa))
-    p = norm.cdf((h * e2 + alpha - x0) / den)
-    q = math.exp(-4.0 * h * kappa * (h + alpha - x0) / sigma**2) * norm.cdf(
+    p = ndtr((h * e2 + alpha - x0) / den)
+    q = math.exp(-4.0 * h * kappa * (h + alpha - x0) / sigma**2) * ndtr(
         (h * e2 - alpha + x0 - 2.0 * h) / den
     )
     return _clip01(p - q)
@@ -359,32 +351,32 @@ def _ou_exp_up(kappa, alpha, sigma, x0, h, T):
 
 def _ou_exp_down(kappa, alpha, sigma, x0, h, T):
     den = sigma * math.sqrt(math.expm1(2.0 * kappa * T) / (2.0 * kappa))
-    return _clip01(2.0 * norm.cdf((alpha - x0 + h) / den) - 1.0)
+    return _clip01(2.0 * ndtr((alpha - x0 + h) / den) - 1.0)
 
 
 def _growth_exp_up(alpha, beta, sigma, x0, h, T):
     e2 = math.exp(2.0 * beta * T)
     lx = math.log(x0)
     den = sigma * math.sqrt(2.0 * beta * (e2 - 1.0))
-    p = norm.cdf((2.0 * beta * (h * e2 - lx) - sigma**2 + 2.0 * alpha) / den)
+    p = ndtr((2.0 * beta * (h * e2 - lx) - sigma**2 + 2.0 * alpha) / den)
     q = math.exp(
         (4.0 * h * beta * (lx - h) + 2.0 * h * (sigma**2 - 2.0 * alpha)) / sigma**2
-    ) * norm.cdf((2.0 * beta * (h * e2 - 2.0 * h + lx) + sigma**2 - 2.0 * alpha) / den)
+    ) * ndtr((2.0 * beta * (h * e2 - 2.0 * h + lx) + sigma**2 - 2.0 * alpha) / den)
     return _clip01(p - q)
 
 
 def _growth_exp_down(alpha, beta, sigma, x0, h, T):
     den = sigma * math.sqrt(2.0 * beta * math.expm1(2.0 * beta * T))
     z = (2.0 * beta * (h - math.log(x0)) - sigma**2 + 2.0 * alpha) / den
-    return _clip01(2.0 * norm.cdf(z) - 1.0)
+    return _clip01(2.0 * ndtr(z) - 1.0)
 
 
 def _gbm_exp_drift(sigma, x0, p, q, T):
     lx = math.log(x0)
     den = sigma * math.sqrt(T)
     drift = (p + 0.5 * sigma**2) * T
-    up = norm.cdf((drift + q - lx) / den)
-    down = math.exp((2.0 * p + sigma**2) * (lx - q) / sigma**2) * norm.cdf(
+    up = ndtr((drift + q - lx) / den)
+    down = math.exp((2.0 * p + sigma**2) * (lx - q) / sigma**2) * ndtr(
         (drift - q + lx) / den
     )
     return _clip01(up - down)
@@ -394,8 +386,8 @@ def _gbm_const_rate_const_barrier(sigma, r, x0, h, T):
     lh = math.log(h / x0)
     den = sigma * math.sqrt(T)
     drift = (0.5 * sigma**2 - r) * T
-    up = norm.cdf((drift + lh) / den)
-    down = math.exp((2.0 * r - sigma**2) * lh / sigma**2) * norm.cdf((drift - lh) / den)
+    up = ndtr((drift + lh) / den)
+    down = math.exp((2.0 * r - sigma**2) * lh / sigma**2) * ndtr((drift - lh) / den)
     return _clip01(up - down)
 
 
@@ -466,20 +458,8 @@ def catalog_problem(case: str, **params):
             params["T"],
         )
         spec = GBMSpec(x0=x0, sigma=sg, rate=params.get("rate", 0.0))
-        rate = spec.rate
-        if callable(rate):
-            sol = _dense_ode(lambda t, y: [float(rate(t))], [0.0], T, "rate integral")
-
-            def big_r(t):
-                return float(sol.sol(t)[0])
-
-        else:
-            r_const = float(rate)
-
-            def big_r(t):
-                return r_const * t
-
-        b = GeneralBoundary(lambda t: math.exp(p * t + q + big_r(t)), "upper", T)
+        big_r = _rate_integral(spec.rate, T)
+        b = GeneralBoundary(lambda t: np.exp(p * t + q + big_r(t)), "upper", T)
         return spec, None, b, T
     if case == "gbm_const_rate_const_barrier":
         sg, r, x0, h, T = (

@@ -13,8 +13,12 @@ from bcp import (
     band_values,
     chord_boundary,
     envelopes,
+    parse_boundary,
     uniform_partition,
 )
+
+
+DANIELS = "0.5 - t*log(0.25+0.25*sqrt(1+8*exp(-1/t)))"
 
 
 def daniels(t):
@@ -124,6 +128,40 @@ class TestBandValues:
             band_values(band, 3, "left")
 
 
+class TestGeneralBoundary:
+    def test_scalar_in_float_out(self):
+        gb = GeneralBoundary(parse_boundary("1+t"), "upper", 1.0)
+        assert type(gb(0.5)) is float and gb(0.5) == 1.5
+
+    def test_same_shape_result_taken_from_one_call(self):
+        calls = []
+
+        def fn(t):
+            calls.append(np.shape(t))
+            return 1.0 + np.asarray(t)
+
+        ts = np.linspace(0.0, 1.0, 6).reshape(2, 3)
+        assert np.array_equal(GeneralBoundary(fn, "upper", 1.0)(ts), 1.0 + ts)
+        assert calls == [(2, 3)]
+
+    @pytest.mark.parametrize(
+        "fn",
+        [lambda t: 2.0, lambda t: math.exp(t), lambda t: 1.0 if t < 0.5 else 3.0],
+        ids=["scalar_result", "math_call", "branch"],
+    )
+    def test_other_results_fall_back_to_elementwise_calls(self, fn):
+        ts = np.linspace(0.0, 1.0, 7)
+        got = GeneralBoundary(fn, "upper", 1.0)(ts)
+        assert np.array_equal(got, [fn(float(t)) for t in ts])
+
+    def test_constant_and_infinite_map_arrays(self):
+        ts = np.zeros((3, 4))
+        const = GeneralBoundary.constant(2.0, "upper", 1.0)
+        assert np.array_equal(const(ts), np.full((3, 4), 2.0)) and const(0.3) == 2.0
+        inf = GeneralBoundary.infinite("lower", 1.0)
+        assert np.array_equal(inf(ts), np.full((3, 4), -np.inf))
+
+
 class TestChordBoundary:
     def test_constant(self):
         gb = GeneralBoundary.constant(1.0, "upper", 1.0)
@@ -205,6 +243,30 @@ class TestEnvelopes:
             inner, outer = envelopes(gb, uniform_partition(1.0, n), m=50)
             gaps.append(np.max(outer(ts) - inner(ts)))
         assert all(g2 <= g1 + 1e-12 for g1, g2 in zip(gaps, gaps[1:]))
+
+    def test_expression_evaluated_at_most_twice(self):
+        expr = parse_boundary(DANIELS)
+        calls = []
+
+        def counted(t):
+            calls.append(np.shape(t))
+            return expr(t)
+
+        envelopes(GeneralBoundary(counted, "upper", 1.0), uniform_partition(1.0, 128), 50)
+        assert len(calls) <= 2
+
+    def test_scalar_callable_matches_expression_bitwise(self):
+        p = uniform_partition(1.0, 32)
+        scalar = GeneralBoundary(lambda t: 0.5 + math.sqrt(1.0 + t) * t, "upper", 1.0)
+        expr = GeneralBoundary(parse_boundary("0.5 + sqrt(1+t)*t"), "upper", 1.0)
+        for b1, b2 in zip(envelopes(scalar, p, 20), envelopes(expr, p, 20)):
+            assert np.array_equal(b1.right, b2.right) and np.array_equal(b1.left, b2.left)
+
+    def test_nan_reported_at_first_sample(self):
+        gb = GeneralBoundary(parse_boundary("sqrt(0.3-t)"), "upper", 1.0)
+        with pytest.raises(EvaluationError) as err:
+            envelopes(gb, uniform_partition(1.0, 4), m=5)
+        assert err.value.t == 0.3125
 
     def test_m_too_small(self):
         gb = GeneralBoundary.constant(1.0, "upper", 1.0)

@@ -17,6 +17,7 @@ from bcp import (
     closed_form_bcp,
     catalog_problem,
     estimate_bcp_bracketed,
+    parse_boundary,
     reduce,
     reduce_gbm,
     reduce_growth,
@@ -85,6 +86,30 @@ class TestReduceOUTimeVarying:
         for s in np.linspace(0.0, min(r1.horizon, r2.horizon), 100):
             assert r2.upper(s) == pytest.approx(r1.upper(s), abs=1e-10)
             assert r2.time_map(s) == pytest.approx(r1.time_map(s), abs=1e-10)
+
+    @pytest.mark.parametrize(
+        "kappa,alpha,sigma,x0,b",
+        [
+            (0.5, 0.0, 1.0, 0.0, lambda t: np.exp(0.5 * t)),
+            (2.0, 0.3, 0.7, 0.1, lambda t: 1.0 + 0.5 * t),
+            (0.1, -0.2, 1.5, 0.0, lambda t: 2.0 - t),
+        ],
+        ids=["kappa0.5", "kappa2", "kappa0.1"],
+    )
+    def test_constant_coefficients_match_closed_form_on_dense_grid(
+        self, kappa, alpha, sigma, x0, b
+    ):
+        const = OUSpec(x0=x0, kappa=kappa, alpha=alpha, sigma=sigma)
+        td = TimeVaryingOUSpec(
+            x0=x0, kappa=lambda t: kappa, alpha=lambda t: alpha, sigma=lambda t: sigma
+        )
+        gb = GeneralBoundary(b, "upper", 1.0)
+        r1 = reduce_ou(const, None, gb, 1.0)
+        r2 = reduce_ou_td(td, None, gb, 1.0)
+        assert abs(r2.horizon - r1.horizon) <= 1e-12
+        s = np.linspace(0.0, r1.horizon, 6401)
+        assert np.max(np.abs(r2.upper(s) - r1.upper(s))) <= 1e-12
+        assert np.max(np.abs(r2.time_map(s) - r1.time_map(s))) <= 1e-12
 
     def test_linear_kappa_time_change(self):
         td = TimeVaryingOUSpec(
@@ -211,6 +236,47 @@ class TestReduceGBM:
         slopes = np.diff(vals) / np.diff(ts)
         assert np.allclose(slopes, slopes[0], atol=1e-10)
         assert vals[0] == pytest.approx(q / 0.4, rel=1e-12)
+
+
+class TestArrayEvaluation:
+    @pytest.mark.parametrize(
+        "spec,a,b",
+        [
+            (
+                OUSpec(x0=0.0, kappa=0.5, alpha=0.1, sigma=1.0),
+                GeneralBoundary(lambda t: -1.0 - t, "lower", 1.0),
+                GeneralBoundary(lambda t: math.exp(0.5 * t), "upper", 1.0),
+            ),
+            (
+                TimeVaryingOUSpec(
+                    x0=0.0,
+                    kappa=lambda t: 0.5 + 0.25 * math.sin(t),
+                    alpha=lambda t: 0.1 * t,
+                    sigma=lambda t: 1.0 + 0.2 * t,
+                ),
+                GeneralBoundary(parse_boundary("-1-t"), "lower", 1.0),
+                GeneralBoundary(parse_boundary("1+0.5*t"), "upper", 1.0),
+            ),
+            (
+                GrowthSpec(x0=1.0, alpha=0.5, beta=0.5, sigma=1.0),
+                GeneralBoundary(lambda t: 0.2 * t, "lower", 1.0),  # -inf at s = 0
+                GeneralBoundary(parse_boundary("exp(1)+t"), "upper", 1.0),
+            ),
+            (
+                GBMSpec(x0=10.0, sigma=0.1, rate=parse_boundary("0.1+0.05*exp(-t)")),
+                GeneralBoundary.constant(5.0, "lower", 1.0),
+                GeneralBoundary(parse_boundary("12+t"), "upper", 1.0),
+            ),
+        ],
+        ids=["ou", "ou_td", "growth", "gbm"],
+    )
+    def test_arrays_agree_with_scalar_calls(self, spec, a, b):
+        red = reduce(spec, a, b, 1.0)
+        s = np.linspace(0.0, red.horizon, 240).reshape(12, 20)
+        for fn in (red.time_map, red.lower, red.upper):
+            got = fn(s)
+            assert np.shape(got) == s.shape
+            np.testing.assert_array_equal(got, [[fn(float(x)) for x in row] for row in s])
 
 
 class TestDispatcher:

@@ -17,6 +17,20 @@ cover rounding in the alternating sum, which can be far larger: at x = 0
 on the band (-0.01, 0.01) over one interval of length 10, rounding
 leaves 1.7e-14 against a returned bound of 5.3e-20.  Factors are
 clamped to [0, 1] so the result stays a probability under rounding.
+
+`band_kernel` evaluates only the rows that stay inside the band at every
+node (g = 0 for the others), in blocks of BLOCK_SIZE entries: 256 rows at
+n = 128, where one float64 buffer is 256 KB.  A block works in reused
+buffers, two for a one-sided band and seven for a two-sided one (1.75 MB,
+inside a 2 MB L2 cache); the per-interval constants enter as length-n
+vectors.  The block size is a fixed constant, not a setting; rows are
+independent, so it never changes a value.  Every exponent is clamped below at EXP_FLOOR =
+-700 before exp, which is about 3x slower on arguments whose result
+underflows.  On a path inside the band every exponent is <= 0, so the
+clamp moves a term by at most exp(-700) ~ 1e-304.  A sum of magnitude
+above ~1e-288 absorbs such a change in its rounding, and 1 - S rounds to
+1 for every smaller S, so no factor 1 - S can change.  The values are
+bit-identical to the unblocked, unclamped whole-array expressions.
 """
 
 from __future__ import annotations
@@ -32,6 +46,13 @@ from .errors import InvalidBoundariesError, StartOutsideBandError
 
 #: Per-interval bound on the omitted series tail.
 TAIL_BOUND = 2.0**-64
+
+#: Entries of the (paths, n) matrix evaluated together: 256 rows of
+#: 128 nodes make one 256 KB float64 buffer.
+BLOCK_SIZE = 256 * 128
+
+#: Lower clamp on every exponent; exp(-700) ~ 1e-304 is still a normal double.
+EXP_FLOOR = -700.0
 
 
 @dataclass(frozen=True)
@@ -82,12 +103,101 @@ def _term_counts(band: PiecewiseLinearBand, min_terms: int) -> tuple[np.ndarray,
     return terms.astype(np.int64), _tail(q, terms)
 
 
-def _series_term(j, dt, dprev, dcur, ap, ac, bp, bc):
-    t1 = np.exp(-2.0 / dt * (j * dprev + ap) * (j * dcur + ac))
-    t2 = np.exp(-2.0 * j / dt * (j * dprev * dcur + dprev * ac - dcur * ap))
-    t3 = np.exp(-2.0 / dt * (j * dprev - bp) * (j * dcur - bc))
-    t4 = np.exp(-2.0 * j / dt * (j * dprev * dcur - dprev * bc + dcur * bp))
-    return t1 - t2 + t3 - t4
+def _exp(u: np.ndarray) -> np.ndarray:
+    """exp in place, with the argument clamped below at EXP_FLOOR."""
+    np.maximum(u, EXP_FLOOR, out=u)
+    return np.exp(u, out=u)
+
+
+def _coefficients(j: int, dt, dprev, dcur) -> tuple:
+    """Operands of term j: -2/dt, -2j/dt, j dprev, j dcur, j dprev dcur, dprev, dcur."""
+    jp = j * dprev
+    return -2.0 / dt, -2.0 * j / dt, jp, j * dcur, jp * dcur, dprev, dcur
+
+
+def _series_term(coef, ap, ac, bp, bc, out, u, v) -> None:
+    """out = t1 - t2 + t3 - t4 for the coefficients of one index j.
+
+    u and v are scratch.  The operations and their order are those of the
+    unfused formula, so only the clamped exponents can differ.
+    """
+    c1, c2, jp, jc, jpc, dprev, dcur = coef
+    # t1 = exp(c1 (j dprev + ap) (j dcur + ac))
+    np.add(jp, ap, out=out)
+    np.multiply(c1, out, out=out)
+    np.add(jc, ac, out=u)
+    _exp(np.multiply(out, u, out=out))
+    # t2 = exp(c2 (j dprev dcur + dprev ac - dcur ap))
+    np.multiply(dprev, ac, out=u)
+    np.add(jpc, u, out=u)
+    np.subtract(u, np.multiply(dcur, ap, out=v), out=u)
+    _exp(np.multiply(c2, u, out=u))
+    np.subtract(out, u, out=out)
+    # t3 = exp(c1 (j dprev - bp) (j dcur - bc))
+    np.subtract(jp, bp, out=u)
+    np.multiply(c1, u, out=u)
+    np.subtract(jc, bc, out=v)
+    _exp(np.multiply(u, v, out=u))
+    np.add(out, u, out=out)
+    # t4 = exp(c2 (j dprev dcur - dprev bc + dcur bp))
+    np.multiply(dprev, bc, out=u)
+    np.subtract(jpc, u, out=u)
+    np.add(u, np.multiply(dcur, bp, out=v), out=u)
+    _exp(np.multiply(c2, u, out=u))
+    np.subtract(out, u, out=out)
+
+
+def _shift_right(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = x_prev: each row of x moved one column right, with x_0 = 0."""
+    out.reshape(-1)[1:] = x.reshape(-1)[:-1]
+    out[:, 0] = 0.0
+    return out
+
+
+def _inside(band: PiecewiseLinearBand, x: np.ndarray) -> np.ndarray:
+    """Rows of x strictly inside the band at every node.
+
+    Interval i runs from the right limit at its left node to the left
+    limit at its right node; the indicators use the left limits, the
+    restrictive side for outward jumps.
+    """
+    ok = np.ones(x.shape[0], dtype=bool)
+    if not band.lower.is_infinite:
+        ok &= np.all(x > band.lower.left[1:], axis=1)
+    if not band.upper.is_infinite:
+        ok &= np.all(x < band.upper.left[1:], axis=1)
+    return ok
+
+
+def _reflection_sum(x, bufs, consts) -> np.ndarray:
+    """S of a one-sided band, the single reflection off its finite side b."""
+    s, u = bufs
+    b_prev, b_cur, c1 = consts
+    np.subtract(b_prev, _shift_right(x, s), out=s)
+    np.multiply(s, np.subtract(b_cur, x, out=u), out=s)
+    return _exp(np.multiply(s, c1, out=s))
+
+
+def _series_sum(x, bufs, consts, terms, dt, dprev, dcur) -> np.ndarray:
+    """S of a two-sided band, the series truncated at terms[i] on interval i."""
+    s, u, v, ap, ac, bp, bc = bufs
+    a_prev, a_cur, b_prev, b_cur, c1, dp, dc, dd = consts
+    _shift_right(x, bp)
+    np.subtract(a_prev, bp, out=ap)
+    np.subtract(b_prev, bp, out=bp)
+    np.subtract(a_cur, x, out=ac)
+    np.subtract(b_cur, x, out=bc)
+    # Index j = 1 holds both single reflections (t1 off the upper side, t3
+    # off the lower); later indices only where J needs them.  At j = 1,
+    # -2j/dt = -2/dt, j dprev = dprev and j dcur = dcur exactly.
+    _series_term((c1, c1, dp, dc, dd, dp, dc), ap, ac, bp, bc, s, u, v)
+    for j in range(2, int(terms.max()) + 1):
+        c = terms >= j
+        sub = [a[:, c] for a in (ap, ac, bp, bc)]
+        scratch = [np.empty_like(sub[0]) for _ in range(3)]
+        _series_term(_coefficients(j, dt[c], dprev[c], dcur[c]), *sub, *scratch)
+        s[:, c] += scratch[0]
+    return s
 
 
 def band_kernel(
@@ -104,52 +214,43 @@ def band_kernel(
     x, single = _as_paths(x, band.partition.n)
     check_start(band)
     lo, hi = band.lower, band.upper
-    dt = band.partition.dt
-    # Interval i runs from the right limit at its left node to the left
-    # limit at its right node; indicators use the left limits, the
-    # restrictive side for outward jumps.
-    ok = np.ones(x.shape[0], dtype=bool)
-    if not lo.is_infinite:
-        ok &= np.all(x > lo.left[1:], axis=1)
-    if not hi.is_infinite:
-        ok &= np.all(x < hi.left[1:], axis=1)
-    xprev = np.empty_like(x)
-    xprev[:, 0] = 0.0
-    xprev[:, 1:] = x[:, :-1]
+    rows, n = x.shape
     tail = 0.0
-    # Exponents are non-positive on paths that respect the indicators, so
-    # overflow and NaN can only occur on paths that are zeroed out anyway.
-    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        if lo.is_infinite and hi.is_infinite:
-            s = np.zeros_like(x)
-        elif lo.is_infinite or hi.is_infinite:
-            # Single reflection off the finite side, in place over one buffer.
-            b = hi if lo.is_infinite else lo
-            s = np.subtract(b.right[:-1], xprev, out=xprev)
-            np.multiply(s, b.left[1:] - x, out=s)
-            np.multiply(s, -2.0 / dt, out=s)
-            np.exp(s, out=s)
-        else:
-            # Index j = 1 holds both single reflections (t1 off the upper
-            # side, t3 off the lower); later indices only where J needs them.
-            terms, tails = _term_counts(band, cfg.min_terms)
-            tail = float(np.sum(tails))
-            dprev = hi.right[:-1] - lo.right[:-1]
-            dcur = hi.left[1:] - lo.left[1:]
-            ap = lo.right[:-1] - xprev
-            ac = lo.left[1:] - x
-            bp = hi.right[:-1] - xprev
-            bc = hi.left[1:] - x
-            s = _series_term(1, dt, dprev, dcur, ap, ac, bp, bc)
-            for j in range(2, int(terms.max()) + 1):
-                c = terms >= j
-                s[:, c] += _series_term(
-                    j, dt[c], dprev[c], dcur[c], ap[:, c], ac[:, c], bp[:, c], bc[:, c]
-                )
-        np.subtract(1.0, s, out=s)
-        np.clip(s, 0.0, 1.0, out=s)
-        g = np.prod(s, axis=1)
-    g[~ok] = 0.0
+    if lo.is_infinite and hi.is_infinite:
+        g = np.ones(rows)
+        return (g[0] if single else g), tail
+    block = max(1, min(rows, BLOCK_SIZE // n))
+    dt = band.partition.dt
+    if lo.is_infinite or hi.is_infinite:
+        b = hi if lo.is_infinite else lo
+        terms = None
+        consts = (b.right[:-1], b.left[1:], -2.0 / dt)
+    else:
+        terms, tails = _term_counts(band, cfg.min_terms)
+        tail = float(np.sum(tails))
+        dprev = hi.right[:-1] - lo.right[:-1]
+        dcur = hi.left[1:] - lo.left[1:]
+        consts = (lo.right[:-1], lo.left[1:], hi.right[:-1], hi.left[1:],
+                  -2.0 / dt, dprev, dcur, dprev * dcur)
+    bufs = np.empty((2 if terms is None else 7, block, n))
+    g = np.zeros(rows)
+    # Only rows inside the band are evaluated, where every exponent is
+    # non-positive; the others keep g = 0.
+    with np.errstate(over="ignore", under="ignore"):
+        for r0 in range(0, rows, block):
+            xb = x[r0:r0 + block]
+            ok = _inside(band, xb)
+            if not ok.all():
+                xb = xb[ok]
+            k = xb.shape[0]
+            args = xb, bufs[:, :k], consts
+            if terms is None:
+                s = _reflection_sum(*args)
+            else:
+                s = _series_sum(*args, terms, dt, dprev, dcur)
+            np.subtract(1.0, s, out=s)
+            np.clip(s, 0.0, 1.0, out=s)
+            g[r0:r0 + block][ok] = np.prod(s, axis=1)
     return (g[0] if single else g), tail
 
 

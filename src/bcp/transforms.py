@@ -112,21 +112,38 @@ def _validate_band_inputs(
     x0: float,
     positive: bool = False,
     probes: int = 65,
-) -> None:
+) -> GeneralBoundary | None:
+    """Check the band on `probes` points of [0, T]; return the lower boundary to use.
+
+    With positive=True (a positive process, log-mapped later) a lower
+    boundary that is 0 at every probe maps to -inf and leaves the band
+    one-sided, so None is returned.  One that is 0 at some probes but not
+    all would map to -inf at isolated times, which no envelope can follow.
+    """
     if not T > 0:
         raise ValueError(f"horizon must be positive, got {T}")
     ts = np.linspace(0.0, T, probes)
-    av = a(ts) if (a is not None and a.finite) else np.full(probes, -math.inf)
+    if a is not None and not a.finite:
+        a = None
+    av = np.full(probes, -math.inf) if a is None else a(ts)
     bv = b(ts) if (b is not None and b.finite) else np.full(probes, math.inf)
     if positive:
         if np.any(bv[np.isfinite(bv)] <= 0):
             raise InvalidBoundariesError("upper boundary must be positive")
         if np.any(av[np.isfinite(av)] < 0):
             raise InvalidBoundariesError("lower boundary cannot be negative")
+        zero = av == 0.0
+        if zero.all():
+            a = None
+        elif zero.any():
+            raise InvalidBoundariesError(
+                "lower boundary must be identically 0 or positive on [0, T]"
+            )
     if np.any(av[1:] >= bv[1:]):
         raise InvalidBoundariesError("boundaries must satisfy a(t) < b(t) on (0, T]")
     if not (av[0] < x0 < bv[0]):
         raise InvalidBoundariesError(f"start point {x0} not inside (a(0), b(0))")
+    return a
 
 
 def _transformed(
@@ -258,7 +275,7 @@ def reduce_growth(
     spec: GrowthSpec, a: GeneralBoundary | None, b: GeneralBoundary | None, T: float
 ) -> ReducedProblem:
     """Gompertz-growth reduction; a zero lower boundary maps to -inf."""
-    _validate_band_inputs(a, b, T, spec.x0, positive=True)
+    a = _validate_band_inputs(a, b, T, spec.x0, positive=True)
     al, be, sg, x0 = spec.alpha, spec.beta, spec.sigma, spec.x0
     shift = (sg * sg - 2.0 * al) / (2.0 * be)
     base = (math.log(x0) + shift) / sg
@@ -276,13 +293,8 @@ def reduce_growth(
 
         return value
 
-    # A boundary that is identically zero is one-sided after the log map.
-    a_eff = a
-    if a is not None and a.finite and np.all(a(np.linspace(0.0, T, 65)) == 0.0):
-        a_eff = None
-
     return ReducedProblem(
-        lower=_transformed(a_eff, "lower", S, mapper(a)),
+        lower=_transformed(a, "lower", S, mapper(a)),
         upper=_transformed(b, "upper", S, mapper(b)),
         horizon=S,
         time_map=t_of_s,
@@ -293,8 +305,8 @@ def reduce_growth(
 def reduce_gbm(
     spec: GBMSpec, a: GeneralBoundary | None, b: GeneralBoundary | None, T: float
 ) -> ReducedProblem:
-    """Geometric-BM reduction; identity time change."""
-    _validate_band_inputs(a, b, T, spec.x0, positive=True)
+    """Geometric-BM reduction; identity time change; a zero lower boundary maps to -inf."""
+    a = _validate_band_inputs(a, b, T, spec.x0, positive=True)
     sg, x0 = spec.sigma, spec.x0
     big_r = _rate_integral(spec.rate, T)
 

@@ -3,8 +3,8 @@
 Everything here is deliberately written without touching the library's
 production code paths: composite Simpson instead of adaptive quadrature,
 the method-of-images barrier series, a scalar form of the two-sided
-kernel series, and a plain Euler-Maruyama simulator for the original
-(untransformed) diffusions.
+kernel series, the kernel as whole-array expressions, and a plain
+Euler-Maruyama simulator for the original (untransformed) diffusions.
 """
 
 from __future__ import annotations
@@ -108,6 +108,55 @@ def h_term(i: int, j: int, x_prev: float, x_cur: float, band) -> float:
     """Two-sided series term j on subinterval i, as a scalar reference."""
     t1, t2, t3, t4 = h_terms(i, j, x_prev, x_cur, band)
     return t1 - t2 + t3 - t4
+
+
+def series_term_unfused(j, dt, dprev, dcur, ap, ac, bp, bc):
+    """Series term j, t1 - t2 + t3 - t4, one whole-array expression per exponential."""
+    t1 = np.exp(-2.0 / dt * (j * dprev + ap) * (j * dcur + ac))
+    t2 = np.exp(-2.0 * j / dt * (j * dprev * dcur + dprev * ac - dcur * ap))
+    t3 = np.exp(-2.0 / dt * (j * dprev - bp) * (j * dcur - bc))
+    t4 = np.exp(-2.0 * j / dt * (j * dprev * dcur - dprev * bc + dcur * bp))
+    return t1 - t2 + t3 - t4
+
+
+def band_kernel_unfused(band, x, terms=None) -> np.ndarray:
+    """The kernel g on a (paths, n) matrix, with no blocking and no clamp.
+
+    Every operation makes a full-size temporary, and exponents go to exp
+    unclamped.  `terms` holds the per-interval term counts of a two-sided
+    band.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    lo, hi = band.lower, band.upper
+    dt = band.partition.dt
+    ok = np.ones(x.shape[0], dtype=bool)
+    if not lo.is_infinite:
+        ok &= np.all(x > lo.left[1:], axis=1)
+    if not hi.is_infinite:
+        ok &= np.all(x < hi.left[1:], axis=1)
+    xprev = np.concatenate([np.zeros((x.shape[0], 1)), x[:, :-1]], axis=1)
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        if lo.is_infinite and hi.is_infinite:
+            s = np.zeros_like(x)
+        elif lo.is_infinite or hi.is_infinite:
+            b = hi if lo.is_infinite else lo
+            s = np.exp((b.right[:-1] - xprev) * (b.left[1:] - x) * (-2.0 / dt))
+        else:
+            dprev = hi.right[:-1] - lo.right[:-1]
+            dcur = hi.left[1:] - lo.left[1:]
+            ap = lo.right[:-1] - xprev
+            ac = lo.left[1:] - x
+            bp = hi.right[:-1] - xprev
+            bc = hi.left[1:] - x
+            s = series_term_unfused(1, dt, dprev, dcur, ap, ac, bp, bc)
+            for j in range(2, int(terms.max()) + 1):
+                c = terms >= j
+                s[:, c] += series_term_unfused(
+                    j, dt[c], dprev[c], dcur[c], ap[:, c], ac[:, c], bp[:, c], bc[:, c]
+                )
+        g = np.prod(np.clip(1.0 - s, 0.0, 1.0), axis=1)
+    g[~ok] = 0.0
+    return g
 
 
 def quad_one_sided_n1(beta0: float, beta1: float, t1: float) -> float:

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -132,6 +133,23 @@ class TestExitCodes:
         )
         assert code == EXIT_BAND
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["growth", "--alpha", "0.5", "--beta", "0.5", "--sigma", "1", "--x0", "1",
+          "--lower", "0.2*t", "--upper", "exp(1)"],
+         ["gbm", "--sigma", "0.1", "--rate", "0.1", "--x0", "10", "--lower", "2*t",
+          "--upper", "12"]],
+        ids=["growth", "gbm"],
+    )
+    def test_lower_zero_only_at_start(self, argv, capsys):
+        # The log map sends the lower boundary to -inf at t = 0 only; no
+        # envelope can follow that.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run_capture(argv + ["--T", "1"] + FAST, capsys)
+        assert code == EXIT_BAND
+        assert "identically 0" in err
+
     def test_missing_required_flag(self, capsys):
         # argparse exits with status 2 on its own.
         code, _, _ = run_capture(["bm", "--upper", "1"] + FAST, capsys)
@@ -159,6 +177,17 @@ class TestSubcommands:
                 "--x0", "1", "--upper", "exp(1)", "--T", "1"] + FAST
         code, out, _ = run_capture(argv, capsys)
         assert code == EXIT_OK
+
+    def test_gbm_zero_lower_is_one_sided(self, capsys):
+        # log(0) = -inf: a zero lower boundary leaves the upper one alone.
+        argv = ["gbm", "--sigma", "0.1", "--rate", "0.1", "--x0", "10",
+                "--upper", "12", "--T", "1"] + FAST
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run_capture(argv[:7] + ["--lower", "0"] + argv[7:], capsys)
+        assert code == EXIT_OK
+        _, one_sided, _ = run_capture(argv, capsys)
+        assert json.loads(out)["results"] == json.loads(one_sided)["results"]
 
     def test_two_sided_band(self, capsys):
         argv = ["bm", "--lower", "-1", "--upper", "1", "--T", "1"] + FAST

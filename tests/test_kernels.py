@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bcp import (
+    GeneralBoundary,
     InvalidBoundariesError,
     PiecewiseLinearBand,
     PiecewiseLinearBoundary,
@@ -13,13 +14,16 @@ from bcp import (
     StartOutsideBandError,
     band_kernel,
     bcp_linear_one_sided,
+    envelopes,
     g_one_sided,
     g_two_sided,
+    parse_boundary,
     uniform_partition,
 )
-from bcp.kernels import TAIL_BOUND
+from bcp.kernels import TAIL_BOUND, _term_counts
 from bcp.mc import _chunk_stream
 from oracles import (
+    band_kernel_unfused,
     bridge_abs_max_theta,
     h_term,
     h_terms,
@@ -226,6 +230,96 @@ class TestTwoSided:
     def test_term_floor_validated(self):
         with pytest.raises(ValueError):
             SeriesConfig(min_terms=0)
+
+
+DANIELS = "0.5 - t*log(0.25+0.25*sqrt(1+8*exp(-1/t)))"
+
+
+def _bit_identity_band(name):
+    if name == "narrow":  # (+-0.01) over one interval of length 10: J = 774
+        return two_sided_band(np.full(2, -0.01), np.full(2, 0.01), T=10.0)
+    p = uniform_partition(1.0, 128)
+    if name == "mixed_terms":  # J differs between intervals
+        p8 = uniform_partition(1.0, 8)
+        return two_sided_band(-0.05 - 0.2 * p8.nodes, 0.05 + 0.5 * p8.nodes**2)
+    if name == "lower_only":
+        lower = PiecewiseLinearBoundary.from_values(p, "lower", -0.5 + 0.3 * p.nodes)
+        return PiecewiseLinearBand(lower, PiecewiseLinearBoundary.infinite(p, "upper"))
+    minus_one = PiecewiseLinearBoundary.from_values(p, "lower", np.full(129, -1.0))
+    if name == "pm1":
+        upper = PiecewiseLinearBoundary.from_values(p, "upper", np.ones(129))
+        return PiecewiseLinearBand(minus_one, upper)
+    inner, outer = envelopes(GeneralBoundary(parse_boundary(DANIELS), "upper", 1.0), p, 50)
+    return PiecewiseLinearBand(minus_one, inner if name == "daniels_inner" else outer)
+
+
+class TestBlockedKernel:
+    """The blocked, clamped kernel against whole-array expressions, bit for bit."""
+
+    @staticmethod
+    def paths(band, rows):
+        p = band.partition
+        lo, hi = band.lower.left[1:], band.upper.left[1:]
+        z = _chunk_stream(11, rows).standard_normal((rows, p.n))
+        if band.upper.is_infinite:
+            x = lo + np.abs(np.cumsum(z * np.sqrt(p.dt), axis=1))
+            x[0] = lo + 3.0  # far from the boundary: exponents below -745
+            return x
+        if p.n == 1:  # nearly every Brownian path would leave the band
+            x = lo + (hi - lo) * _chunk_stream(12, rows).uniform(size=(rows, 1))
+        else:
+            x = np.cumsum(z * np.sqrt(p.dt), axis=1)
+        x[0] = 0.5 * (lo + hi)  # centre of the band: t2 and t4 underflow
+        if rows > 1:
+            # Inside the band at every node, but across it within one step.
+            x[-1] = 0.5 * (lo + hi)
+            x[-1, p.n // 2 - 1] = lo[p.n // 2 - 1] + 0.01 * (hi - lo)[p.n // 2 - 1]
+            x[-1, p.n // 2] = hi[p.n // 2] - 0.01 * (hi - lo)[p.n // 2]
+        return x
+
+    @pytest.mark.parametrize("rows", [1, 255, 256, 257, 4097])
+    @pytest.mark.parametrize(
+        "name", ["pm1", "daniels_inner", "daniels_outer", "lower_only", "narrow", "mixed_terms"]
+    )
+    def test_matches_unfused_formula(self, name, rows):
+        band = _bit_identity_band(name)
+        x = self.paths(band, rows)
+        two_sided = not band.upper.is_infinite
+        terms = _term_counts(band, 1)[0] if two_sided else None
+        if name == "narrow":
+            assert terms[0] == 774
+        if name == "mixed_terms":
+            assert terms.min() < terms.max()
+        g, _ = band_kernel(band, x)
+        expected = band_kernel_unfused(band, x, terms)
+        assert np.array_equal(g, expected)
+        assert 0 < np.count_nonzero(g) and g[0] > 0.0
+
+    @pytest.mark.parametrize("name", ["pm1", "daniels_outer", "lower_only"])
+    def test_paths_reach_clamp_and_one_step_crossing(self, name):
+        # The first path has a raw exponent below -745 (exp gives 0); the
+        # last has a t2 or t4 on the step across the band that moves 1 - S.
+        band = _bit_identity_band(name)
+        x = self.paths(band, 257)
+        path = np.concatenate([[0.0], x[0]])
+        if band.upper.is_infinite:
+            a, dt = band.lower.right, band.partition.dt
+            exps = [math.exp(-2.0 / dt[i] * (a[i] - path[i]) * (a[i + 1] - path[i + 1]))
+                    for i in range(band.partition.n)]
+            assert min(exps) == 0.0
+            return
+        n = band.partition.n
+        assert min(min(h_terms(i, 1, path[i - 1], path[i], band)) for i in range(1, n + 1)) == 0.0
+        last = np.concatenate([[0.0], x[-1]])
+        _, t2, _, t4 = h_terms(n // 2 + 1, 1, last[n // 2], last[n // 2 + 1], band)
+        assert max(t2, t4) > 1e-12  # well above the rounding of 1 - S
+
+    def test_no_paths(self):
+        none = np.empty((0, 128))
+        for name in ("pm1", "lower_only"):
+            assert band_kernel(_bit_identity_band(name), none)[0].shape == (0,)
+        assert g_two_sided(_bit_identity_band("pm1"), none).shape == (0,)
+        assert g_one_sided(one_sided_band(np.ones(129)), none).shape == (0,)
 
 
 class TestMonotonicity:

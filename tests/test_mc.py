@@ -12,6 +12,7 @@ from bcp import (
     band_kernel,
     estimate_bcp,
     estimate_bcp_bracketed,
+    parse_boundary,
     sample_nodes,
     uniform_partition,
 )
@@ -85,6 +86,22 @@ class TestReproducibility:
         base = estimate_bcp(band, cfg, threads=1)
         monkeypatch.setenv("BCP_THREADS", "3")
         assert estimate_bcp(band, cfg).mean == base.mean
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_pinned_two_sided_bracket(self, threads):
+        # Recorded with the unblocked kernel; chunks of 1000 rows are not a
+        # multiple of the kernel's 256-row block.
+        daniels = parse_boundary("0.5 - t*log(0.25+0.25*sqrt(1+8*exp(-1/t)))")
+        est = estimate_bcp_bracketed(
+            GeneralBoundary.constant(-1.0, "lower", 1.0),
+            GeneralBoundary(daniels, "upper", 1.0),
+            uniform_partition(1.0, 128),
+            50,
+            McConfig(paths=8192, seed=1, chunk_size=1000),
+            threads=threads,
+        )
+        assert est.bracket == (0.23180133096469174, 0.23180421363992304)
+        assert est.std_error == 0.004492618414136666
 
 
 class TestAccuracy:

@@ -227,6 +227,11 @@ class TestReduceGBM:
         for s in np.linspace(0.0, 1.0, 10):
             assert red.time_map(s) == s
 
+    def test_zero_lower_boundary_is_unbounded(self):
+        zero = GeneralBoundary(parse_boundary("0"), "lower", 1.0)
+        red = reduce_gbm(GBMSpec(x0=10.0, sigma=0.1, rate=0.1), zero, const_upper(12.0, 1.0), 1.0)
+        assert not red.lower.finite
+
     def test_exponential_drift_boundary_is_affine_after_reduction(self):
         p, q = 0.3, 1.0
         spec, lo, hi, T = catalog_problem("gbm_exp_drift", sigma=0.4, x0=1.0, p=p, q=q, T=1.0)
@@ -236,6 +241,19 @@ class TestReduceGBM:
         slopes = np.diff(vals) / np.diff(ts)
         assert np.allclose(slopes, slopes[0], atol=1e-10)
         assert vals[0] == pytest.approx(q / 0.4, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "reducer, spec",
+    [(reduce_growth, GrowthSpec(x0=1.0, alpha=0.5, beta=0.5, sigma=1.0)),
+     (reduce_gbm, GBMSpec(x0=1.0, sigma=0.1, rate=0.1))],
+    ids=["growth", "gbm"],
+)
+@pytest.mark.parametrize("lower", ["0.2*t", "abs(t-0.5)"])
+def test_lower_boundary_zero_at_some_probes_rejected(reducer, spec, lower):
+    a = GeneralBoundary(parse_boundary(lower), "lower", 1.0)
+    with pytest.raises(InvalidBoundariesError, match="identically 0"):
+        reducer(spec, a, const_upper(2.0, 1.0), 1.0)
 
 
 class TestArrayEvaluation:
@@ -259,7 +277,8 @@ class TestArrayEvaluation:
             ),
             (
                 GrowthSpec(x0=1.0, alpha=0.5, beta=0.5, sigma=1.0),
-                GeneralBoundary(lambda t: 0.2 * t, "lower", 1.0),  # -inf at s = 0
+                # Positive: a lower boundary that is 0 at t = 0 alone is rejected.
+                GeneralBoundary(lambda t: 0.1 + 0.2 * t, "lower", 1.0),
                 GeneralBoundary(parse_boundary("exp(1)+t"), "upper", 1.0),
             ),
             (

@@ -2,9 +2,16 @@
 
 Paths are generated in chunks; chunk k draws from a Philox stream keyed
 by (seed, k), so results are reproducible bit-for-bit regardless of how
-many worker lanes evaluate the chunks.  Bracketed estimates evaluate the
-inner and outer envelope bands on the same node samples (common random
-numbers), which makes the bracket ordering hold path by path.
+many worker lanes evaluate the chunks.  A chunk runs block by block
+through one reused buffer of kernels.BLOCK_SIZE entries: each block draws
+its normals, scales and cumsums them in place and goes through the kernel
+of every band.  Consecutive draws from one stream give the same numbers,
+in the same order, as one (count, n) draw, so the blocks never change a
+value; the sums of g and g^2 still run over the whole chunk.
+
+Bracketed estimates evaluate the inner and outer envelope bands on the
+same node samples (common random numbers), which makes the bracket
+ordering hold path by path.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from .boundary import (
     PiecewiseLinearBoundary,
     envelopes,
 )
-from .kernels import SeriesConfig, band_kernel, check_start
+from .kernels import BLOCK_SIZE, SeriesConfig, band_kernel, check_start
 
 
 @dataclass(frozen=True)
@@ -92,19 +99,24 @@ def _evaluate_bands(
     p = bands[0].partition
     sqrt_dt = np.sqrt(p.dt)
     n_chunks = -(-cfg.paths // cfg.chunk_size)
+    block = max(1, BLOCK_SIZE // p.n)  # rows: one kernel block per mc block
 
     def run_chunk(k: int):
         count = min(cfg.chunk_size, cfg.paths - k * cfg.chunk_size)
-        z = _chunk_stream(cfg.seed, k).standard_normal((count, p.n))
-        x = np.cumsum(np.multiply(z, sqrt_dt, out=z), axis=1)
-        stats = []
-        for band in bands:
-            g, _ = band_kernel(band, x, cfg.series)
-            if cfg.antithetic:
-                g2, _ = band_kernel(band, -x, cfg.series)
-                g = 0.5 * (g + g2)
-            stats.append((float(np.sum(g)), float(np.sum(g * g))))
-        return stats
+        stream = _chunk_stream(cfg.seed, k)
+        buf = np.empty((min(block, count), p.n))
+        g = np.empty((len(bands), count))
+        for r0 in range(0, count, block):
+            x = buf[:min(block, count - r0)]
+            stream.standard_normal(out=x)
+            np.cumsum(np.multiply(x, sqrt_dt, out=x), axis=1, out=x)
+            for b, band in enumerate(bands):
+                gb, _ = band_kernel(band, x, cfg.series)
+                if cfg.antithetic:
+                    g2, _ = band_kernel(band, -x, cfg.series)
+                    gb = 0.5 * (gb + g2)
+                g[b, r0:r0 + block] = gb
+        return [(float(np.sum(gb)), float(np.sum(gb * gb))) for gb in g]
 
     lanes = _worker_lanes(threads, n_chunks)
     if lanes == 1:

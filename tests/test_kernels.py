@@ -277,7 +277,7 @@ class TestBlockedKernel:
             x[-1, p.n // 2] = hi[p.n // 2] - 0.01 * (hi - lo)[p.n // 2]
         return x
 
-    @pytest.mark.parametrize("rows", [1, 255, 256, 257, 4097])
+    @pytest.mark.parametrize("rows", [1, 255, 256, 257, 1023, 1024, 1025, 4097])
     @pytest.mark.parametrize(
         "name", ["pm1", "daniels_inner", "daniels_outer", "lower_only", "narrow", "mixed_terms"]
     )
@@ -320,6 +320,14 @@ class TestBlockedKernel:
             assert band_kernel(_bit_identity_band(name), none)[0].shape == (0,)
         assert g_two_sided(_bit_identity_band("pm1"), none).shape == (0,)
         assert g_one_sided(one_sided_band(np.ones(129)), none).shape == (0,)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_in_last_row(self, bad):
+        # The last row of 1025 falls in the second block.
+        x = np.zeros((1025, 128))
+        x[-1, 64] = bad
+        with pytest.raises(ValueError, match="node samples must be finite"):
+            band_kernel(_bit_identity_band("pm1"), x)
 
 
 class TestMonotonicity:

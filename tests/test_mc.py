@@ -89,8 +89,8 @@ class TestReproducibility:
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_pinned_two_sided_bracket(self, threads):
-        # Recorded with the unblocked kernel; chunks of 1000 rows are not a
-        # multiple of the kernel's 256-row block.
+        # Recorded with the unblocked kernel; each 1000-row chunk is one
+        # partial 1024-row block.
         daniels = parse_boundary("0.5 - t*log(0.25+0.25*sqrt(1+8*exp(-1/t)))")
         est = estimate_bcp_bracketed(
             GeneralBoundary.constant(-1.0, "lower", 1.0),
@@ -102,6 +102,22 @@ class TestReproducibility:
         )
         assert est.bracket == (0.23180133096469174, 0.23180421363992304)
         assert est.std_error == 0.004492618414136666
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_pinned_antithetic_bracket_multi_block_chunks(self, threads):
+        # Recorded with whole-chunk sampling; each 2500-row chunk is drawn
+        # and evaluated as blocks of 1024 + 1024 + 452 rows.
+        daniels = parse_boundary("0.5 - t*log(0.25+0.25*sqrt(1+8*exp(-1/t)))")
+        est = estimate_bcp_bracketed(
+            None,
+            GeneralBoundary(daniels, "upper", 1.0),
+            uniform_partition(1.0, 128),
+            50,
+            McConfig(paths=10_000, seed=2, chunk_size=2_500, antithetic=True),
+            threads=threads,
+        )
+        assert est.bracket == (0.5173932713932483, 0.5173971276929256)
+        assert est.std_error == 0.002125364645240449
 
 
 class TestAccuracy:

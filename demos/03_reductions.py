@@ -50,8 +50,9 @@ def main() -> None:
         red_ou,
     )
 
-    # Time-varying coefficients: one ODE solve in the new clock s gives
-    # the horizon and the inverse time change t(s).
+    # Time-varying coefficients: the clock and the centering are integrals
+    # of Chebyshev interpolants of the coefficients, and the inverse time
+    # change t(s) is interpolated in s the same way, resolved to about 1e-15.
     outd = TimeVaryingOUSpec(
         x0=0.0,
         kappa=lambda t: 0.5 + 0.25 * math.sin(t),
@@ -63,7 +64,7 @@ def main() -> None:
     show_reduction(
         "Mean-reverting with kappa(t)=0.5+0.25 sin t, alpha(t)=0.1t,\n"
         "  sigma(t)=1+0.2t, x0=0, barrier b=1+0.5t: clock and centering\n"
-        "  come from one ODE integrated in the new time s.",
+        "  are integrals of Chebyshev interpolants, inverted in s.",
         red_outd,
     )
 

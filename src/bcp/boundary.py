@@ -181,6 +181,21 @@ def band_values(band: PiecewiseLinearBand, i: int, side: Literal["left", "right"
     return float(lo), float(hi), float(hi - lo)
 
 
+def evaluate(fn: Callable[[float], float], t):
+    """fn at t under the `GeneralBoundary` contract: a float or a same-shape array."""
+    if np.ndim(t) == 0:
+        return float(fn(t))
+    t = np.asarray(t, dtype=np.float64)
+    try:
+        out = fn(t)
+        if np.shape(out) == t.shape:
+            return np.asarray(out, dtype=np.float64)
+    except (TypeError, ValueError):
+        pass
+    vals = [float(fn(x)) for x in t.ravel().tolist()]
+    return np.array(vals, dtype=np.float64).reshape(t.shape)
+
+
 @dataclass(frozen=True)
 class GeneralBoundary:
     """Arbitrary boundary function with side tag and finiteness metadata.
@@ -200,17 +215,7 @@ class GeneralBoundary:
     finite: bool = True
 
     def __call__(self, t):
-        if np.ndim(t) == 0:
-            return float(self.evaluator(t))
-        t = np.asarray(t, dtype=np.float64)
-        try:
-            out = self.evaluator(t)
-            if np.shape(out) == t.shape:
-                return np.asarray(out, dtype=np.float64)
-        except (TypeError, ValueError):
-            pass
-        vals = [float(self.evaluator(x)) for x in t.ravel().tolist()]
-        return np.array(vals, dtype=np.float64).reshape(t.shape)
+        return evaluate(self.evaluator, t)
 
     @classmethod
     def constant(cls, value: float, side: Side, horizon: float) -> "GeneralBoundary":

@@ -44,7 +44,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .boundary import PiecewiseLinearBand
 from .errors import InvalidBoundariesError, StartOutsideBandError
@@ -280,6 +279,11 @@ def g_two_sided(
     return g if np.ndim(g) else float(g)
 
 
+def normal_cdf(x: float) -> float:
+    """Standard normal distribution function of a scalar, 0.5 * erfc(-x / sqrt(2))."""
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
 def bcp_linear_one_sided(intercept: float, slope: float, T: float) -> float:
     """P(W_t < intercept + slope*t for all t <= T), intercept > 0."""
     if not T > 0:
@@ -289,6 +293,6 @@ def bcp_linear_one_sided(intercept: float, slope: float, T: float) -> float:
     if math.isinf(slope):
         return 1.0 if slope > 0 else 0.0
     rt = math.sqrt(T)
-    p = ndtr((intercept + slope * T) / rt)
-    q = math.exp(-2.0 * intercept * slope) * ndtr((slope * T - intercept) / rt)
+    p = normal_cdf((intercept + slope * T) / rt)
+    q = math.exp(-2.0 * intercept * slope) * normal_cdf((slope * T - intercept) / rt)
     return float(min(1.0, max(0.0, p - q)))

@@ -4,7 +4,8 @@ Everything here is deliberately written without touching the library's
 production code paths: composite Simpson instead of adaptive quadrature,
 the method-of-images barrier series, a scalar form of the two-sided
 kernel series, the kernel as whole-array expressions, and a plain
-Euler-Maruyama simulator for the original (untransformed) diffusions.
+Euler-Maruyama simulator for the original (untransformed) diffusions, and
+the time-varying mean-reverting reduction as an ODE integrated by DOP853.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_ivp
 from scipy.stats import norm
 
 from bcp.errors import InvalidBoundariesError
@@ -220,3 +221,43 @@ def euler_maruyama_survival(
     p = survived / paths
     se = math.sqrt(max(p * (1 - p), 1e-12) / paths)
     return p, se
+
+
+def ou_td_reduction_ode(kappa, alpha, sigma, x0: float, upper, T: float):
+    """Time-varying mean-reverting reduction by an ODE integrated in s.
+
+    Integrates (t, K, gamma) in the new time s, with dt/ds = exp(-2K)/sigma^2,
+    dK/ds = kappa dt/ds and dgamma/ds = kappa (alpha - gamma) dt/ds, by DOP853
+    at rtol 1e-13 up to the event t = T.  The coefficients are scalar
+    callables and `upper` maps an array of t to the original upper boundary.
+    Returns (S, t_of_s, upper_of_s), the last two elementwise on arrays.
+    """
+    alpha0 = float(alpha(0.0))
+
+    def rhs(s, y):
+        t, big_k, gamma = y
+        t = min(t, T)  # the step that crosses the event may probe past T
+        kt = float(kappa(t))
+        st = float(sigma(t))
+        dt = math.exp(-2.0 * big_k) / (st * st)
+        return [dt, kt * dt, kt * (float(alpha(t)) - gamma) * dt]
+
+    def reached_horizon(s, y):
+        return y[0] - T
+
+    reached_horizon.terminal = True
+    sol = solve_ivp(rhs, (0.0, np.inf), [0.0, 0.0, alpha0], method="DOP853",
+                    events=reached_horizon, dense_output=True, rtol=1e-13, atol=1e-15)
+    assert sol.status == 1, sol.message
+    S = float(sol.t_events[0][0])
+
+    def state(s):
+        s = np.asarray(s, dtype=np.float64)
+        y = sol.sol(np.clip(s, 0.0, S).ravel()).reshape((3,) + s.shape)
+        return np.clip(y[0], 0.0, T), y[1], y[2]
+
+    def upper_of_s(s):
+        t, big_k, gamma = state(s)
+        return alpha0 - x0 + (upper(t) - gamma) * np.exp(big_k)
+
+    return S, lambda s: state(s)[0], upper_of_s

@@ -10,6 +10,7 @@ import pytest
 
 from bcp.cli import (
     EXIT_BAND,
+    EXIT_NUMERIC,
     EXIT_OK,
     EXIT_USAGE,
     _CSV_FIELDS,
@@ -172,6 +173,19 @@ class TestSubcommands:
         assert code == EXIT_OK
         assert 0.0 < json.loads(out)["results"]["mean"] < 1.0
 
+    @pytest.mark.parametrize(
+        "sigma,where",
+        [("1-2*t", "sigma(0.5) = 0"), ("sqrt(t-0.5)", "sigma(0) = nan")],
+        ids=["reaches_zero", "nan"],
+    )
+    def test_ou_td_sigma_not_positive(self, sigma, where, capsys):
+        argv = ["ou-td", "--kappa-fn", "0.5", "--alpha-fn", "0", "--sigma-fn", sigma,
+                "--x0", "0", "--upper", "1", "--T", "1", "--paths", "4096", "--seed", "1"]
+        code, _, err = run_capture(argv, capsys)
+        assert code == EXIT_NUMERIC
+        assert "sigma must be finite and positive on [0, T]" in err
+        assert where in err
+
     def test_growth(self, capsys):
         argv = ["growth", "--alpha", "0.5", "--beta", "0.5", "--sigma", "1",
                 "--x0", "1", "--upper", "exp(1)", "--T", "1"] + FAST
@@ -220,6 +234,35 @@ class TestReproduce:
         for d in docs:
             # At 2000 paths expect rough agreement only.
             assert abs(d["results"]["mean"] - d["reference"]) < 0.05
+
+
+class TestNoScipyRuntime:
+    def test_requests_leave_scipy_unimported(self):
+        # Run every family and the paper7 table in one process, so that a
+        # lazy import inside a request shows up, not only one at import time.
+        code = """
+import io, sys
+from bcp.cli import build_parser, run_reproduce, run_request
+parser = build_parser()
+fast = ["--paths", "4096", "--seed", "1"]
+for argv in (
+    ["bm", "--lower", "-1", "--upper", "1", "--T", "1"],
+    ["ou", "--kappa", "0.5", "--alpha", "0", "--sigma2", "1", "--x0", "0",
+     "--upper", "1", "--T", "1"],
+    ["ou-td", "--kappa-fn", "0.5+0.25*sin(t)", "--alpha-fn", "0.1*t", "--sigma-fn", "1+0.2*t",
+     "--x0", "0", "--upper", "1+0.5*t", "--T", "1"],
+    ["growth", "--alpha", "0.5", "--beta", "0.5", "--sigma", "1", "--x0", "1",
+     "--upper", "exp(1)", "--T", "1"],
+    ["gbm", "--sigma", "0.1", "--rate", "0.1+0.05*exp(-t)", "--x0", "10",
+     "--upper", "12", "--T", "1"],
+):
+    run_request(parser.parse_args(argv + fast))
+run_reproduce(parser.parse_args(["reproduce", "paper7"] + fast), io.StringIO())
+print(sorted(m for m in sys.modules if m.startswith("scipy")))
+"""
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestEntryPoint:

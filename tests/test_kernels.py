@@ -20,7 +20,7 @@ from bcp import (
     parse_boundary,
     uniform_partition,
 )
-from bcp.kernels import TAIL_BOUND, _term_counts
+from bcp.kernels import TAIL_BOUND, _term_counts, normal_cdf
 from bcp.mc import _chunk_stream
 from oracles import (
     band_kernel_unfused,
@@ -387,6 +387,15 @@ class TestLinearClosedForm:
             bcp_linear_one_sided(0.0, 1.0, 1.0)
         with pytest.raises(StartOutsideBandError):
             bcp_linear_one_sided(-0.3, 1.0, 1.0)
+
+    def test_normal_cdf_matches_ndtr(self):
+        # erfc and ndtr round differently on most points (not bit-identical),
+        # but never by more than one unit in the last place at 1, 2.2e-16.
+        from scipy.special import ndtr
+
+        x = np.linspace(-38.0, 9.0, 47_001)
+        got = np.array([normal_cdf(v) for v in x.tolist()])
+        assert np.max(np.abs(got - ndtr(x))) <= np.finfo(float).eps
 
     def test_mc_self_consistency(self):
         from bcp import McConfig, estimate_bcp

@@ -25,7 +25,8 @@ from bcp import (
     reduce_ou_td,
     uniform_partition,
 )
-from oracles import euler_maruyama_survival, simpson_fixed
+from bcp.transforms import _rate_integral
+from oracles import euler_maruyama_survival, ou_td_reduction_ode, simpson_fixed
 
 
 def const_upper(v, T):
@@ -110,6 +111,50 @@ class TestReduceOUTimeVarying:
         s = np.linspace(0.0, r1.horizon, 6401)
         assert np.max(np.abs(r2.upper(s) - r1.upper(s))) <= 1e-12
         assert np.max(np.abs(r2.time_map(s) - r1.time_map(s))) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "kappa,alpha,sigma,upper,tol",
+        [
+            ("0.5", "0", "1", "exp(0.5*t)", 1e-12),
+            ("0.5+0.25*sin(t)", "0.1*t", "1+0.2*t", "1+0.5*t", 1e-12),
+            ("1+0.5*abs(t-0.3)", "0.1*t", "1+0.2*t", "1+0.5*t", 1e-10),
+        ],
+        ids=["ou_td_const", "ou_td_varying", "kinked_kappa"],
+    )
+    def test_matches_ode_oracle_on_dense_grid(self, kappa, alpha, sigma, upper, tol):
+        # The first two are the ou_td benchmark cases; the kink in kappa
+        # needs bisection, since no single degree resolves it.
+        fns = [parse_boundary(e) for e in (kappa, alpha, sigma, upper)]
+        td = TimeVaryingOUSpec(x0=0.0, kappa=fns[0], alpha=fns[1], sigma=fns[2])
+        red = reduce_ou_td(td, None, GeneralBoundary(fns[3], "upper", 1.0), 1.0)
+        S, t_of_s, upper_of_s = ou_td_reduction_ode(*fns[:3], 0.0, fns[3], 1.0)
+        assert abs(red.horizon - S) <= tol
+        s = np.linspace(0.0, min(S, red.horizon), 6401)
+        assert np.max(np.abs(red.time_map(s) - t_of_s(s))) <= tol
+        assert np.max(np.abs(red.upper(s) - upper_of_s(s))) <= tol
+
+    def test_scalar_only_coefficients_match_expressions(self):
+        # math.* lambdas go through the per-element fallback, expressions
+        # through one array call; both sample the same points.
+        exprs = TimeVaryingOUSpec(
+            x0=0.0,
+            kappa=parse_boundary("0.5+0.25*sqrt(1+t)"),
+            alpha=parse_boundary("0.1*t-0.2"),
+            sigma=parse_boundary("1+0.2*t*t"),
+        )
+        scalars = TimeVaryingOUSpec(
+            x0=0.0,
+            kappa=lambda t: 0.5 + 0.25 * math.sqrt(1 + t),
+            alpha=lambda t: 0.1 * t - 0.2,
+            sigma=lambda t: 1 + 0.2 * t * t,
+        )
+        b = GeneralBoundary(parse_boundary("1+0.5*t"), "upper", 1.0)
+        r1 = reduce_ou_td(exprs, None, b, 1.0)
+        r2 = reduce_ou_td(scalars, None, b, 1.0)
+        assert r1.horizon == r2.horizon
+        s = np.linspace(0.0, r1.horizon, 6401)
+        np.testing.assert_array_equal(r1.time_map(s), r2.time_map(s))
+        np.testing.assert_array_equal(r1.upper(s), r2.upper(s))
 
     def test_linear_kappa_time_change(self):
         td = TimeVaryingOUSpec(
@@ -207,6 +252,12 @@ class TestReduceGBM:
             )
             assert red.upper(t) == pytest.approx(expect, abs=1e-9)
         assert red.upper(0.0) == pytest.approx(10.0 * math.log(1.2), abs=1e-12)
+
+    def test_rate_integral_matches_closed_form(self):
+        big_r = _rate_integral(parse_boundary("0.1+0.05*exp(-t)"), 2.0)
+        t = np.linspace(0.0, 2.0, 1001)
+        expect = 0.1 * t + 0.05 * (1.0 - np.exp(-t))
+        assert np.max(np.abs(big_r(t) - expect)) <= 1e-14
 
     def test_constant_rate(self):
         spec = GBMSpec(x0=1.0, sigma=0.5, rate=0.2)

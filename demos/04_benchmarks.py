@@ -65,14 +65,10 @@ def main() -> None:
     print(f"{'case':<34}{'estimate':>10}{'se':>9}{'width':>10}{'reference':>11}{'time':>7}")
     for label, spec, barrier, ref in CASES:
         t0 = time.perf_counter()
-        gb = GeneralBoundary(barrier, "upper", 1.0)
-        if spec is None:
-            upper, horizon = gb, 1.0
-        else:
-            red = reduce(spec, None, gb, 1.0)
-            upper, horizon = red.upper, red.horizon
+        # spec None is Brownian motion: reduce keeps its barrier as given.
+        red = reduce(spec, None, GeneralBoundary(barrier, "upper", 1.0), 1.0)
         est = estimate_bcp_bracketed(
-            None, upper, uniform_partition(horizon, 128), 50, cfg
+            None, red.upper, uniform_partition(red.horizon, 128), 50, cfg
         )
         dt = time.perf_counter() - t0
         print(

@@ -219,13 +219,19 @@ class GeneralBoundary:
 
     @classmethod
     def constant(cls, value: float, side: Side, horizon: float) -> "GeneralBoundary":
+        """The boundary equal to value; -inf for a lower side, +inf for an
+        upper one, is no boundary.  The other infinity and NaN raise."""
+        absent = -math.inf if side == "lower" else math.inf
+        if math.isnan(value):
+            raise EvaluationError(f"{side} boundary cannot be NaN")
+        if math.isinf(value) and value != absent:
+            raise InvalidBoundariesError(f"{side} boundary cannot be {value:+}")
         return cls(lambda t: np.full(np.shape(t), value), side, horizon,
-                   finite=math.isfinite(value))
+                   finite=value != absent)
 
     @classmethod
     def infinite(cls, side: Side, horizon: float) -> "GeneralBoundary":
-        value = -math.inf if side == "lower" else math.inf
-        return cls(lambda t: np.full(np.shape(t), value), side, horizon, finite=False)
+        return cls.constant(-math.inf if side == "lower" else math.inf, side, horizon)
 
 
 def _values(gb: GeneralBoundary, ts: np.ndarray) -> np.ndarray:

@@ -5,8 +5,8 @@ time-dependent coefficients are given as expressions in t (see expr.py);
 output is JSON (default), CSV, or plot-data samples of the original and
 transformed boundaries.
 
-Exit codes: 0 success, 2 argument/parse error, 3 numeric failure,
-4 invalid boundary or band.
+Exit codes: 0 success, 2 argument/parse error or an output file that
+cannot be written, 3 numeric failure, 4 invalid boundary or band.
 """
 
 from __future__ import annotations
@@ -36,14 +36,7 @@ from .errors import (
 from .expr import parse_boundary
 from .kernels import SeriesConfig
 from .mc import McConfig, estimate_bcp_bracketed
-from .transforms import (
-    GBMSpec,
-    GrowthSpec,
-    OUSpec,
-    ReducedProblem,
-    TimeVaryingOUSpec,
-    reduce,
-)
+from .transforms import GBMSpec, GrowthSpec, OUSpec, TimeVaryingOUSpec, reduce
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -128,16 +121,12 @@ def emit(report: RunReport, fmt: str = "json") -> bytes:
 
 
 def _boundary_from_text(text: str, side: str, T: float) -> GeneralBoundary | None:
+    """The boundary `text` describes, or None for the infinity that means no side."""
     expr = parse_boundary(text)
-    if expr.is_constant_inf:
-        v = expr(0.0)
-        want = -math.inf if side == "lower" else math.inf
-        if v != want:
-            raise InvalidBoundariesError(
-                f"{side} boundary cannot be {'+' if v > 0 else '-'}inf"
-            )
-        return None
-    return GeneralBoundary(expr, side, T, finite=True)
+    if expr.is_constant_inf:  # the wrong-side infinity raises here
+        gb = GeneralBoundary.constant(expr(0.0), side, T)
+        return gb if gb.finite else None
+    return GeneralBoundary(expr, side, T)
 
 
 def _curve_samples(gb: GeneralBoundary | None, T: float, points: int = 129):
@@ -245,17 +234,7 @@ def run_request(args: argparse.Namespace) -> RunReport:
             "upper boundary must be finite or the problem is trivial "
             "(P=1 when both boundaries are infinite)"
         )
-    spec = _build_spec(args)
-    if spec is None:
-        reduced = ReducedProblem(
-            lower=a if a is not None else GeneralBoundary.infinite("lower", args.T),
-            upper=b if b is not None else GeneralBoundary.infinite("upper", args.T),
-            horizon=args.T,
-            time_map=lambda s: s,
-            provenance={"family": "bm", "T": args.T},
-        )
-    else:
-        reduced = reduce(spec, a, b, args.T)
+    reduced = reduce(_build_spec(args), a, b, args.T)
 
     p = uniform_partition(reduced.horizon, args.n)
     cfg = McConfig(
@@ -387,8 +366,12 @@ def run(argv: list[str] | None = None) -> int:
             sys.stdout.buffer.write(payload)
             sys.stdout.buffer.flush()
         else:
-            with open(args.output, "wb") as fh:
-                fh.write(payload)
+            try:
+                with open(args.output, "wb") as fh:
+                    fh.write(payload)
+            except OSError as exc:
+                print(f"bcp: cannot write output: {exc}", file=sys.stderr)
+                return EXIT_USAGE
         return EXIT_OK
     except ExprSyntaxError as exc:
         print(f"bcp: boundary expression error: {exc}", file=sys.stderr)

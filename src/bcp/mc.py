@@ -2,16 +2,18 @@
 
 Paths are generated in chunks; chunk k draws from a Philox stream keyed
 by (seed, k), so results are reproducible bit-for-bit regardless of how
-many worker lanes evaluate the chunks.  A chunk runs block by block
-through one reused buffer of kernels.BLOCK_SIZE entries: each block draws
-its normals, scales and cumsums them in place and goes through the kernel
-of every band.  Consecutive draws from one stream give the same numbers,
-in the same order, as one (count, n) draw, so the blocks never change a
-value; the sums of g and g^2 still run over the whole chunk.
+many worker lanes evaluate the chunks (BCP_THREADS alone sets that, see
+_worker_lanes).  A chunk runs block by block through one reused buffer
+of kernels.BLOCK_SIZE entries: each block draws its normals, scales and
+cumsums them in place and goes through the kernel of every band.
+Consecutive draws from one stream give the same numbers, in the same
+order, as one (count, n) draw, so the blocks never change a value; the
+sums of g and g^2 still run over the whole chunk.
 
-Bracketed estimates evaluate the inner and outer envelope bands on the
-same node samples (common random numbers), which makes the bracket
-ordering hold path by path.
+Every estimate comes from `_estimate`: the inner and outer bands run on
+the same node samples (common random numbers), which makes the bracket
+ordering hold path by path.  The plain estimate is the bracketed one
+with inner = outer, so its bracket is (mean, mean).
 """
 
 from __future__ import annotations
@@ -80,19 +82,21 @@ def sample_nodes(p: Partition, stream: np.random.Generator) -> np.ndarray:
     return np.cumsum(z * np.sqrt(p.dt))
 
 
-def _worker_lanes(threads: int | None, n_chunks: int) -> int:
-    if threads is None:
-        threads = int(os.environ.get("BCP_THREADS", "0") or 0)
+def _worker_lanes(n_chunks: int) -> int:
+    """Worker threads for n_chunks chunks: BCP_THREADS, or every CPU when it
+    is unset, empty or at most 0; never more than the CPUs or the chunks."""
+    text = os.environ.get("BCP_THREADS", "").strip()
+    try:
+        threads = int(text or 0)
+    except ValueError:
+        raise ValueError(f"BCP_THREADS must be an integer, got {text!r}") from None
+    cpus = os.cpu_count() or 1
     if threads <= 0:
-        threads = os.cpu_count() or 1
-    return max(1, min(threads, n_chunks))
+        threads = cpus
+    return max(1, min(threads, cpus, n_chunks))
 
 
-def _evaluate_bands(
-    bands: list[PiecewiseLinearBand],
-    cfg: McConfig,
-    threads: int | None = None,
-) -> list[tuple[float, float]]:
+def _evaluate_bands(bands: list[PiecewiseLinearBand], cfg: McConfig) -> list[tuple[float, float]]:
     """Accumulate (sum g, sum g^2) per band over all chunks, in chunk order."""
     for band in bands:  # fail before sampling, not in every chunk
         check_start(band)
@@ -118,12 +122,8 @@ def _evaluate_bands(
                 g[b, r0:r0 + block] = gb
         return [(float(np.sum(gb)), float(np.sum(gb * gb))) for gb in g]
 
-    lanes = _worker_lanes(threads, n_chunks)
-    if lanes == 1:
-        results = [run_chunk(k) for k in range(n_chunks)]
-    else:
-        with ThreadPoolExecutor(max_workers=lanes) as pool:
-            results = list(pool.map(run_chunk, range(n_chunks)))
+    with ThreadPoolExecutor(max_workers=_worker_lanes(n_chunks)) as pool:
+        results = list(pool.map(run_chunk, range(n_chunks)))
 
     totals = []
     for b in range(len(bands)):
@@ -143,13 +143,32 @@ def _mean_se(s1: float, s2: float, paths: int) -> tuple[float, float]:
     return mean, se
 
 
-def estimate_bcp(
-    band: PiecewiseLinearBand, cfg: McConfig, threads: int | None = None
+def _estimate(
+    inner: PiecewiseLinearBand, outer: PiecewiseLinearBand, cfg: McConfig
 ) -> BcpEstimate:
-    """Plain Monte Carlo average of the kernel over cfg.paths samples."""
-    totals = _evaluate_bands([band], cfg, threads)
-    mean, se = _mean_se(*totals[0], cfg.paths)
-    return BcpEstimate(mean=mean, std_error=se, paths=cfg.paths)
+    """Bracket (inner mean, outer mean), its midpoint and the outer band's SE.
+
+    Both bands run on the same node samples; when inner is outer the band
+    is evaluated once and the bracket is (mean, mean).
+    """
+    totals = _evaluate_bands([inner] if inner is outer else [inner, outer], cfg)
+    mean_in, _ = _mean_se(*totals[0], cfg.paths)
+    mean_out, se_out = _mean_se(*totals[-1], cfg.paths)
+    return BcpEstimate(
+        mean=0.5 * (mean_in + mean_out),
+        std_error=se_out,
+        paths=cfg.paths,
+        bracket=(mean_in, mean_out),
+    )
+
+
+def estimate_bcp(band: PiecewiseLinearBand, cfg: McConfig) -> BcpEstimate:
+    """Plain Monte Carlo average of the kernel over cfg.paths samples.
+
+    This is the bracketed estimate with inner = outer = band: the bracket
+    is (mean, mean) and its width 0.
+    """
+    return _estimate(band, band, cfg)
 
 
 def _envelope_pair(
@@ -167,7 +186,6 @@ def estimate_bcp_bracketed(
     p: Partition,
     m: int,
     cfg: McConfig,
-    threads: int | None = None,
 ) -> BcpEstimate:
     """Bracketed estimate via inner/outer envelopes on shared samples.
 
@@ -177,14 +195,6 @@ def estimate_bcp_bracketed(
     """
     lo_in, lo_out = _envelope_pair(gb_lower, p, m, "lower")
     hi_in, hi_out = _envelope_pair(gb_upper, p, m, "upper")
-    inner = PiecewiseLinearBand(lo_in, hi_in)
-    outer = PiecewiseLinearBand(lo_out, hi_out)
-    totals = _evaluate_bands([inner, outer], cfg, threads)
-    mean_in, _ = _mean_se(*totals[0], cfg.paths)
-    mean_out, se_out = _mean_se(*totals[1], cfg.paths)
-    return BcpEstimate(
-        mean=0.5 * (mean_in + mean_out),
-        std_error=se_out,
-        paths=cfg.paths,
-        bracket=(mean_in, mean_out),
+    return _estimate(
+        PiecewiseLinearBand(lo_in, hi_in), PiecewiseLinearBand(lo_out, hi_out), cfg
     )

@@ -4,9 +4,11 @@ Each `reduce_*` maps a crossing problem for the original process onto an
 equivalent problem for a standard Brownian motion started at 0: the
 boundaries are transformed through the process-specific space map and
 the clock is rescaled by the deterministic time change, whose inverse is
-exposed as `time_map` on the result.  A numeric checker for the
-reducibility condition (a PDE in the drift and diffusion coefficient)
-is included for processes outside the built-in families.
+exposed as `time_map` on the result.  All of them build the result in
+`_reduced`, where Brownian motion (`reduce(None, ...)`) is the family
+with the identity maps.  A numeric checker for the reducibility
+condition (a PDE in the drift and diffusion coefficient) is included
+for processes outside the built-in families.
 """
 
 from __future__ import annotations
@@ -104,15 +106,18 @@ class ReducedProblem:
 # Shared helpers
 
 
+#: Points of [0, T] at which `_validate_band_inputs` checks the band.
+_PROBES = 65
+
+
 def _validate_band_inputs(
     a: GeneralBoundary | None,
     b: GeneralBoundary | None,
     T: float,
     x0: float,
     positive: bool = False,
-    probes: int = 65,
 ) -> GeneralBoundary | None:
-    """Check the band on `probes` points of [0, T]; return the lower boundary to use.
+    """Check the band on _PROBES points of [0, T]; return the lower boundary to use.
 
     With positive=True (a positive process, log-mapped later) a lower
     boundary that is 0 at every probe maps to -inf and leaves the band
@@ -121,11 +126,11 @@ def _validate_band_inputs(
     """
     if not T > 0:
         raise ValueError(f"horizon must be positive, got {T}")
-    ts = np.linspace(0.0, T, probes)
+    ts = np.linspace(0.0, T, _PROBES)
     if a is not None and not a.finite:
         a = None
-    av = np.full(probes, -math.inf) if a is None else a(ts)
-    bv = b(ts) if (b is not None and b.finite) else np.full(probes, math.inf)
+    av = np.full(_PROBES, -math.inf) if a is None else a(ts)
+    bv = b(ts) if (b is not None and b.finite) else np.full(_PROBES, math.inf)
     if positive:
         if np.any(bv[np.isfinite(bv)] <= 0):
             raise InvalidBoundariesError("upper boundary must be positive")
@@ -145,16 +150,33 @@ def _validate_band_inputs(
     return a
 
 
-def _transformed(
-    gb: GeneralBoundary | None,
-    side: str,
-    S: float,
-    mapper: Callable,
-) -> GeneralBoundary:
-    """Wrap `mapper` (s -> transformed boundary value) as a GeneralBoundary."""
-    if gb is None or not gb.finite:
-        return GeneralBoundary.infinite(side, S)
-    return GeneralBoundary(mapper, side, S, finite=True)
+def _identity(s):
+    return s
+
+
+def _reduced(family: str, spec: DiffusionSpec | None, a: GeneralBoundary | None,
+             b: GeneralBoundary | None, T: float, S: float, time_map: Callable,
+             space: Callable | None) -> ReducedProblem:
+    """The Brownian problem on [0, S] whose finite sides are s -> space(s, gb).
+
+    An absent or infinite side stays infinite; space=None (Brownian motion)
+    keeps each finite side as given.
+    """
+
+    def side(gb, name):
+        if gb is None or not gb.finite:
+            return GeneralBoundary.infinite(name, S)
+        if space is None:
+            return gb
+        return GeneralBoundary(lambda s: space(s, gb), name, S)
+
+    return ReducedProblem(
+        lower=side(a, "lower"),
+        upper=side(b, "upper"),
+        horizon=S,
+        time_map=time_map,
+        provenance={"family": family, "spec": spec, "T": T},
+    )
 
 
 # Adaptive piecewise Chebyshev interpolation (Trefethen, Approximation Theory
@@ -320,19 +342,10 @@ def reduce_ou(
     def t_of_s(s):
         return np.log1p(2.0 * k * s / s2) / (2.0 * k)
 
-    def mapper(gb):
-        def value(s):
-            return al - x0 + (gb(t_of_s(s)) - al) * np.sqrt(1.0 + 2.0 * k * s / s2)
+    def space(s, gb):
+        return al - x0 + (gb(t_of_s(s)) - al) * np.sqrt(1.0 + 2.0 * k * s / s2)
 
-        return value
-
-    return ReducedProblem(
-        lower=_transformed(a, "lower", S, mapper(a)),
-        upper=_transformed(b, "upper", S, mapper(b)),
-        horizon=S,
-        time_map=t_of_s,
-        provenance={"family": "ou", "spec": spec, "T": T},
-    )
+    return _reduced("ou", spec, a, b, T, S, t_of_s, space)
 
 
 def reduce_ou_td(
@@ -425,20 +438,11 @@ def reduce_ou_td(
     def t_of_s(s):
         return np.clip(state(s, 0), 0.0, T)
 
-    def mapper(gb):
-        def value(s):
-            t, ek, gamma_ek = state(s)
-            return alpha0 - x0 + gb(np.clip(t, 0.0, T)) * ek - gamma_ek
+    def space(s, gb):
+        t, ek, gamma_ek = state(s)
+        return alpha0 - x0 + gb(np.clip(t, 0.0, T)) * ek - gamma_ek
 
-        return value
-
-    return ReducedProblem(
-        lower=_transformed(a, "lower", S, mapper(a)),
-        upper=_transformed(b, "upper", S, mapper(b)),
-        horizon=S,
-        time_map=t_of_s,
-        provenance={"family": "ou_td", "spec": spec, "T": T},
-    )
+    return _reduced("ou_td", spec, a, b, T, S, t_of_s, space)
 
 
 def reduce_growth(
@@ -454,22 +458,13 @@ def reduce_growth(
     def t_of_s(s):
         return np.log1p(2.0 * be * s) / (2.0 * be)
 
-    def mapper(gb):
-        def value(s):
-            v = gb(t_of_s(s))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                u = np.sqrt(1.0 + 2.0 * be * s) * (np.log(v) + shift) / sg - base
-            return np.where(v <= 0.0, -math.inf, u)
+    def space(s, gb):
+        v = gb(t_of_s(s))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            u = np.sqrt(1.0 + 2.0 * be * s) * (np.log(v) + shift) / sg - base
+        return np.where(v <= 0.0, -math.inf, u)
 
-        return value
-
-    return ReducedProblem(
-        lower=_transformed(a, "lower", S, mapper(a)),
-        upper=_transformed(b, "upper", S, mapper(b)),
-        horizon=S,
-        time_map=t_of_s,
-        provenance={"family": "growth", "spec": spec, "T": T},
-    )
+    return _reduced("growth", spec, a, b, T, S, t_of_s, space)
 
 
 def reduce_gbm(
@@ -480,28 +475,23 @@ def reduce_gbm(
     sg, x0 = spec.sigma, spec.x0
     big_r = _rate_integral(spec.rate, T)
 
-    def mapper(gb):
-        def value(t):
-            v = gb(t)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                u = (np.log(v / x0) + 0.5 * sg * sg * t - big_r(t)) / sg
-            return np.where(v <= 0.0, -math.inf, u)
+    def space(t, gb):
+        v = gb(t)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            u = (np.log(v / x0) + 0.5 * sg * sg * t - big_r(t)) / sg
+        return np.where(v <= 0.0, -math.inf, u)
 
-        return value
-
-    return ReducedProblem(
-        lower=_transformed(a, "lower", T, mapper(a)),
-        upper=_transformed(b, "upper", T, mapper(b)),
-        horizon=T,
-        time_map=lambda s: s,
-        provenance={"family": "gbm", "spec": spec, "T": T},
-    )
+    return _reduced("gbm", spec, a, b, T, T, _identity, space)
 
 
 def reduce(
-    spec: DiffusionSpec, a: GeneralBoundary | None, b: GeneralBoundary | None, T: float
+    spec: DiffusionSpec | None, a: GeneralBoundary | None, b: GeneralBoundary | None, T: float
 ) -> ReducedProblem:
-    """Dispatch on the process family."""
+    """Dispatch on the process family.  spec=None is Brownian motion, family
+    "bm": a and b as given, on the identity time map, with no band checks of
+    its own (the envelopes and the kernel's start check catch a bad band)."""
+    if spec is None:
+        return _reduced("bm", None, a, b, T, T, _identity, None)
     if isinstance(spec, OUSpec):
         return reduce_ou(spec, a, b, T)
     if isinstance(spec, TimeVaryingOUSpec):
@@ -598,9 +588,9 @@ def closed_form_bcp(case: str, **params) -> float:
 def catalog_problem(case: str, **params):
     """Original-process formulation of a catalog case.
 
-    Returns (spec, lower, upper, T) suitable for `reduce`, or
-    (None, None, upper, T) for the plain Brownian-motion case; useful
-    for cross-validating the closed forms by simulation.
+    Returns (spec, lower, upper, T) suitable for `reduce`, with spec None
+    for the plain Brownian-motion case; useful for cross-validating the
+    closed forms by simulation.
     """
     if case == "ou_exp_up" or case == "ou_exp_down":
         k, al, sg, x0, h, T = (

@@ -161,6 +161,24 @@ class TestGeneralBoundary:
         inf = GeneralBoundary.infinite("lower", 1.0)
         assert np.array_equal(inf(ts), np.full((3, 4), -np.inf))
 
+    @pytest.mark.parametrize("value, side", [(-math.inf, "lower"), (math.inf, "upper")])
+    def test_constant_own_side_infinity_is_no_boundary(self, value, side):
+        assert not GeneralBoundary.constant(value, side, 1.0).finite
+
+    @pytest.mark.parametrize(
+        "value, side, message",
+        [(-math.inf, "upper", "upper boundary cannot be -inf"),
+         (math.inf, "lower", "lower boundary cannot be \\+inf")],
+    )
+    def test_constant_wrong_side_infinity_rejected(self, value, side, message):
+        # It once became "no boundary": mean 1.0 for an upper side at -inf.
+        with pytest.raises(InvalidBoundariesError, match=message):
+            GeneralBoundary.constant(value, side, 1.0)
+
+    def test_constant_nan_rejected(self):
+        with pytest.raises(EvaluationError, match="upper boundary cannot be NaN"):
+            GeneralBoundary.constant(math.nan, "upper", 1.0)
+
 
 class TestChordBoundary:
     def test_constant(self):

@@ -14,10 +14,13 @@ from bcp.cli import (
     EXIT_OK,
     EXIT_USAGE,
     _CSV_FIELDS,
+    build_parser,
     run,
+    run_request,
 )
 
 FAST = ["--paths", "2000", "--seed", "3", "--n", "16"]
+DANIELS = "0.5 - t*log(0.25+0.25*sqrt(1+8*exp(-1/t)))"
 
 
 def run_capture(argv, capsys):
@@ -71,6 +74,15 @@ class TestJsonOutput:
         assert code == EXIT_OK and out == ""
         doc = json.loads(target.read_text())
         assert doc["request"]["upper"] == "2"
+
+    def test_unwritable_output_file(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "report.json"
+        code, out, err = run_capture(
+            ["bm", "--upper", "1", "--T", "1", "--output", str(target)] + FAST, capsys
+        )
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("bcp: cannot write output: ")
+        assert not target.exists()
 
 
 class TestCsvOutput:
@@ -151,6 +163,19 @@ class TestExitCodes:
         assert code == EXIT_BAND
         assert "identically 0" in err
 
+    def test_bcp_threads_not_an_integer(self, monkeypatch, capsys):
+        monkeypatch.setenv("BCP_THREADS", "abc")
+        code, _, err = run_capture(["bm", "--upper", "1", "--T", "1"] + FAST, capsys)
+        assert code == EXIT_USAGE
+        assert "BCP_THREADS must be an integer" in err
+
+    @pytest.mark.parametrize("flag, message", [("--upper=-inf", "upper boundary cannot be -inf"),
+                                               ("--lower=inf", "lower boundary cannot be +inf")])
+    def test_wrong_side_infinity(self, flag, message, capsys):
+        code, _, err = run_capture(["bm", "--upper", "1", "--T", "1", flag] + FAST, capsys)
+        assert code == EXIT_BAND
+        assert message in err
+
     def test_missing_required_flag(self, capsys):
         # argparse exits with status 2 on its own.
         code, _, _ = run_capture(["bm", "--upper", "1"] + FAST, capsys)
@@ -209,6 +234,48 @@ class TestSubcommands:
         assert code == EXIT_OK
         doc = json.loads(out)
         assert doc["results"]["lower"] <= doc["results"]["mean"] <= doc["results"]["upper"]
+
+
+# One request per family, with (mean, std_error, lower, upper) recorded before
+# every family's reduced problem came from one constructor.
+FAMILY_PINS = [
+    (["bm", "--upper", DANIELS],
+     (0.5289133186937611, 0.007350558771727924, 0.5287568624276512, 0.529069774959871)),
+    (["bm", "--lower=-1", "--upper", "1"],
+     (0.3771535515178731, 0.007033698780025434, 0.3771535515178731, 0.3771535515178731)),
+    (["bm", "--upper", DANIELS, "--antithetic"],
+     (0.5249169089640056, 0.0029785528792522315, 0.5247682464484323, 0.5250655714795789)),
+    (["ou", "--kappa", "0.5", "--alpha", "0", "--sigma2", "1", "--x0", "0", "--upper", "1"],
+     (0.7311030931970011, 0.006608379829957711, 0.7310718119664055, 0.7311343744275968)),
+    (["growth", "--alpha", "0.5", "--beta", "0.5", "--sigma", "1", "--x0", "1",
+      "--upper", "exp(1)"],
+     (0.7311030931970011, 0.006608379829957711, 0.7310718119664055, 0.7311343744275968)),
+    (["gbm", "--sigma", "0.1", "--rate", "0.1+0.05*exp(-t)", "--x0", "10",
+      "--lower", "8", "--upper", "12"],
+     (0.6133091885039019, 0.007344790893045905, 0.6132852377888046, 0.6133331392189993)),
+    (["ou-td", "--kappa-fn", "0.5", "--alpha-fn", "0", "--sigma-fn", "1", "--x0", "0",
+      "--upper", "exp(0.5*t)"],
+     (0.8903724404809019, 0.004541002033559919, 0.8903724404809018, 0.8903724404809021)),
+    (["ou-td", "--kappa-fn", "0.5+0.25*sin(t)", "--alpha-fn", "0.1*t",
+      "--sigma-fn", "1+0.2*t", "--x0", "0", "--upper", "1+0.5*t"],
+     (0.8303097069733505, 0.005487691327381725, 0.8302137625595862, 0.8304056513871149)),
+]
+
+
+class TestFamilyPins:
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize(
+        "argv, pinned", FAMILY_PINS,
+        ids=["bm_daniels", "bm_pm1", "bm_antithetic", "ou", "growth", "gbm_lower",
+             "ou_td_const", "ou_td_varying"],
+    )
+    def test_results_bit_identical(self, argv, pinned, threads, monkeypatch):
+        monkeypatch.setenv("BCP_THREADS", threads)
+        args = build_parser().parse_args(
+            argv + ["--T", "1", "--n", "16", "--paths", "4096", "--seed", "3"]
+        )
+        r = run_request(args).results
+        assert (r["mean"], r["std_error"], r["lower"], r["upper"]) == pinned
 
 
 class TestReproduce:

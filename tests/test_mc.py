@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from bcp import (
     sample_nodes,
     uniform_partition,
 )
-from bcp.mc import _chunk_stream
+from bcp.mc import _chunk_stream, _worker_lanes
 from oracles import quad_one_sided_n1, reflection_one_sided
 
 
@@ -65,11 +66,13 @@ class TestReproducibility:
         b = estimate_bcp(band, McConfig(paths=20_000, seed=2))
         assert a.mean != b.mean
 
-    def test_thread_count_does_not_change_result(self):
+    def test_thread_count_does_not_change_result(self, monkeypatch):
         band = upper_band(np.linspace(1.0, 1.5, 9))
         cfg = McConfig(paths=50_000, seed=5, chunk_size=1_000)
-        one = estimate_bcp(band, cfg, threads=1)
-        four = estimate_bcp(band, cfg, threads=4)
+        monkeypatch.setenv("BCP_THREADS", "1")
+        one = estimate_bcp(band, cfg)
+        monkeypatch.setenv("BCP_THREADS", "4")
+        four = estimate_bcp(band, cfg)
         assert one.mean == four.mean
         assert one.std_error == four.std_error
 
@@ -83,14 +86,16 @@ class TestReproducibility:
     def test_env_var_thread_override(self, monkeypatch):
         band = upper_band(np.linspace(1.0, 1.5, 5))
         cfg = McConfig(paths=10_000, seed=3, chunk_size=500)
-        base = estimate_bcp(band, cfg, threads=1)
+        monkeypatch.setenv("BCP_THREADS", "1")
+        base = estimate_bcp(band, cfg)
         monkeypatch.setenv("BCP_THREADS", "3")
         assert estimate_bcp(band, cfg).mean == base.mean
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_pinned_two_sided_bracket(self, threads):
+    def test_pinned_two_sided_bracket(self, threads, monkeypatch):
         # Recorded with the unblocked kernel; each 1000-row chunk is one
         # partial 1024-row block.
+        monkeypatch.setenv("BCP_THREADS", str(threads))
         daniels = parse_boundary("0.5 - t*log(0.25+0.25*sqrt(1+8*exp(-1/t)))")
         est = estimate_bcp_bracketed(
             GeneralBoundary.constant(-1.0, "lower", 1.0),
@@ -98,15 +103,15 @@ class TestReproducibility:
             uniform_partition(1.0, 128),
             50,
             McConfig(paths=8192, seed=1, chunk_size=1000),
-            threads=threads,
         )
         assert est.bracket == (0.23180133096469174, 0.23180421363992304)
         assert est.std_error == 0.004492618414136666
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_pinned_antithetic_bracket_multi_block_chunks(self, threads):
+    def test_pinned_antithetic_bracket_multi_block_chunks(self, threads, monkeypatch):
         # Recorded with whole-chunk sampling; each 2500-row chunk is drawn
         # and evaluated as blocks of 1024 + 1024 + 452 rows.
+        monkeypatch.setenv("BCP_THREADS", str(threads))
         daniels = parse_boundary("0.5 - t*log(0.25+0.25*sqrt(1+8*exp(-1/t)))")
         est = estimate_bcp_bracketed(
             None,
@@ -114,10 +119,39 @@ class TestReproducibility:
             uniform_partition(1.0, 128),
             50,
             McConfig(paths=10_000, seed=2, chunk_size=2_500, antithetic=True),
-            threads=threads,
         )
         assert est.bracket == (0.5173932713932483, 0.5173971276929256)
         assert est.std_error == 0.002125364645240449
+
+    def test_pinned_plain_estimate(self):
+        # Recorded before the plain estimate became the bracketed one with
+        # inner = outer; only the bracket changed, from None to (mean, mean).
+        band = upper_band(np.linspace(1.0, 1.5, 9))
+        est = estimate_bcp(band, McConfig(paths=20_000, seed=99, chunk_size=1_000))
+        assert est.mean == 0.8223140102941133
+        assert est.std_error == 0.002511816416782219
+        assert est.bracket == (est.mean, est.mean)
+        assert est.bracket_width == 0.0
+
+
+CPUS = os.cpu_count() or 1
+
+
+class TestWorkerLanes:
+    # _worker_lanes is a pure function of BCP_THREADS, the CPU count and the
+    # chunk count, so these cases start no thread; "100000" once asked the
+    # pool for 100 000 threads.
+    @pytest.mark.parametrize(
+        "value, chunks, lanes",
+        [(None, 10**6, CPUS), (None, 1, 1), ("", 10**6, CPUS), ("0", 10**6, CPUS),
+         ("-3", 10**6, CPUS), ("1", 10**6, 1), ("100000", 10**6, CPUS), ("100000", 1, 1)],
+    )
+    def test_lanes(self, value, chunks, lanes, monkeypatch):
+        if value is None:
+            monkeypatch.delenv("BCP_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("BCP_THREADS", value)
+        assert _worker_lanes(chunks) == lanes
 
 
 class TestAccuracy:

@@ -358,6 +358,15 @@ class TestDispatcher:
             GBMSpec(x0=1.0, sigma=1.0), None, const_upper(2.0, 1.0), 1.0
         ).provenance["family"] == "gbm"
 
+    def test_none_is_brownian_motion(self):
+        b = const_upper(1.0, 2.0)
+        red = reduce(None, None, b, 2.0)
+        assert red.provenance["family"] == "bm" and red.provenance["spec"] is None
+        assert red.upper is b and red.horizon == 2.0
+        assert not red.lower.finite and red.lower.side == "lower"
+        s = np.linspace(0.0, 2.0, 5)
+        assert np.array_equal(red.time_map(s), s)
+
     def test_unknown_spec(self):
         with pytest.raises(ValueError):
             reduce(object(), None, const_upper(1.0, 1.0), 1.0)

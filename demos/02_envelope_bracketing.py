@@ -1,11 +1,12 @@
 """How curved boundaries are bracketed by piecewise-linear envelopes.
 
 A curved boundary is replaced by two piecewise-linear ones: an *inner*
-envelope that narrows the band and an *outer* one that widens it.  The
-true crossing-free probability is then provably between the two kernel
-Monte Carlo estimates, and both estimates use the same random numbers,
-so the ordering holds path by path, not just in expectation.  Refining
-the partition shrinks the bracket at rate O(1/n^2) for smooth
+envelope that narrows the band and an *outer* one that widens it.  As
+long as the envelopes contain the boundary (they are checked at sampled
+times only), the true crossing-free probability lies between the two
+kernel Monte Carlo estimates.  Both estimates use the same random
+numbers, so the ordering holds path by path, not just in expectation.
+Refining the partition shrinks the bracket at rate O(1/n^2) for smooth
 boundaries.
 
 Run: python3 demos/02_envelope_bracketing.py

@@ -244,10 +244,14 @@ def _values(gb: GeneralBoundary, ts: np.ndarray) -> np.ndarray:
     return vals
 
 
+def _check_horizon(gb: GeneralBoundary, p: Partition) -> None:
+    if abs(p.T - gb.horizon) > 1e-12 * max(1.0, gb.horizon):
+        raise ValueError(f"partition horizon {p.T} != boundary horizon {gb.horizon}")
+
+
 def chord_boundary(gb: GeneralBoundary, p: Partition) -> PiecewiseLinearBoundary:
     """Continuous piecewise-linear interpolant through gb at the nodes."""
-    if abs(p.T - gb.horizon) > 1e-12 * max(1.0, gb.horizon):
-        raise ValueError("partition horizon does not match boundary horizon")
+    _check_horizon(gb, p)
     return PiecewiseLinearBoundary.from_values(p, gb.side, _values(gb, p.nodes))
 
 
@@ -256,18 +260,22 @@ def envelopes(
 ) -> tuple[PiecewiseLinearBoundary, PiecewiseLinearBoundary]:
     """Bracket gb between two continuous piecewise-linear boundaries.
 
-    For an upper boundary the result satisfies inner <= gb <= outer at
-    all sampled times; for a lower boundary inner >= gb >= outer (inner
-    is always the band-narrowing side).  Per subinterval the chord is
-    shifted by the largest sampled chord-vs-boundary excess; node values
-    take the larger of the two adjacent shifts so no jumps appear.  gb is
-    evaluated once, on the (n, m) grid of samples; the nodes are its
-    first and last columns.
+    This is the one map from a side to its (inner, outer) pair.  For an
+    upper boundary inner <= gb <= outer at all sampled times; for a lower
+    one inner >= gb >= outer (inner always narrows the band).  Per
+    subinterval the chord is shifted by the largest sampled chord-vs-boundary
+    excess; node values take the larger of the two adjacent shifts so no
+    jumps appear.  gb is evaluated once, on the (n, m) grid of samples; the
+    nodes are its first and last columns.  A side with no boundary, or one
+    that needs no shift anywhere (a constant), is exact: one boundary comes
+    back as both ends.  p must span gb's horizon.
     """
     if m < 2:
         raise ValueError(f"need at least 2 samples per interval, got {m}")
+    _check_horizon(gb, p)
     if not gb.finite:
-        raise InvalidBoundariesError("cannot build envelopes for an infinite boundary")
+        exact = PiecewiseLinearBoundary.infinite(p, gb.side)
+        return exact, exact
     sign = 1.0 if gb.side == "upper" else -1.0
     t0 = p.nodes[:-1, None]
     t1 = p.nodes[1:, None]
@@ -289,5 +297,7 @@ def envelopes(
     up = np.maximum(np.concatenate([[shift_out[0]], shift_out]),
                     np.concatenate([shift_out, [shift_out[-1]]]))
     inner = PiecewiseLinearBoundary.from_values(p, gb.side, sign * (u_nodes - down))
+    if not (down.any() or up.any()):  # exact: the chords are the boundary
+        return inner, inner
     outer = PiecewiseLinearBoundary.from_values(p, gb.side, sign * (u_nodes + up))
     return inner, outer

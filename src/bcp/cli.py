@@ -130,9 +130,9 @@ def _boundary_from_text(text: str, side: str, T: float) -> GeneralBoundary | Non
 
 
 def _curve_samples(gb: GeneralBoundary | None, T: float, points: int = 129):
-    ts = np.linspace(0.0, T, points)
-    if gb is None:
+    if gb is None or not gb.finite:
         return None
+    ts = np.linspace(0.0, T, points)
     return ts.tolist(), gb(ts).tolist()
 
 
@@ -244,9 +244,7 @@ def run_request(args: argparse.Namespace) -> RunReport:
         series=SeriesConfig(min_terms=args.series_terms),
         antithetic=args.antithetic,
     )
-    lower = reduced.lower if reduced.lower.finite else None
-    upper = reduced.upper if reduced.upper.finite else None
-    est = estimate_bcp_bracketed(lower, upper, p, args.envelope_samples, cfg)
+    est = estimate_bcp_bracketed(reduced.lower, reduced.upper, p, args.envelope_samples, cfg)
 
     elapsed_ms = (time.perf_counter() - start) * 1e3
     request = {
@@ -279,8 +277,8 @@ def run_request(args: argparse.Namespace) -> RunReport:
         for name, gb, T in (
             ("original_lower", a, args.T),
             ("original_upper", b, args.T),
-            ("transformed_lower", lower, reduced.horizon),
-            ("transformed_upper", upper, reduced.horizon),
+            ("transformed_lower", reduced.lower, reduced.horizon),
+            ("transformed_upper", reduced.upper, reduced.horizon),
         ):
             s = _curve_samples(gb, T)
             if s:

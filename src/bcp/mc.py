@@ -25,13 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boundary import (
-    GeneralBoundary,
-    Partition,
-    PiecewiseLinearBand,
-    PiecewiseLinearBoundary,
-    envelopes,
-)
+from .boundary import GeneralBoundary, Partition, PiecewiseLinearBand, envelopes
+from .errors import InvalidBoundariesError, StartOutsideBandError
 from .kernels import BLOCK_SIZE, SeriesConfig, band_kernel, check_start
 
 
@@ -52,23 +47,26 @@ class McConfig:
 
 @dataclass(frozen=True)
 class BcpEstimate:
+    """An estimate with its bracket (inner mean, outer mean).  The bracket
+    defaults to (mean, mean): a plain estimate is bracketed with inner = outer."""
+
     mean: float
     std_error: float
     paths: int
-    bracket: tuple[float, float] | None = None
+    bracket: tuple[float, float] = None  # set to (mean, mean) when not given
 
     def __post_init__(self):
         if not 0.0 <= self.mean <= 1.0:
             raise ValueError("mean must be a probability")
         if self.std_error < 0:
             raise ValueError("std_error must be >= 0")
-        if self.bracket is not None and self.bracket[0] > self.bracket[1]:
+        if self.bracket is None:
+            object.__setattr__(self, "bracket", (self.mean, self.mean))
+        if self.bracket[0] > self.bracket[1]:
             raise ValueError("bracket lower bound exceeds upper bound")
 
     @property
-    def bracket_width(self) -> float | None:
-        if self.bracket is None:
-            return None
+    def bracket_width(self) -> float:
         return self.bracket[1] - self.bracket[0]
 
 
@@ -144,15 +142,17 @@ def _mean_se(s1: float, s2: float, paths: int) -> tuple[float, float]:
 
 
 def _estimate(
-    inner: PiecewiseLinearBand, outer: PiecewiseLinearBand, cfg: McConfig
+    inner: PiecewiseLinearBand | None, outer: PiecewiseLinearBand, cfg: McConfig
 ) -> BcpEstimate:
     """Bracket (inner mean, outer mean), its midpoint and the outer band's SE.
 
     Both bands run on the same node samples; when inner is outer the band
-    is evaluated once and the bracket is (mean, mean).
+    is evaluated once and the bracket is (mean, mean).  inner=None is an
+    empty band: its mean is 0 and only the outer band is evaluated.
     """
-    totals = _evaluate_bands([inner] if inner is outer else [inner, outer], cfg)
-    mean_in, _ = _mean_se(*totals[0], cfg.paths)
+    bands = [outer] if inner is None or inner is outer else [inner, outer]
+    totals = _evaluate_bands(bands, cfg)
+    mean_in = 0.0 if inner is None else _mean_se(*totals[0], cfg.paths)[0]
     mean_out, se_out = _mean_se(*totals[-1], cfg.paths)
     return BcpEstimate(
         mean=0.5 * (mean_in + mean_out),
@@ -171,15 +171,6 @@ def estimate_bcp(band: PiecewiseLinearBand, cfg: McConfig) -> BcpEstimate:
     return _estimate(band, band, cfg)
 
 
-def _envelope_pair(
-    gb: GeneralBoundary | None, p: Partition, m: int, side: str
-) -> tuple[PiecewiseLinearBoundary, PiecewiseLinearBoundary]:
-    if gb is None or not gb.finite:
-        b = PiecewiseLinearBoundary.infinite(p, side)
-        return b, b
-    return envelopes(gb, p, m)
-
-
 def estimate_bcp_bracketed(
     gb_lower: GeneralBoundary | None,
     gb_upper: GeneralBoundary | None,
@@ -189,12 +180,20 @@ def estimate_bcp_bracketed(
 ) -> BcpEstimate:
     """Bracketed estimate via inner/outer envelopes on shared samples.
 
-    Returns bracket = (mean over the narrowing band, mean over the
-    widening band) and the midpoint as the point estimate; the reported
-    standard error is that of the outer (widening) band's kernel.
+    None is a side with no boundary.  Returns bracket = (mean over the
+    narrowing band, mean over the widening band) and the midpoint as the
+    point estimate; the standard error is the outer band's.  Exact sides
+    give one band, evaluated once.  An inner band that excludes the start
+    or closes has probability 0, and 0 is then the lower end.
     """
-    lo_in, lo_out = _envelope_pair(gb_lower, p, m, "lower")
-    hi_in, hi_out = _envelope_pair(gb_upper, p, m, "upper")
-    return _estimate(
-        PiecewiseLinearBand(lo_in, hi_in), PiecewiseLinearBand(lo_out, hi_out), cfg
-    )
+    lo_in, lo_out = envelopes(gb_lower or GeneralBoundary.infinite("lower", p.T), p, m)
+    hi_in, hi_out = envelopes(gb_upper or GeneralBoundary.infinite("upper", p.T), p, m)
+    outer = PiecewiseLinearBand(lo_out, hi_out)
+    if lo_in is lo_out and hi_in is hi_out:
+        return _estimate(outer, outer, cfg)
+    try:
+        inner = PiecewiseLinearBand(lo_in, hi_in)
+        check_start(inner)
+    except (InvalidBoundariesError, StartOutsideBandError):
+        inner = None
+    return _estimate(inner, outer, cfg)

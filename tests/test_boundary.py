@@ -205,12 +205,36 @@ class TestChordBoundary:
             chord_boundary(gb, uniform_partition(1.0, 2))
         assert err.value.t == 0.5
 
+    @pytest.mark.parametrize("build", [chord_boundary, envelopes], ids=["chord", "envelopes"])
+    def test_partition_must_span_horizon(self, build):
+        gb = GeneralBoundary(lambda t: 1.0 + t, "upper", 2.0)
+        with pytest.raises(ValueError, match=r"partition horizon 1\.0 != boundary horizon 2\.0"):
+            build(gb, uniform_partition(1.0, 4))
+
 
 class TestEnvelopes:
     def test_constant_boundary_exact(self):
         gb = GeneralBoundary.constant(1.0, "upper", 1.0)
         inner, outer = envelopes(gb, uniform_partition(1.0, 4), m=10)
         assert np.all(inner.right == 1.0) and np.all(outer.right == 1.0)
+
+    @pytest.mark.parametrize(
+        "gb",
+        [GeneralBoundary.constant(1.0, "upper", 1.0), GeneralBoundary.constant(-1.0, "lower", 1.0),
+         GeneralBoundary.infinite("lower", 1.0), GeneralBoundary.infinite("upper", 1.0)],
+        ids=["constant_upper", "constant_lower", "infinite_lower", "infinite_upper"],
+    )
+    def test_exact_side_is_one_boundary(self, gb):
+        p = uniform_partition(1.0, 128)
+        inner, outer = envelopes(gb, p, m=50)
+        assert inner is outer
+        assert inner.side == gb.side and np.array_equal(inner.right, gb(p.nodes))
+
+    def test_curved_side_is_two_boundaries(self):
+        gb = GeneralBoundary(parse_boundary(DANIELS), "upper", 1.0)
+        inner, outer = envelopes(gb, uniform_partition(1.0, 128), m=50)
+        assert inner is not outer
+        assert np.all(inner.right <= outer.right) and np.any(inner.right < outer.right)
 
     def test_sqrt_gap_small(self):
         T = math.e - 1.0

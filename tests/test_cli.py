@@ -138,6 +138,15 @@ class TestExitCodes:
         code, _, _ = run_capture(["bm", "--upper", "-1", "--T", "1"] + FAST, capsys)
         assert code == EXIT_BAND
 
+    @pytest.mark.parametrize(
+        "argv", [["bm", "--upper", "-1"], ["bm", "--lower", "0.5", "--upper", "1"]],
+        ids=["upper_below_start", "lower_above_start"],
+    )
+    def test_exact_band_excludes_start(self, argv, capsys):
+        code, _, err = run_capture(argv + ["--T", "1", "--paths", "4096", "--seed", "1"], capsys)
+        assert code == EXIT_BAND
+        assert "start point 0 not strictly inside" in err
+
     def test_crossed_boundaries(self, capsys):
         code, _, _ = run_capture(
             ["gbm", "--sigma", "0.2", "--rate", "0", "--x0", "1",
@@ -234,6 +243,30 @@ class TestSubcommands:
         assert code == EXIT_OK
         doc = json.loads(out)
         assert doc["results"]["lower"] <= doc["results"]["mean"] <= doc["results"]["upper"]
+
+
+class TestEmptyInnerBand:
+    # The boundaries are valid, but the inner envelope, shifted inward by
+    # the curvature pad, excludes the start or closes; these requests once
+    # exited 4.  The inner band's probability is 0, the lower end.
+    @pytest.mark.parametrize(
+        "argv, upper",
+        [(["bm", "--upper", "0.0005+sqrt(t)"], 0.170),
+         (["bm", "--lower=-1", "--upper", "0.0005+sqrt(t)"], 0.0696),
+         (["ou", "--kappa", "0.5", "--alpha", "0", "--sigma2", "1", "--x0", "0",
+           "--upper", "0.0005+sqrt(t)"], 0.191),
+         (["bm", "--lower", "sqrt(t)-0.0005", "--upper", "sqrt(t)+0.002", "--n", "16"], 0.0)],
+        ids=["bm_one_sided", "bm_two_sided", "ou", "inner_band_closes"],
+    )
+    def test_lower_end_is_zero(self, argv, upper, capsys):
+        code, out, err = run_capture(
+            argv + ["--T", "1", "--paths", "4096", "--seed", "1"], capsys
+        )
+        assert code == EXIT_OK, err
+        r = json.loads(out)["results"]
+        assert r["lower"] == 0.0
+        assert r["upper"] == pytest.approx(upper, abs=5e-4)
+        assert r["mean"] == 0.5 * r["upper"]
 
 
 # One request per family, with (mean, std_error, lower, upper) recorded before

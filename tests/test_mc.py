@@ -4,16 +4,21 @@ import os
 import numpy as np
 import pytest
 
+import bcp.mc
 from bcp import (
+    BcpEstimate,
     GeneralBoundary,
     McConfig,
+    OUSpec,
     PiecewiseLinearBand,
     PiecewiseLinearBoundary,
     StartOutsideBandError,
     band_kernel,
     estimate_bcp,
     estimate_bcp_bracketed,
+    envelopes,
     parse_boundary,
+    reduce,
     sample_nodes,
     uniform_partition,
 )
@@ -224,6 +229,53 @@ class TestBracketing:
         g_out, _ = band_kernel(outer, x)
         assert np.all(g_in <= g_out + 1e-12)
 
+    @staticmethod
+    def _count_kernel_calls(monkeypatch):
+        calls = []
+
+        def counted(band, x, *args):
+            calls.append(x.shape[0])
+            return kernel(band, x, *args)
+
+        kernel = bcp.mc.band_kernel
+        monkeypatch.setattr(bcp.mc, "band_kernel", counted)
+        return calls
+
+    def test_exact_band_evaluated_once(self, monkeypatch):
+        # Two chunks of 4096 rows, each four blocks of 1024 rows at n = 128:
+        # one kernel call per block, not one per block and envelope.
+        p = uniform_partition(1.0, 128)
+        cfg = McConfig(paths=8192, seed=1)
+        band = PiecewiseLinearBand(
+            PiecewiseLinearBoundary.from_values(p, "lower", np.full(129, -1.0)),
+            PiecewiseLinearBoundary.from_values(p, "upper", np.full(129, 1.0)),
+        )
+        plain = estimate_bcp(band, cfg)
+        calls = self._count_kernel_calls(monkeypatch)
+        est = estimate_bcp_bracketed(
+            GeneralBoundary.constant(-1.0, "lower", 1.0),
+            GeneralBoundary.constant(1.0, "upper", 1.0), p, 50, cfg,
+        )
+        assert calls == [1024] * 8
+        assert est == plain and est.bracket == (plain.mean, plain.mean)
+
+    def test_empty_inner_band_gives_zero_lower_end(self, monkeypatch):
+        # The inner envelope of 0.0005 + sqrt(t) lies below 0 at t = 0, so
+        # the inner band excludes the start: only the outer band is evaluated.
+        p = uniform_partition(1.0, 128)
+        cfg = McConfig(paths=8192, seed=1)
+        gb = GeneralBoundary(parse_boundary("0.0005+sqrt(t)"), "upper", 1.0)
+        inner, outer = envelopes(gb, p, 50)
+        assert inner.right[0] < 0.0 < outer.right[0]
+        upper = estimate_bcp(
+            PiecewiseLinearBand(PiecewiseLinearBoundary.infinite(p, "lower"), outer), cfg
+        )
+        calls = self._count_kernel_calls(monkeypatch)
+        est = estimate_bcp_bracketed(None, gb, p, 50, cfg)
+        assert calls == [1024] * 8
+        assert est.bracket == (0.0, upper.mean) and est.std_error == upper.std_error
+        assert est.mean == 0.5 * upper.mean
+
     def test_two_sided_bracketed(self):
         lo = GeneralBoundary(lambda t: -1.0 - 0.1 * t, "lower", 1.0)
         hi = GeneralBoundary(lambda t: 1.0 + 0.1 * t * t, "upper", 1.0)
@@ -253,6 +305,21 @@ class TestValidation:
             McConfig(paths=0)
         with pytest.raises(ValueError):
             McConfig(paths=10, chunk_size=0)
+
+    def test_bracket_defaults_to_mean(self):
+        est = BcpEstimate(mean=0.5, std_error=0.0, paths=1)
+        assert est.bracket == (0.5, 0.5)
+        assert est.bracket_width == 0.0
+
+    def test_partition_on_wrong_horizon(self):
+        # The reduced OU problem lives on [0, e - 1], not [0, 1]; on [0, 1]
+        # it once returned 0.8033 against the published 0.721463.
+        red = reduce(OUSpec(x0=0.0, kappa=0.5, alpha=0.0, sigma=1.0), None,
+                     GeneralBoundary.constant(1.0, "upper", 1.0), 1.0)
+        assert red.horizon == pytest.approx(math.e - 1.0)
+        with pytest.raises(ValueError, match=r"partition horizon 1\.0 != boundary horizon 1\.718"):
+            estimate_bcp_bracketed(None, red.upper, uniform_partition(1.0, 128), 50,
+                                   McConfig(paths=4096, seed=1))
 
     def test_estimate_invariants(self):
         from bcp import BcpEstimate

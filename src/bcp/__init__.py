@@ -14,7 +14,6 @@ from .boundary import (
     Partition,
     PiecewiseLinearBand,
     PiecewiseLinearBoundary,
-    band_values,
     chord_boundary,
     envelopes,
     uniform_partition,
@@ -84,7 +83,6 @@ __all__ = [
     "StartOutsideBandError",
     "TimeVaryingOUSpec",
     "band_kernel",
-    "band_values",
     "bcp_linear_one_sided",
     "catalog_problem",
     "check_reducibility",

@@ -15,7 +15,7 @@ from typing import Callable, Literal
 
 import numpy as np
 
-from .errors import EvaluationError, InvalidBoundariesError
+from .errors import EvaluationError, InvalidBoundariesError, StartOutsideBandError
 
 Side = Literal["lower", "upper"]
 
@@ -124,10 +124,6 @@ class PiecewiseLinearBoundary:
     def is_infinite(self) -> bool:
         return bool(np.isinf(self.right[0]))
 
-    def validate(self) -> None:
-        """Re-run construction invariants (no-op if still consistent)."""
-        self.__post_init__()
-
     def __call__(self, t) -> np.ndarray:
         """Evaluate on the closed intervals, using right limits at nodes."""
         t = np.asarray(t, dtype=np.float64)
@@ -146,39 +142,33 @@ class PiecewiseLinearBoundary:
 
 @dataclass(frozen=True)
 class PiecewiseLinearBand:
-    """Lower/upper boundary pair over a shared partition."""
+    """Lower/upper boundary pair over a shared partition, for a path started at 0.
+
+    This is the one check of a band: the lower side stays strictly below
+    the upper one (InvalidBoundariesError), and 0 lies strictly inside
+    the band at t=0 (StartOutsideBandError).
+    """
 
     lower: PiecewiseLinearBoundary
     upper: PiecewiseLinearBoundary
 
     def __post_init__(self):
-        if self.lower.side != "lower" or self.upper.side != "upper":
+        lo, hi = self.lower, self.upper
+        if lo.side != "lower" or hi.side != "upper":
             raise ValueError("band needs a lower and an upper boundary, in that order")
-        if not np.array_equal(self.lower.partition.nodes, self.upper.partition.nodes):
+        if not np.array_equal(lo.partition.nodes, hi.partition.nodes):
             raise ValueError("both boundaries must share one partition")
-        if self.lower.is_infinite or self.upper.is_infinite:
-            return
-        ok = np.all(self.lower.right[1:] < self.upper.right[1:]) and np.all(
-            self.lower.left[1:] < self.upper.left[1:]
-        )
-        if not ok or not self.lower.right[0] < self.upper.right[0]:
+        if not (lo.is_infinite or hi.is_infinite or (
+                np.all(lo.right < hi.right) and np.all(lo.left[1:] < hi.left[1:]))):
             raise InvalidBoundariesError("lower boundary must stay strictly below upper")
+        if not lo.right[0] < 0 < hi.right[0]:
+            raise StartOutsideBandError(
+                f"start point 0 not strictly inside ({lo.right[0]}, {hi.right[0]}) at t=0"
+            )
 
     @property
     def partition(self) -> Partition:
         return self.lower.partition
-
-
-def band_values(band: PiecewiseLinearBand, i: int, side: Literal["left", "right"]):
-    """Return (alpha, beta, delta) at node i on the requested side."""
-    n = band.partition.n
-    if not 0 <= i <= n:
-        raise ValueError(f"node index {i} out of range 0..{n}")
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    lo = band.lower.left[i] if side == "left" else band.lower.right[i]
-    hi = band.upper.left[i] if side == "left" else band.upper.right[i]
-    return float(lo), float(hi), float(hi - lo)
 
 
 def evaluate(fn: Callable[[float], float], t):

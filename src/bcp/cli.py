@@ -31,7 +31,6 @@ from .errors import (
     InvalidBoundariesError,
     InvalidDomainError,
     NumericFailureError,
-    StartOutsideBandError,
 )
 from .expr import parse_boundary
 from .kernels import SeriesConfig
@@ -380,8 +379,7 @@ def run(argv: list[str] | None = None) -> int:
     except NumericFailureError as exc:
         print(f"bcp: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (InvalidBoundariesError, StartOutsideBandError, EvaluationError,
-            InvalidDomainError) as exc:
+    except (InvalidBoundariesError, EvaluationError, InvalidDomainError) as exc:
         print(f"bcp: invalid boundary: {exc}", file=sys.stderr)
         return EXIT_BAND
     except BcpError as exc:  # any remaining domain error

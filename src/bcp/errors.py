@@ -17,12 +17,12 @@ class EvaluationError(BcpError):
         self.t = t
 
 
-class StartOutsideBandError(BcpError):
-    """The process start point does not lie strictly inside the band."""
-
-
 class InvalidBoundariesError(BcpError):
     """Boundaries violate ordering, sign or finiteness requirements."""
+
+
+class StartOutsideBandError(InvalidBoundariesError):
+    """The process start point does not lie strictly inside the band."""
 
 
 class NumericFailureError(BcpError):

@@ -83,16 +83,6 @@ def _as_paths(x, n: int) -> tuple[np.ndarray, bool]:
     return a, single
 
 
-def check_start(band: PiecewiseLinearBand) -> None:
-    """Raise unless the start point 0 lies strictly inside the band at t=0."""
-    lo = band.lower.right[0]
-    hi = band.upper.right[0]
-    if not lo < 0 < hi:
-        raise StartOutsideBandError(
-            f"start point 0 not strictly inside ({lo}, {hi}) at t=0"
-        )
-
-
 def _tail(q: np.ndarray, terms: np.ndarray) -> np.ndarray:
     return 4.0 * np.exp(-2.0 * terms**2 * q) / -np.expm1(-4.0 * terms * q)
 
@@ -217,7 +207,6 @@ def band_kernel(
     """
     cfg = cfg or SeriesConfig()
     x, single = _as_paths(x, band.partition.n)
-    check_start(band)
     lo, hi = band.lower, band.upper
     rows, n = x.shape
     tail = 0.0

@@ -20,7 +20,8 @@ from typing import Callable
 
 import numpy as np
 
-from .boundary import GeneralBoundary, evaluate
+from .boundary import (GeneralBoundary, PiecewiseLinearBand, chord_boundary, evaluate,
+                       uniform_partition)
 from .errors import InvalidBoundariesError, InvalidDomainError, NumericFailureError
 from .kernels import bcp_linear_one_sided, normal_cdf
 
@@ -106,47 +107,40 @@ class ReducedProblem:
 # Shared helpers
 
 
-#: Points of [0, T] at which `_validate_band_inputs` checks the band.
+#: Equally spaced points at which every reduced band is checked, on [0, S],
+#: and the log map's domain for growth and gbm, on [0, T].
 _PROBES = 65
 
 
-def _validate_band_inputs(
-    a: GeneralBoundary | None,
-    b: GeneralBoundary | None,
-    T: float,
-    x0: float,
-    positive: bool = False,
-) -> GeneralBoundary | None:
-    """Check the band on _PROBES points of [0, T]; return the lower boundary to use.
+def _check_T(T: float) -> None:
+    if not T > 0:
+        raise ValueError(f"horizon must be positive, got {T}")
 
-    With positive=True (a positive process, log-mapped later) a lower
-    boundary that is 0 at every probe maps to -inf and leaves the band
+
+def _log_domain(a: GeneralBoundary | None, b: GeneralBoundary | None,
+                T: float) -> GeneralBoundary | None:
+    """Check the log map's domain on _PROBES points of [0, T]; return the lower side to map.
+
+    The upper side must be positive and the lower one not negative.  A
+    lower side that is 0 at every probe maps to -inf and leaves the band
     one-sided, so None is returned.  One that is 0 at some probes but not
     all would map to -inf at isolated times, which no envelope can follow.
     """
-    if not T > 0:
-        raise ValueError(f"horizon must be positive, got {T}")
-    ts = np.linspace(0.0, T, _PROBES)
-    if a is not None and not a.finite:
-        a = None
-    av = np.full(_PROBES, -math.inf) if a is None else a(ts)
-    bv = b(ts) if (b is not None and b.finite) else np.full(_PROBES, math.inf)
-    if positive:
-        if np.any(bv[np.isfinite(bv)] <= 0):
-            raise InvalidBoundariesError("upper boundary must be positive")
-        if np.any(av[np.isfinite(av)] < 0):
-            raise InvalidBoundariesError("lower boundary cannot be negative")
-        zero = av == 0.0
-        if zero.all():
-            a = None
-        elif zero.any():
-            raise InvalidBoundariesError(
-                "lower boundary must be identically 0 or positive on [0, T]"
-            )
-    if np.any(av[1:] >= bv[1:]):
-        raise InvalidBoundariesError("boundaries must satisfy a(t) < b(t) on (0, T]")
-    if not (av[0] < x0 < bv[0]):
-        raise InvalidBoundariesError(f"start point {x0} not inside (a(0), b(0))")
+    ts = uniform_partition(T, _PROBES - 1).nodes  # ValueError for T <= 0
+    if b is not None and b.finite and np.any(b(ts) <= 0):
+        raise InvalidBoundariesError("upper boundary must be positive")
+    if a is None or not a.finite:
+        return None
+    av = a(ts)
+    if np.any(av < 0):
+        raise InvalidBoundariesError("lower boundary cannot be negative")
+    zero = av == 0.0
+    if zero.all():
+        return None
+    if zero.any():
+        raise InvalidBoundariesError(
+            "lower boundary must be identically 0 or positive on [0, T]"
+        )
     return a
 
 
@@ -160,7 +154,9 @@ def _reduced(family: str, spec: DiffusionSpec | None, a: GeneralBoundary | None,
     """The Brownian problem on [0, S] whose finite sides are s -> space(s, gb).
 
     An absent or infinite side stays infinite; space=None (Brownian motion)
-    keeps each finite side as given.
+    keeps each finite side as given.  Every family's one band check: the
+    reduced sides' chords through _PROBES points of [0, S] must form a
+    `PiecewiseLinearBand` (S = T for Brownian motion; S <= 0 raises here).
     """
 
     def side(gb, name):
@@ -170,9 +166,12 @@ def _reduced(family: str, spec: DiffusionSpec | None, a: GeneralBoundary | None,
             return gb
         return GeneralBoundary(lambda s: space(s, gb), name, S)
 
+    lower, upper = side(a, "lower"), side(b, "upper")
+    probes = uniform_partition(S, _PROBES - 1)
+    PiecewiseLinearBand(chord_boundary(lower, probes), chord_boundary(upper, probes))
     return ReducedProblem(
-        lower=side(a, "lower"),
-        upper=side(b, "upper"),
+        lower=lower,
+        upper=upper,
         horizon=S,
         time_map=time_map,
         provenance={"family": family, "spec": spec, "T": T},
@@ -335,7 +334,7 @@ def reduce_ou(
     spec: OUSpec, a: GeneralBoundary | None, b: GeneralBoundary | None, T: float
 ) -> ReducedProblem:
     """Constant-coefficient mean-reverting reduction (closed forms)."""
-    _validate_band_inputs(a, b, T, spec.x0)
+    _check_T(T)
     k, al, s2, x0 = spec.kappa, spec.alpha, spec.sigma**2, spec.x0
     S = s2 * math.expm1(2.0 * k * T) / (2.0 * k)
 
@@ -374,7 +373,7 @@ def reduce_ou_td(
     rtol 1e-13 the horizon, time map and boundary agree within 1e-12 for
     smooth coefficients and within 1e-10 for a kinked kappa.
     """
-    _validate_band_inputs(a, b, T, spec.x0)
+    _check_T(T)
     x0 = spec.x0
     alpha0 = evaluate(spec.alpha, 0.0)
 
@@ -449,7 +448,7 @@ def reduce_growth(
     spec: GrowthSpec, a: GeneralBoundary | None, b: GeneralBoundary | None, T: float
 ) -> ReducedProblem:
     """Gompertz-growth reduction; a zero lower boundary maps to -inf."""
-    a = _validate_band_inputs(a, b, T, spec.x0, positive=True)
+    a = _log_domain(a, b, T)
     al, be, sg, x0 = spec.alpha, spec.beta, spec.sigma, spec.x0
     shift = (sg * sg - 2.0 * al) / (2.0 * be)
     base = (math.log(x0) + shift) / sg
@@ -471,7 +470,7 @@ def reduce_gbm(
     spec: GBMSpec, a: GeneralBoundary | None, b: GeneralBoundary | None, T: float
 ) -> ReducedProblem:
     """Geometric-BM reduction; identity time change; a zero lower boundary maps to -inf."""
-    a = _validate_band_inputs(a, b, T, spec.x0, positive=True)
+    a = _log_domain(a, b, T)
     sg, x0 = spec.sigma, spec.x0
     big_r = _rate_integral(spec.rate, T)
 
@@ -488,8 +487,13 @@ def reduce(
     spec: DiffusionSpec | None, a: GeneralBoundary | None, b: GeneralBoundary | None, T: float
 ) -> ReducedProblem:
     """Dispatch on the process family.  spec=None is Brownian motion, family
-    "bm": a and b as given, on the identity time map, with no band checks of
-    its own (the envelopes and the kernel's start check catch a bad band)."""
+    "bm": a and b as given, on the identity time map.
+
+    T <= 0 raises ValueError naming T.  Every family then checks its
+    reduced band once, in `_reduced`: a lower side that meets the upper
+    one raises InvalidBoundariesError, and a start outside the band raises
+    its subclass StartOutsideBandError, naming the reduced band at s = 0.
+    """
     if spec is None:
         return _reduced("bm", None, a, b, T, T, _identity, None)
     if isinstance(spec, OUSpec):

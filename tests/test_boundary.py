@@ -10,7 +10,7 @@ from bcp import (
     Partition,
     PiecewiseLinearBand,
     PiecewiseLinearBoundary,
-    band_values,
+    StartOutsideBandError,
     chord_boundary,
     envelopes,
     parse_boundary,
@@ -77,55 +77,10 @@ class TestPiecewiseLinearBoundary:
                 p, "upper", right=[1.0, math.inf, 1.0], left=[1.0, 1.0, 1.0]
             )
 
-    def test_revalidation(self):
-        p = uniform_partition(1.0, 4)
-        b = PiecewiseLinearBoundary.from_values(p, "upper", np.ones(5))
-        b.validate()
-
     def test_evaluation(self):
         p = uniform_partition(1.0, 2)
         b = PiecewiseLinearBoundary.from_values(p, "upper", [0.0, 1.0, 0.5])
         assert np.allclose(b([0.0, 0.25, 0.5, 0.75, 1.0]), [0.0, 0.5, 1.0, 0.75, 0.5])
-
-
-class TestBandValues:
-    def test_constant_band(self):
-        p = uniform_partition(1.0, 4)
-        band = PiecewiseLinearBand(
-            PiecewiseLinearBoundary.from_values(p, "lower", -np.ones(5)),
-            PiecewiseLinearBoundary.from_values(p, "upper", np.ones(5)),
-        )
-        for i in range(5):
-            assert band_values(band, i, "right" if i < 4 else "left") == (-1.0, 1.0, 2.0)
-
-    def test_jump_sides(self):
-        p = uniform_partition(1.0, 2)
-        upper = PiecewiseLinearBoundary(
-            p, "upper", right=[1.0, 2.0, 2.0], left=[1.0, 1.0, 2.0]
-        )
-        band = PiecewiseLinearBand(
-            PiecewiseLinearBoundary.from_values(p, "lower", [-1.0, -1.0, -1.0]), upper
-        )
-        assert band_values(band, 1, "left")[1] == 1.0
-        assert band_values(band, 1, "right")[1] == 2.0
-
-    def test_one_sided(self):
-        p = uniform_partition(1.0, 2)
-        band = PiecewiseLinearBand(
-            PiecewiseLinearBoundary.infinite(p, "lower"),
-            PiecewiseLinearBoundary.from_values(p, "upper", np.ones(3)),
-        )
-        alpha, beta, delta = band_values(band, 1, "right")
-        assert alpha == -math.inf and delta == math.inf
-
-    def test_index_out_of_range(self):
-        p = uniform_partition(1.0, 2)
-        band = PiecewiseLinearBand(
-            PiecewiseLinearBoundary.infinite(p, "lower"),
-            PiecewiseLinearBoundary.from_values(p, "upper", np.ones(3)),
-        )
-        with pytest.raises(ValueError):
-            band_values(band, 3, "left")
 
 
 class TestGeneralBoundary:
@@ -339,3 +294,23 @@ class TestBandConstruction:
                 PiecewiseLinearBoundary.infinite(p1, "lower"),
                 PiecewiseLinearBoundary.from_values(p2, "upper", np.ones(5)),
             )
+
+    @pytest.mark.parametrize(
+        "lower, upper, message",
+        [([-1.0, -1.0, -1.0], [-0.5, 1.0, 1.0], r"\(-1\.0, -0\.5\) at t=0"),
+         (None, [0.0, 1.0, 1.0], r"\(-inf, 0\.0\) at t=0"),
+         ([0.2, -1.0, -1.0], None, r"\(0\.2, inf\) at t=0")],
+        ids=["finite", "upper_only", "lower_only"],
+    )
+    def test_start_checked_at_construction(self, lower, upper, message):
+        p = uniform_partition(1.0, 2)
+        with pytest.raises(StartOutsideBandError, match="start point 0 not strictly inside " + message):
+            PiecewiseLinearBand(
+                PiecewiseLinearBoundary.infinite(p, "lower") if lower is None
+                else PiecewiseLinearBoundary.from_values(p, "lower", lower),
+                PiecewiseLinearBoundary.infinite(p, "upper") if upper is None
+                else PiecewiseLinearBoundary.from_values(p, "upper", upper),
+            )
+
+    def test_start_error_is_a_band_error(self):
+        assert issubclass(StartOutsideBandError, InvalidBoundariesError)

@@ -147,6 +147,39 @@ class TestExitCodes:
         assert code == EXIT_BAND
         assert "start point 0 not strictly inside" in err
 
+    @pytest.mark.parametrize(
+        "argv", [["bm", "--upper=-0.0001+sqrt(t)"],
+                 ["bm", "--lower", "0.0001-sqrt(t)", "--upper", "1"]],
+        ids=["upper_below_start", "lower_above_start"],
+    )
+    def test_curved_side_excludes_start(self, argv, capsys):
+        # The outer envelope holds 0 at t = 0; the reduced band does not.
+        code, _, err = run_capture(argv + ["--T", "1", "--paths", "4096", "--seed", "1"], capsys)
+        assert code == EXIT_BAND
+        assert "start point 0 not strictly inside" in err
+
+    @pytest.mark.parametrize("T", ["0", "-1"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["bm"],
+         ["ou", "--kappa", "0.5", "--alpha", "0", "--sigma2", "1", "--x0", "0"],
+         ["ou-td", "--kappa-fn", "0.5", "--alpha-fn", "0", "--sigma-fn", "1", "--x0", "0"],
+         ["growth", "--alpha", "0.5", "--beta", "0.5", "--sigma", "1", "--x0", "1"],
+         ["gbm", "--sigma", "0.1", "--rate", "0.1", "--x0", "1"]],
+        ids=["bm", "ou", "ou_td", "growth", "gbm"],
+    )
+    def test_nonpositive_horizon(self, argv, T, capsys):
+        code, _, err = run_capture(argv + ["--upper", "2", "--T", T] + FAST, capsys)
+        assert code == EXIT_USAGE
+        assert f"horizon must be positive, got {float(T)}" in err
+
+    def test_seed_outside_64_bits(self, capsys):
+        code, _, err = run_capture(
+            ["bm", "--upper", "1", "--T", "1", "--paths", "4096", "--seed", "-1"], capsys
+        )
+        assert code == EXIT_USAGE
+        assert "seed must be in [0, 2**64)" in err
+
     def test_crossed_boundaries(self, capsys):
         code, _, _ = run_capture(
             ["gbm", "--sigma", "0.2", "--rate", "0", "--x0", "1",

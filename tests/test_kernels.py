@@ -76,18 +76,18 @@ class TestOneSided:
             g_one_sided(SYMMETRIC, [0.0, 0.0])
 
     def test_start_outside(self):
-        band = one_sided_band(-0.5, n=1)
         with pytest.raises(StartOutsideBandError):
+            band = one_sided_band(-0.5, n=1)
             g_one_sided(band, [0.0])
 
     def test_start_outside_lower_only(self):
         # The message names the band as given, not a reflected copy.
         p = uniform_partition(1.0, 1)
-        band = PiecewiseLinearBand(
-            PiecewiseLinearBoundary.from_values(p, "lower", [0.2, 0.2]),
-            PiecewiseLinearBoundary.infinite(p, "upper"),
-        )
         with pytest.raises(StartOutsideBandError, match=r"\(0\.2, inf\) at t=0"):
+            band = PiecewiseLinearBand(
+                PiecewiseLinearBoundary.from_values(p, "lower", [0.2, 0.2]),
+                PiecewiseLinearBoundary.infinite(p, "upper"),
+            )
             band_kernel(band, [0.5])
 
     def test_length_mismatch(self):

@@ -57,6 +57,21 @@ class TestSampling:
         assert inc[:, 1].var() == pytest.approx(0.9, rel=0.05)
 
 
+    def test_seeds_at_and_above_2_63_have_their_own_streams(self):
+        for s1, s2 in [(0, 2**64 - 1), (2**63, 2**63 + 1)]:
+            a = _chunk_stream(s1, 0).standard_normal(8)
+            b = _chunk_stream(s2, 0).standard_normal(8)
+            assert not np.array_equal(a, b)
+
+    def test_stream_key_is_seed_and_chunk(self):
+        for seed in (0, 7, 2**32 + 5, 2**63 - 1):
+            key = np.random.Philox(key=[seed, 3])
+            np.testing.assert_array_equal(
+                _chunk_stream(seed, 3).standard_normal(8),
+                np.random.Generator(key).standard_normal(8),
+            )
+
+
 class TestReproducibility:
     def test_same_seed_bitwise(self):
         band = upper_band(np.linspace(1.0, 1.5, 9))
@@ -287,17 +302,17 @@ class TestBracketing:
 
 class TestValidation:
     def test_start_outside_band(self):
-        band = upper_band(np.array([-0.5, -0.5]))
         with pytest.raises(StartOutsideBandError):
+            band = upper_band(np.array([-0.5, -0.5]))
             estimate_bcp(band, McConfig(paths=100, seed=0))
 
     def test_start_below_lower_only_band(self):
         p = uniform_partition(1.0, 2)
-        band = PiecewiseLinearBand(
-            PiecewiseLinearBoundary.from_values(p, "lower", [0.2, 0.1, 0.0]),
-            PiecewiseLinearBoundary.infinite(p, "upper"),
-        )
         with pytest.raises(StartOutsideBandError, match=r"\(0\.2, inf\) at t=0"):
+            band = PiecewiseLinearBand(
+                PiecewiseLinearBoundary.from_values(p, "lower", [0.2, 0.1, 0.0]),
+                PiecewiseLinearBoundary.infinite(p, "upper"),
+            )
             estimate_bcp(band, McConfig(paths=100, seed=0))
 
     def test_bad_config(self):
@@ -305,6 +320,11 @@ class TestValidation:
             McConfig(paths=0)
         with pytest.raises(ValueError):
             McConfig(paths=10, chunk_size=0)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits(self, seed):
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
+            McConfig(seed=seed)
 
     def test_bracket_defaults_to_mean(self):
         est = BcpEstimate(mean=0.5, std_error=0.0, paths=1)

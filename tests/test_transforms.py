@@ -12,6 +12,7 @@ from bcp import (
     InvalidDomainError,
     McConfig,
     OUSpec,
+    StartOutsideBandError,
     TimeVaryingOUSpec,
     check_reducibility,
     closed_form_bcp,
@@ -370,6 +371,23 @@ class TestDispatcher:
     def test_unknown_spec(self):
         with pytest.raises(ValueError):
             reduce(object(), None, const_upper(1.0, 1.0), 1.0)
+
+    def test_bm_sides_that_cross_rejected(self):
+        a = GeneralBoundary(parse_boundary("t-0.5"), "lower", 1.0)
+        b = GeneralBoundary(parse_boundary("0.5-t"), "upper", 1.0)
+        with pytest.raises(InvalidBoundariesError, match="strictly below upper"):
+            reduce(None, a, b, 1.0)
+
+    @pytest.mark.parametrize(
+        "spec, upper, message",
+        [(None, "-0.0001+sqrt(t)", r"\(-inf, -0\.0001\)"),
+         (OUSpec(x0=0.5, kappa=1.0, alpha=0.0, sigma=1.0), "0.25", r"\(-inf, -0\.25\)")],
+        ids=["bm", "ou"],
+    )
+    def test_start_outside_named_in_reduced_band(self, spec, upper, message):
+        b = GeneralBoundary(parse_boundary(upper), "upper", 1.0)
+        with pytest.raises(StartOutsideBandError, match=message + " at t=0"):
+            reduce(spec, None, b, 1.0)
 
 
 class TestClosedForms:

@@ -55,10 +55,16 @@ class Partition:
         return np.diff(self.nodes)
 
 
+def check_horizon(T: float) -> None:
+    """Raise ValueError naming T unless 0 < T < inf."""
+    if not 0 < T < math.inf:
+        need = "positive and finite" if T > 0 else "positive"
+        raise ValueError(f"horizon must be {need}, got {T}")
+
+
 def uniform_partition(T: float, n: int) -> Partition:
     """Equally spaced partition of [0, T] with n subintervals."""
-    if not T > 0:
-        raise ValueError(f"horizon must be positive, got {T}")
+    check_horizon(T)
     if not n >= 1:
         raise ValueError(f"need at least one subinterval, got {n}")
     return Partition(np.linspace(0.0, T, n + 1))

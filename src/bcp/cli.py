@@ -33,7 +33,6 @@ from .errors import (
     NumericFailureError,
 )
 from .expr import parse_boundary
-from .kernels import SeriesConfig
 from .mc import McConfig, estimate_bcp_bracketed
 from .transforms import GBMSpec, GrowthSpec, OUSpec, TimeVaryingOUSpec, reduce
 
@@ -68,7 +67,6 @@ _CSV_FIELDS = [
     "n",
     "paths",
     "seed",
-    "series_terms",
     "envelope_samples",
     "mean",
     "std_error",
@@ -85,26 +83,19 @@ def emit(report: RunReport, fmt: str = "json") -> bytes:
     if fmt == "json":
         return (json.dumps(report.to_dict(), indent=2) + "\n").encode()
     if fmt == "csv":
+        r = report.results
         row = {
-            "process": report.request.get("process"),
-            "lower": report.request.get("lower"),
-            "upper": report.request.get("upper"),
-            "T": report.request.get("T"),
-            "n": report.request.get("n"),
-            "paths": report.request.get("paths"),
-            "seed": report.request.get("seed"),
-            "series_terms": report.request.get("series_terms"),
-            "envelope_samples": report.request.get("envelope_samples"),
-            "mean": report.results.get("mean"),
-            "std_error": report.results.get("std_error"),
-            "bracket_lower": report.results.get("lower"),
-            "bracket_upper": report.results.get("upper"),
-            "bracket_width": report.results.get("bracket_width"),
+            **report.request,
+            "mean": r["mean"],
+            "std_error": r["std_error"],
+            "bracket_lower": r["lower"],
+            "bracket_upper": r["upper"],
+            "bracket_width": r["bracket_width"],
             "timing_ms": report.timing_ms,
             "version": report.version,
         }
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=_CSV_FIELDS)
+        writer = csv.DictWriter(buf, fieldnames=_CSV_FIELDS, extrasaction="ignore")
         writer.writeheader()
         writer.writerow(row)
         return buf.getvalue().encode()
@@ -135,15 +126,19 @@ def _curve_samples(gb: GeneralBoundary | None, T: float, points: int = 129):
     return ts.tolist(), gb(ts).tolist()
 
 
+def _expr_flag(p: argparse.ArgumentParser, flag: str, what: str, **kw) -> None:
+    """An expression flag.  argparse takes a value that starts with "-" and
+    is not a plain number for an option, so such a value needs FLAG=EXPR."""
+    p.add_argument(flag, help=f"{what}; write {flag}=EXPR if EXPR starts with '-'", **kw)
+
+
 def _common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--lower", default="-inf", help="lower boundary expression in t")
-    p.add_argument("--upper", default="inf", help="upper boundary expression in t")
+    _expr_flag(p, "--lower", "lower boundary expression in t", default="-inf")
+    _expr_flag(p, "--upper", "upper boundary expression in t", default="inf")
     p.add_argument("--T", type=float, required=True, help="time horizon")
     p.add_argument("--n", type=int, default=128, help="partition subintervals")
     p.add_argument("--paths", type=int, default=1_000_000)
     p.add_argument("--seed", type=int, required=True, help="RNG seed (no silent entropy)")
-    p.add_argument("--series-terms", type=int, default=1,
-                   help="floor on the two-sided series terms per interval")
     p.add_argument("--envelope-samples", type=int, default=50)
     p.add_argument("--chunk-size", type=int, default=4_096)
     p.add_argument("--antithetic", action="store_true")
@@ -172,9 +167,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_outd = sub.add_parser("ou-td", help="mean reversion with t-dependent coefficients")
     _common_flags(p_outd)
-    p_outd.add_argument("--kappa-fn", required=True, help="expression in t")
-    p_outd.add_argument("--alpha-fn", required=True, help="expression in t")
-    p_outd.add_argument("--sigma-fn", required=True, help="expression in t")
+    _expr_flag(p_outd, "--kappa-fn", "kappa expression in t", required=True)
+    _expr_flag(p_outd, "--alpha-fn", "alpha expression in t", required=True)
+    _expr_flag(p_outd, "--sigma-fn", "sigma expression in t", required=True)
     p_outd.add_argument("--x0", type=float, required=True)
 
     p_gr = sub.add_parser("growth", help="Gompertz-type growth process")
@@ -187,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gbm = sub.add_parser("gbm", help="geometric Brownian motion")
     _common_flags(p_gbm)
     p_gbm.add_argument("--sigma", type=float, required=True)
-    p_gbm.add_argument("--rate", required=True, help="rate expression in t, or a number")
+    _expr_flag(p_gbm, "--rate", "rate expression in t, or a number", required=True)
     p_gbm.add_argument("--x0", type=float, required=True)
 
     p_rep = sub.add_parser("reproduce", help="rerun the published benchmark table")
@@ -240,29 +235,14 @@ def run_request(args: argparse.Namespace) -> RunReport:
         paths=args.paths,
         seed=args.seed,
         chunk_size=args.chunk_size,
-        series=SeriesConfig(min_terms=args.series_terms),
         antithetic=args.antithetic,
     )
     est = estimate_bcp_bracketed(reduced.lower, reduced.upper, p, args.envelope_samples, cfg)
 
     elapsed_ms = (time.perf_counter() - start) * 1e3
-    request = {
-        "process": args.command,
-        "lower": args.lower,
-        "upper": args.upper,
-        "T": args.T,
-        "n": args.n,
-        "paths": args.paths,
-        "seed": args.seed,
-        "series_terms": args.series_terms,
-        "envelope_samples": args.envelope_samples,
-        "chunk_size": args.chunk_size,
-        "antithetic": args.antithetic,
-    }
-    for name in ("kappa", "alpha", "beta", "sigma", "sigma2", "x0", "rate",
-                 "kappa_fn", "alpha_fn", "sigma_fn"):
-        if hasattr(args, name.replace("-", "_")):
-            request[name] = getattr(args, name.replace("-", "_"))
+    request = {"process": args.command, **vars(args)}
+    for name in ("command", "format", "output"):
+        del request[name]
     results = {
         "mean": est.mean,
         "std_error": est.std_error,

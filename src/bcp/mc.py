@@ -4,8 +4,8 @@ Paths are generated in chunks; chunk k draws from a Philox stream keyed
 by (seed, k), so results are reproducible bit-for-bit regardless of how
 many worker lanes evaluate the chunks (BCP_THREADS alone sets that, see
 _worker_lanes).  A chunk runs block by block through one reused buffer
-of kernels.BLOCK_SIZE entries: each block draws its normals, scales and
-cumsums them in place and goes through the kernel of every band.
+of kernels.BLOCK_SIZE entries: each block draws its node vectors in place
+with `sample_nodes` and goes through the kernel of every band.
 Consecutive draws from one stream give the same numbers, in the same
 order, as one (count, n) draw, so the blocks never change a value; the
 sums of g and g^2 still run over the whole chunk.
@@ -21,13 +21,13 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .boundary import GeneralBoundary, Partition, PiecewiseLinearBand, envelopes
 from .errors import InvalidBoundariesError
-from .kernels import BLOCK_SIZE, SeriesConfig, band_kernel
+from .kernels import BLOCK_SIZE, band_kernel
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,6 @@ class McConfig:
     paths: int = 1_000_000
     seed: int = 0
     chunk_size: int = 4_096
-    series: SeriesConfig = field(default_factory=SeriesConfig)
     antithetic: bool = False
 
     def __post_init__(self):
@@ -76,10 +75,15 @@ def _chunk_stream(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([seed, chunk_index], np.uint64)))
 
 
-def sample_nodes(p: Partition, stream: np.random.Generator) -> np.ndarray:
-    """One Brownian node vector x_1..x_n with the exact joint law."""
-    z = stream.standard_normal(p.n)
-    return np.cumsum(z * np.sqrt(p.dt))
+def sample_nodes(
+    p: Partition, stream: np.random.Generator, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Brownian node vectors x_1..x_n with the exact joint law: one vector,
+    or every row of `out` (rows x n), filled in place and returned.  Rows
+    drawn into `out` equal as many consecutive one-vector draws."""
+    x = stream.standard_normal(p.n) if out is None else stream.standard_normal(out=out)
+    np.multiply(x, np.sqrt(p.dt), out=x)
+    return np.cumsum(x, axis=-1, out=x)
 
 
 def _worker_lanes(n_chunks: int) -> int:
@@ -99,7 +103,6 @@ def _worker_lanes(n_chunks: int) -> int:
 def _evaluate_bands(bands: list[PiecewiseLinearBand], cfg: McConfig) -> list[tuple[float, float]]:
     """Accumulate (sum g, sum g^2) per band over all chunks, in chunk order."""
     p = bands[0].partition
-    sqrt_dt = np.sqrt(p.dt)
     n_chunks = -(-cfg.paths // cfg.chunk_size)
     block = max(1, BLOCK_SIZE // p.n)  # rows: one kernel block per mc block
 
@@ -109,13 +112,11 @@ def _evaluate_bands(bands: list[PiecewiseLinearBand], cfg: McConfig) -> list[tup
         buf = np.empty((min(block, count), p.n))
         g = np.empty((len(bands), count))
         for r0 in range(0, count, block):
-            x = buf[:min(block, count - r0)]
-            stream.standard_normal(out=x)
-            np.cumsum(np.multiply(x, sqrt_dt, out=x), axis=1, out=x)
+            x = sample_nodes(p, stream, buf[:min(block, count - r0)])
             for b, band in enumerate(bands):
-                gb, _ = band_kernel(band, x, cfg.series)
+                gb, _ = band_kernel(band, x)
                 if cfg.antithetic:
-                    g2, _ = band_kernel(band, -x, cfg.series)
+                    g2, _ = band_kernel(band, -x)
                     gb = 0.5 * (gb + g2)
                 g[b, r0:r0 + block] = gb
         return [(float(np.sum(gb)), float(np.sum(gb * gb))) for gb in g]

@@ -20,8 +20,8 @@ from typing import Callable
 
 import numpy as np
 
-from .boundary import (GeneralBoundary, PiecewiseLinearBand, chord_boundary, evaluate,
-                       uniform_partition)
+from .boundary import (GeneralBoundary, PiecewiseLinearBand, check_horizon, chord_boundary,
+                       evaluate, uniform_partition)
 from .errors import InvalidBoundariesError, InvalidDomainError, NumericFailureError
 from .kernels import bcp_linear_one_sided, normal_cdf
 
@@ -98,10 +98,6 @@ class ReducedProblem:
     time_map: Callable  # s -> original time t, elementwise on arrays
     provenance: dict
 
-    def __post_init__(self):
-        if not self.horizon > 0:
-            raise ValueError("transformed horizon must be positive")
-
 
 # ---------------------------------------------------------------------------
 # Shared helpers
@@ -112,9 +108,12 @@ class ReducedProblem:
 _PROBES = 65
 
 
-def _check_T(T: float) -> None:
-    if not T > 0:
-        raise ValueError(f"horizon must be positive, got {T}")
+def _expm1(x: float) -> float:
+    """math.expm1(x), or inf where it overflows."""
+    try:
+        return math.expm1(x)
+    except OverflowError:
+        return math.inf
 
 
 def _log_domain(a: GeneralBoundary | None, b: GeneralBoundary | None,
@@ -156,8 +155,12 @@ def _reduced(family: str, spec: DiffusionSpec | None, a: GeneralBoundary | None,
     An absent or infinite side stays infinite; space=None (Brownian motion)
     keeps each finite side as given.  Every family's one band check: the
     reduced sides' chords through _PROBES points of [0, S] must form a
-    `PiecewiseLinearBand` (S = T for Brownian motion; S <= 0 raises here).
+    `PiecewiseLinearBand` (S = T for Brownian motion).  T must be positive
+    and finite (ValueError), and then S (NumericFailureError).
     """
+    check_horizon(T)
+    if not (math.isfinite(S) and S > 0):
+        raise NumericFailureError(f"the time change S(T) = {S:g} is not finite and positive")
 
     def side(gb, name):
         if gb is None or not gb.finite:
@@ -334,9 +337,8 @@ def reduce_ou(
     spec: OUSpec, a: GeneralBoundary | None, b: GeneralBoundary | None, T: float
 ) -> ReducedProblem:
     """Constant-coefficient mean-reverting reduction (closed forms)."""
-    _check_T(T)
     k, al, s2, x0 = spec.kappa, spec.alpha, spec.sigma**2, spec.x0
-    S = s2 * math.expm1(2.0 * k * T) / (2.0 * k)
+    S = s2 * _expm1(2.0 * k * T) / (2.0 * k)
 
     def t_of_s(s):
         return np.log1p(2.0 * k * s / s2) / (2.0 * k)
@@ -373,7 +375,7 @@ def reduce_ou_td(
     rtol 1e-13 the horizon, time map and boundary agree within 1e-12 for
     smooth coefficients and within 1e-10 for a kinked kappa.
     """
-    _check_T(T)
+    check_horizon(T)
     x0 = spec.x0
     alpha0 = evaluate(spec.alpha, 0.0)
 
@@ -395,15 +397,13 @@ def reduce_ou_td(
 
     def integrands(t):
         kappa, sigma, alpha = coef(t)
-        ek = np.exp(big_k(t, 0))
-        return np.stack([sigma * sigma * ek * ek, kappa * alpha * ek])
+        with np.errstate(over="ignore", invalid="ignore"):  # _cheb_fit names a non-finite value
+            ek = np.exp(big_k(t, 0))
+            return np.stack([sigma * sigma * ek * ek, kappa * alpha * ek])
 
     ds = _cheb_fit(integrands, coef.breaks, "the time change", integrated=True)
     s_and_i = ds.integral()
     S = float(s_and_i(T, 0))
-    if not (math.isfinite(S) and S > 0):
-        raise NumericFailureError(f"the time change S(T) = {S:g} is not finite and positive")
-
     t_tab = np.linspace(0.0, T, 257)
     s_tab = s_and_i(t_tab, 0)
 
@@ -432,13 +432,16 @@ def reduce_ou_td(
     # coefficient already sits at a break.
     s_breaks = s_and_i(coef.breaks, 0)
     s_breaks[0], s_breaks[-1] = 0.0, S
-    state = _cheb_fit(in_s, s_breaks, "the inverse time change")
+
+    @cache
+    def state():  # fitted on first use, after _reduced has checked S
+        return _cheb_fit(in_s, s_breaks, "the inverse time change")
 
     def t_of_s(s):
-        return np.clip(state(s, 0), 0.0, T)
+        return np.clip(state()(s, 0), 0.0, T)
 
     def space(s, gb):
-        t, ek, gamma_ek = state(s)
+        t, ek, gamma_ek = state()(s)
         return alpha0 - x0 + gb(np.clip(t, 0.0, T)) * ek - gamma_ek
 
     return _reduced("ou_td", spec, a, b, T, S, t_of_s, space)
@@ -452,7 +455,7 @@ def reduce_growth(
     al, be, sg, x0 = spec.alpha, spec.beta, spec.sigma, spec.x0
     shift = (sg * sg - 2.0 * al) / (2.0 * be)
     base = (math.log(x0) + shift) / sg
-    S = math.expm1(2.0 * be * T) / (2.0 * be)
+    S = _expm1(2.0 * be * T) / (2.0 * be)
 
     def t_of_s(s):
         return np.log1p(2.0 * be * s) / (2.0 * be)
@@ -489,10 +492,12 @@ def reduce(
     """Dispatch on the process family.  spec=None is Brownian motion, family
     "bm": a and b as given, on the identity time map.
 
-    T <= 0 raises ValueError naming T.  Every family then checks its
-    reduced band once, in `_reduced`: a lower side that meets the upper
-    one raises InvalidBoundariesError, and a start outside the band raises
-    its subclass StartOutsideBandError, naming the reduced band at s = 0.
+    A T that is not positive and finite raises ValueError naming T, and a
+    time change S(T) that is not (it overflowed or vanished)
+    NumericFailureError.  Every family then checks its reduced band once,
+    in `_reduced`: a lower side that meets the upper one raises
+    InvalidBoundariesError, and a start outside the band raises its
+    subclass StartOutsideBandError, naming the reduced band at s = 0.
     """
     if spec is None:
         return _reduced("bm", None, a, b, T, T, _identity, None)

@@ -47,6 +47,13 @@ class TestPartition:
         with pytest.raises(ValueError):
             uniform_partition(T, n)
 
+    @pytest.mark.parametrize("T, message", [(math.inf, "positive and finite, got inf"),
+                                            (math.nan, "positive, got nan")])
+    def test_horizon_must_be_finite(self, T, message):
+        # np.linspace(0, inf) starts at NaN; the horizon is named instead.
+        with pytest.raises(ValueError, match=f"horizon must be {message}"):
+            uniform_partition(T, 4)
+
     def test_nodes_must_increase(self):
         with pytest.raises(ValueError):
             Partition(np.array([0.0, 0.5, 0.5, 1.0]))

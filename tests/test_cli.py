@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -21,6 +22,15 @@ from bcp.cli import (
 
 FAST = ["--paths", "2000", "--seed", "3", "--n", "16"]
 DANIELS = "0.5 - t*log(0.25+0.25*sqrt(1+8*exp(-1/t)))"
+
+
+FAMILY_ARGV = {
+    "bm": ["bm"],
+    "ou": ["ou", "--kappa", "0.5", "--alpha", "0", "--sigma2", "1", "--x0", "0"],
+    "ou-td": ["ou-td", "--kappa-fn", "0.5", "--alpha-fn", "0", "--sigma-fn", "1", "--x0", "0"],
+    "growth": ["growth", "--alpha", "0.5", "--beta", "0.5", "--sigma", "1", "--x0", "1"],
+    "gbm": ["gbm", "--sigma", "0.1", "--rate", "0.1", "--x0", "1"],
+}
 
 
 def run_capture(argv, capsys):
@@ -66,6 +76,18 @@ class TestJsonOutput:
         assert results["mean"] < 1e-9
         assert "series_cap_hit" not in results
 
+    @pytest.mark.parametrize("family", sorted(FAMILY_ARGV))
+    def test_request_echoes_every_parsed_setting(self, family, capsys):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)).choices[family]
+        dests = [a.dest for a in sub._actions if a.dest not in ("help", "format", "output")]
+        code, out, _ = run_capture(FAMILY_ARGV[family] + ["--upper", "2", "--T", "1"] + FAST,
+                                   capsys)
+        assert code == EXIT_OK
+        request = json.loads(out)["request"]
+        assert list(request) == ["process"] + dests
+        assert request["process"] == family and request["n"] == 16
+
     def test_output_file(self, tmp_path, capsys):
         target = tmp_path / "report.json"
         code, out, _ = run_capture(
@@ -97,6 +119,18 @@ class TestCsvOutput:
         record = dict(zip(rows[0], rows[1]))
         assert 0.0 <= float(record["mean"]) <= 1.0
         assert record["seed"] == "3"
+
+
+    def test_row_carries_request_settings(self, capsys):
+        code, out, _ = run_capture(
+            ["bm", "--upper", "1", "--T", "1", "--format", "csv", "--paths", "2000",
+             "--seed", "3", "--n", "16", "--envelope-samples", "30"], capsys
+        )
+        assert code == EXIT_OK
+        header, row = list(csv.reader(io.StringIO(out)))
+        record = dict(zip(header, row))
+        assert record["n"] == "16" and record["envelope_samples"] == "30"
+        assert "series_terms" not in header
 
 
 class TestPlotData:
@@ -172,6 +206,38 @@ class TestExitCodes:
         code, _, err = run_capture(argv + ["--upper", "2", "--T", T] + FAST, capsys)
         assert code == EXIT_USAGE
         assert f"horizon must be positive, got {float(T)}" in err
+
+    @pytest.mark.parametrize("family", sorted(FAMILY_ARGV))
+    def test_infinite_horizon(self, family, capsys):
+        # bm, ou and gbm once said "partition must start at t=0".
+        code, _, err = run_capture(FAMILY_ARGV[family] + ["--upper", "2", "--T", "inf"] + FAST,
+                                   capsys)
+        assert code == EXIT_USAGE
+        assert "horizon must be positive and finite, got inf" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["ou", "--kappa", "400", "--alpha", "0", "--sigma2", "1", "--x0", "0", "--upper", "1"],
+         ["growth", "--alpha", "0.5", "--beta", "400", "--sigma", "1", "--x0", "1",
+          "--upper", "3"],
+         ["ou-td", "--kappa-fn", "400", "--alpha-fn", "0", "--sigma-fn", "1", "--x0", "0",
+          "--upper", "1"]],
+        ids=["ou", "growth", "ou_td"],
+    )
+    def test_overflowing_time_change(self, argv, capsys):
+        # ou and growth once raised OverflowError from math.expm1 (exit 1).
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run_capture(argv + ["--T", "1", "--paths", "100", "--seed", "1"],
+                                       capsys)
+        assert code == EXIT_NUMERIC
+        assert "is not finite" in err
+
+    def test_series_terms_flag_removed(self, capsys):
+        code, _, err = run_capture(["bm", "--upper", "1", "--T", "1", "--paths", "100",
+                                    "--seed", "1", "--series-terms", "2"], capsys)
+        assert code == EXIT_USAGE
+        assert "unrecognized arguments: --series-terms 2" in err
 
     def test_seed_outside_64_bits(self, capsys):
         code, _, err = run_capture(

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 
@@ -10,6 +11,7 @@ from bcp import (
     GeneralBoundary,
     McConfig,
     OUSpec,
+    Partition,
     PiecewiseLinearBand,
     PiecewiseLinearBoundary,
     StartOutsideBandError,
@@ -56,6 +58,16 @@ class TestSampling:
         assert inc[:, 0].var() == pytest.approx(0.1, rel=0.05)
         assert inc[:, 1].var() == pytest.approx(0.9, rel=0.05)
 
+
+    def test_block_equals_consecutive_vectors(self):
+        # The engine draws every block through sample_nodes' out buffer.
+        p = Partition(np.array([0.0, 0.1, 0.35, 0.5, 1.0]))
+        out = np.empty((7, p.n))
+        block = sample_nodes(p, _chunk_stream(11, 0), out)
+        assert block is out
+        stream = _chunk_stream(11, 0)
+        rows = np.array([sample_nodes(p, stream) for _ in range(7)])
+        assert np.array_equal(block, rows)
 
     def test_seeds_at_and_above_2_63_have_their_own_streams(self):
         for s1, s2 in [(0, 2**64 - 1), (2**63, 2**63 + 1)]:
@@ -320,6 +332,10 @@ class TestValidation:
             McConfig(paths=0)
         with pytest.raises(ValueError):
             McConfig(paths=10, chunk_size=0)
+
+    def test_no_series_setting(self):
+        # The kernel picks its series terms from the band alone.
+        assert "series" not in {f.name for f in dataclasses.fields(McConfig)}
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_64_bits(self, seed):

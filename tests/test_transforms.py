@@ -11,6 +11,7 @@ from bcp import (
     InvalidBoundariesError,
     InvalidDomainError,
     McConfig,
+    NumericFailureError,
     OUSpec,
     StartOutsideBandError,
     TimeVaryingOUSpec,
@@ -377,6 +378,40 @@ class TestDispatcher:
         b = GeneralBoundary(parse_boundary("0.5-t"), "upper", 1.0)
         with pytest.raises(InvalidBoundariesError, match="strictly below upper"):
             reduce(None, a, b, 1.0)
+
+    @pytest.mark.parametrize(
+        "spec, upper",
+        [(OUSpec(x0=0.0, kappa=400.0, alpha=0.0, sigma=1.0), 1.0),
+         (GrowthSpec(x0=1.0, alpha=0.5, beta=400.0, sigma=1.0), 3.0)],
+        ids=["ou", "growth"],
+    )
+    def test_overflowing_time_change(self, spec, upper):
+        # expm1(800) overflows; it once escaped as OverflowError.
+        with pytest.raises(NumericFailureError, match=r"S\(T\) = inf is not finite"):
+            reduce(spec, None, const_upper(upper, 1.0), 1.0)
+
+    def test_time_change_below_overflow_unchanged(self):
+        red = reduce(OUSpec(x0=0.0, kappa=354.0, alpha=0.0, sigma=1.0), None,
+                     const_upper(1.0, 1.0), 1.0)
+        assert red.horizon == math.expm1(708.0) / 708.0
+
+    def test_vanishing_time_change(self):
+        spec = TimeVaryingOUSpec(x0=0.0, kappa=parse_boundary("0.5"),
+                                 alpha=parse_boundary("0"), sigma=parse_boundary("1e-200"))
+        with pytest.raises(NumericFailureError, match=r"S\(T\) = 0 is not finite"):
+            reduce(spec, None, const_upper(1.0, 1.0), 1.0)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [None, OUSpec(x0=0.0, kappa=0.5, alpha=0.0, sigma=1.0),
+         TimeVaryingOUSpec(x0=0.0, kappa=parse_boundary("0.5"), alpha=parse_boundary("0"),
+                           sigma=parse_boundary("1")),
+         GrowthSpec(x0=1.0, alpha=0.5, beta=0.5, sigma=1.0), GBMSpec(x0=1.0, sigma=0.1)],
+        ids=["bm", "ou", "ou_td", "growth", "gbm"],
+    )
+    def test_infinite_horizon(self, spec):
+        with pytest.raises(ValueError, match="horizon must be positive and finite, got inf"):
+            reduce(spec, None, const_upper(2.0, math.inf), math.inf)
 
     @pytest.mark.parametrize(
         "spec, upper, message",

@@ -195,6 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _build_spec(args: argparse.Namespace):
     if args.command == "ou":
+        if not 0 < args.sigma2 < math.inf:
+            raise ValueError(f"sigma2 must be positive and finite, got {args.sigma2}")
         return OUSpec(
             x0=args.x0,
             kappa=args.kappa,

@@ -1,4 +1,4 @@
-"""Reductions of diffusions to Brownian motion, plus closed-form results.
+"""Reductions of diffusions to Brownian motion, plus a closed-form catalog.
 
 Each `reduce_*` maps a crossing problem for the original process onto an
 equivalent problem for a standard Brownian motion started at 0: the
@@ -6,9 +6,15 @@ boundaries are transformed through the process-specific space map and
 the clock is rescaled by the deterministic time change, whose inverse is
 exposed as `time_map` on the result.  All of them build the result in
 `_reduced`, where Brownian motion (`reduce(None, ...)`) is the family
-with the identity maps.  A numeric checker for the reducibility
-condition (a PDE in the drift and diffusion coefficient) is included
-for processes outside the built-in families.
+with the identity maps.  The process specs reject a parameter that is
+not finite, or not positive where it must be, with a ValueError naming it.
+
+The catalog (`closed_form_bcp`, `catalog_problem`) is one table: each case
+holds its original problem and the straight line c + d*s on [0, S] that
+its reduction maps the barrier onto, so `bcp_linear_one_sided` is its one
+formula.  A numeric checker for the reducibility condition (a PDE in the
+drift and diffusion coefficient) is included for processes outside the
+built-in families.
 """
 
 from __future__ import annotations
@@ -23,11 +29,21 @@ import numpy as np
 from .boundary import (GeneralBoundary, PiecewiseLinearBand, check_horizon, chord_boundary,
                        evaluate, uniform_partition)
 from .errors import InvalidBoundariesError, InvalidDomainError, NumericFailureError
-from .kernels import bcp_linear_one_sided, normal_cdf
+from .kernels import bcp_linear_one_sided
 
 
 # ---------------------------------------------------------------------------
 # Process specifications
+
+
+def _check_fields(spec, positive: tuple = (), finite: tuple = ()) -> None:
+    """Raise ValueError naming the first field of `positive` that is not
+    positive and finite, then the first of `finite` that is not finite."""
+    for name in positive + finite:
+        v = getattr(spec, name)
+        if not (0 < v < math.inf if name in positive else math.isfinite(v)):
+            need = "positive and finite" if name in positive else "finite"
+            raise ValueError(f"{name} must be {need}, got {v}")
 
 
 @dataclass(frozen=True)
@@ -40,8 +56,7 @@ class OUSpec:
     sigma: float
 
     def __post_init__(self):
-        if not self.kappa > 0 or not self.sigma > 0:
-            raise ValueError("kappa and sigma must be positive")
+        _check_fields(self, positive=("kappa", "sigma"), finite=("x0", "alpha"))
 
 
 @dataclass(frozen=True)
@@ -52,6 +67,9 @@ class TimeVaryingOUSpec:
     kappa: Callable[[float], float]
     alpha: Callable[[float], float]
     sigma: Callable[[float], float]
+
+    def __post_init__(self):
+        _check_fields(self, finite=("x0",))
 
 
 @dataclass(frozen=True)
@@ -64,10 +82,7 @@ class GrowthSpec:
     sigma: float
 
     def __post_init__(self):
-        if not (self.alpha > 0 and self.beta > 0 and self.sigma > 0):
-            raise ValueError("alpha, beta and sigma must be positive")
-        if not self.x0 > 0:
-            raise ValueError("growth process needs x0 > 0")
+        _check_fields(self, positive=("alpha", "beta", "sigma", "x0"))
 
 
 @dataclass(frozen=True)
@@ -79,10 +94,8 @@ class GBMSpec:
     rate: Callable[[float], float] | float = 0.0
 
     def __post_init__(self):
-        if not self.sigma > 0:
-            raise ValueError("sigma must be positive")
-        if not self.x0 > 0:
-            raise ValueError("geometric BM needs x0 > 0")
+        _check_fields(self, positive=("sigma", "x0"),
+                      finite=() if callable(self.rate) else ("rate",))
 
 
 DiffusionSpec = OUSpec | TimeVaryingOUSpec | GrowthSpec | GBMSpec
@@ -514,150 +527,102 @@ def reduce(
 
 # ---------------------------------------------------------------------------
 # Closed-form catalog
+#
+# Each case is a barrier that its family's reduction maps onto a straight
+# line c + d*s on [0, S] for Brownian motion, where the linear-boundary
+# formula applies.  An entry takes the case's parameters and returns the
+# original problem (spec, lower, upper, T) and that line (c, d, S).  The
+# line is written from the parameters, not obtained through `reduce`, so a
+# simulation of the reduced problem checks it.
 
 
-def _clip01(p: float) -> float:
-    return float(min(1.0, max(0.0, p)))
+def _ou_exp(sign: float) -> Callable:
+    """alpha + h*exp(sign*kappa*t).  As exp(kappa*t) = sqrt(1 + 2*kappa*s/sigma^2),
+    it reduces to h + alpha - x0, plus 2*kappa*h*s/sigma^2 for sign > 0."""
+
+    def entry(kappa, alpha, sigma, x0, h, T):
+        spec = OUSpec(x0=x0, kappa=kappa, alpha=alpha, sigma=sigma)
+        upper = GeneralBoundary(lambda t: alpha + h * np.exp(sign * kappa * t), "upper", T)
+        d = 2.0 * kappa * h / sigma**2 if sign > 0 else 0.0
+        S = sigma**2 * math.expm1(2.0 * kappa * T) / (2.0 * kappa)
+        return (spec, None, upper, T), (h + alpha - x0, d, S)
+
+    return entry
 
 
-def _ou_exp_up(kappa, alpha, sigma, x0, h, T):
-    e2 = math.exp(2.0 * kappa * T)
-    den = sigma * math.sqrt((e2 - 1.0) / (2.0 * kappa))
-    p = normal_cdf((h * e2 + alpha - x0) / den)
-    q = math.exp(-4.0 * h * kappa * (h + alpha - x0) / sigma**2) * normal_cdf(
-        (h * e2 - alpha + x0 - 2.0 * h) / den
-    )
-    return _clip01(p - q)
+def _growth_exp(sign: float) -> Callable:
+    """exp(h*exp(sign*beta*t) - shift) with shift = (sigma^2 - 2*alpha)/(2*beta).
+    As exp(beta*t) = sqrt(1 + 2*beta*s), it reduces to
+    (h - log x0 - shift)/sigma, plus 2*beta*h*s/sigma for sign > 0."""
+
+    def entry(alpha, beta, sigma, x0, h, T):
+        spec = GrowthSpec(x0=x0, alpha=alpha, beta=beta, sigma=sigma)
+        shift = (sigma**2 - 2.0 * alpha) / (2.0 * beta)
+        upper = GeneralBoundary(lambda t: np.exp(h * np.exp(sign * beta * t) - shift),
+                                "upper", T)
+        d = 2.0 * beta * h / sigma if sign > 0 else 0.0
+        S = math.expm1(2.0 * beta * T) / (2.0 * beta)
+        return (spec, None, upper, T), ((h - math.log(x0) - shift) / sigma, d, S)
+
+    return entry
 
 
-def _ou_exp_down(kappa, alpha, sigma, x0, h, T):
-    den = sigma * math.sqrt(math.expm1(2.0 * kappa * T) / (2.0 * kappa))
-    return _clip01(2.0 * normal_cdf((alpha - x0 + h) / den) - 1.0)
+def _gbm_exp_drift_case(sigma, x0, p, q, T, rate=0.0):
+    """exp(p*t + q + R(t)), R the integrated rate: (q - log x0)/sigma +
+    (p + sigma^2/2)*s/sigma on [0, T], whatever the rate."""
+    spec = GBMSpec(x0=x0, sigma=sigma, rate=rate)
+    big_r = _rate_integral(rate, T)
+    upper = GeneralBoundary(lambda t: np.exp(p * t + q + big_r(t)), "upper", T)
+    return (spec, None, upper, T), ((q - math.log(x0)) / sigma, (p + 0.5 * sigma**2) / sigma, T)
 
 
-def _growth_exp_up(alpha, beta, sigma, x0, h, T):
-    e2 = math.exp(2.0 * beta * T)
-    lx = math.log(x0)
-    den = sigma * math.sqrt(2.0 * beta * (e2 - 1.0))
-    p = normal_cdf((2.0 * beta * (h * e2 - lx) - sigma**2 + 2.0 * alpha) / den)
-    q = math.exp(
-        (4.0 * h * beta * (lx - h) + 2.0 * h * (sigma**2 - 2.0 * alpha)) / sigma**2
-    ) * normal_cdf((2.0 * beta * (h * e2 - 2.0 * h + lx) + sigma**2 - 2.0 * alpha) / den)
-    return _clip01(p - q)
+def _gbm_const_case(sigma, r, x0, h, T):
+    """The barrier h at the rate r: log(h/x0)/sigma + (sigma^2/2 - r)*s/sigma on [0, T]."""
+    spec = GBMSpec(x0=x0, sigma=sigma, rate=r)
+    upper = GeneralBoundary.constant(h, "upper", T)
+    return (spec, None, upper, T), (math.log(h / x0) / sigma, (0.5 * sigma**2 - r) / sigma, T)
 
 
-def _growth_exp_down(alpha, beta, sigma, x0, h, T):
-    den = sigma * math.sqrt(2.0 * beta * math.expm1(2.0 * beta * T))
-    z = (2.0 * beta * (h - math.log(x0)) - sigma**2 + 2.0 * alpha) / den
-    return _clip01(2.0 * normal_cdf(z) - 1.0)
-
-
-def _gbm_exp_drift(sigma, x0, p, q, T):
-    lx = math.log(x0)
-    den = sigma * math.sqrt(T)
-    drift = (p + 0.5 * sigma**2) * T
-    up = normal_cdf((drift + q - lx) / den)
-    down = math.exp((2.0 * p + sigma**2) * (lx - q) / sigma**2) * normal_cdf(
-        (drift - q + lx) / den
-    )
-    return _clip01(up - down)
-
-
-def _gbm_const_rate_const_barrier(sigma, r, x0, h, T):
-    lh = math.log(h / x0)
-    den = sigma * math.sqrt(T)
-    drift = (0.5 * sigma**2 - r) * T
-    up = normal_cdf((drift + lh) / den)
-    down = math.exp((2.0 * r - sigma**2) * lh / sigma**2) * normal_cdf((drift - lh) / den)
-    return _clip01(up - down)
+def _bm_linear_case(intercept, slope, T):
+    """Brownian motion below intercept + slope*t: the line itself."""
+    upper = GeneralBoundary(lambda t: intercept + slope * t, "upper", T)
+    return (None, None, upper, T), (intercept, slope, T)
 
 
 _CATALOG = {
-    "ou_exp_up": _ou_exp_up,
-    "ou_exp_down": _ou_exp_down,
-    "growth_exp_up": _growth_exp_up,
-    "growth_exp_down": _growth_exp_down,
-    "gbm_exp_drift": _gbm_exp_drift,
-    "gbm_const_rate_const_barrier": _gbm_const_rate_const_barrier,
-    "bm_linear": lambda intercept, slope, T: bcp_linear_one_sided(intercept, slope, T),
+    "ou_exp_up": _ou_exp(1.0),
+    "ou_exp_down": _ou_exp(-1.0),
+    "growth_exp_up": _growth_exp(1.0),
+    "growth_exp_down": _growth_exp(-1.0),
+    "gbm_exp_drift": _gbm_exp_drift_case,
+    "gbm_const_rate_const_barrier": _gbm_const_case,
+    "bm_linear": _bm_linear_case,
 }
 
 
-def closed_form_bcp(case: str, **params) -> float:
-    """Exact one-sided crossing-free probability for a catalog case."""
+def _catalog_entry(case: str, params: dict) -> tuple[tuple, tuple]:
+    """(problem, line) of a case; TypeError for a missing or unknown parameter."""
     try:
-        fn = _CATALOG[case]
+        entry = _CATALOG[case]
     except KeyError:
-        raise ValueError(
-            f"unknown catalog case {case!r}; known: {sorted(_CATALOG)}"
-        ) from None
-    return float(fn(**params))
+        raise ValueError(f"unknown catalog case {case!r}; known: {sorted(_CATALOG)}") from None
+    problem, line = entry(**params)
+    check_horizon(problem[3])
+    return problem, line
+
+
+def closed_form_bcp(case: str, **params) -> float:
+    """Exact probability that a catalog case stays below its barrier on [0, T]:
+    `bcp_linear_one_sided` at the reduced line, or 0.0 when the start is on
+    or above the barrier (c <= 0)."""
+    _, (c, d, S) = _catalog_entry(case, params)
+    return 0.0 if c <= 0 else bcp_linear_one_sided(c, d, S)
 
 
 def catalog_problem(case: str, **params):
-    """Original-process formulation of a catalog case.
-
-    Returns (spec, lower, upper, T) suitable for `reduce`, with spec None
-    for the plain Brownian-motion case; useful for cross-validating the
-    closed forms by simulation.
-    """
-    if case == "ou_exp_up" or case == "ou_exp_down":
-        k, al, sg, x0, h, T = (
-            params["kappa"],
-            params["alpha"],
-            params["sigma"],
-            params["x0"],
-            params["h"],
-            params["T"],
-        )
-        sign = 1.0 if case == "ou_exp_up" else -1.0
-        spec = OUSpec(x0=x0, kappa=k, alpha=al, sigma=sg)
-        b = GeneralBoundary(lambda t: al + h * math.exp(sign * k * t), "upper", T)
-        return spec, None, b, T
-    if case == "growth_exp_up" or case == "growth_exp_down":
-        al, be, sg, x0, h, T = (
-            params["alpha"],
-            params["beta"],
-            params["sigma"],
-            params["x0"],
-            params["h"],
-            params["T"],
-        )
-        sign = 1.0 if case == "growth_exp_up" else -1.0
-        shift = (sg * sg - 2.0 * al) / (2.0 * be)
-        spec = GrowthSpec(x0=x0, alpha=al, beta=be, sigma=sg)
-        b = GeneralBoundary(
-            lambda t: math.exp(h * math.exp(sign * be * t) - shift), "upper", T
-        )
-        return spec, None, b, T
-    if case == "gbm_exp_drift":
-        sg, x0, p, q, T = (
-            params["sigma"],
-            params["x0"],
-            params["p"],
-            params["q"],
-            params["T"],
-        )
-        spec = GBMSpec(x0=x0, sigma=sg, rate=params.get("rate", 0.0))
-        big_r = _rate_integral(spec.rate, T)
-        b = GeneralBoundary(lambda t: np.exp(p * t + q + big_r(t)), "upper", T)
-        return spec, None, b, T
-    if case == "gbm_const_rate_const_barrier":
-        sg, r, x0, h, T = (
-            params["sigma"],
-            params["r"],
-            params["x0"],
-            params["h"],
-            params["T"],
-        )
-        spec = GBMSpec(x0=x0, sigma=sg, rate=float(r))
-        b = GeneralBoundary.constant(h, "upper", T)
-        return spec, None, b, T
-    if case == "bm_linear":
-        intercept, slope, T = params["intercept"], params["slope"], params["T"]
-        b = GeneralBoundary(lambda t: intercept + slope * t, "upper", T)
-        return None, None, b, T
-    raise ValueError(f"unknown catalog case {case!r}")
+    """Original-process formulation (spec, lower, upper, T) of a catalog case,
+    for `reduce`; spec is None for Brownian motion."""
+    return _catalog_entry(case, params)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ Everything here is deliberately written without touching the library's
 production code paths: composite Simpson instead of adaptive quadrature,
 the method-of-images barrier series, a scalar form of the two-sided
 kernel series, the kernel as whole-array expressions, and a plain
-Euler-Maruyama simulator for the original (untransformed) diffusions, and
-the time-varying mean-reverting reduction as an ODE integrated by DOP853.
+Euler-Maruyama simulator for the original (untransformed) diffusions,
+the time-varying mean-reverting reduction as an ODE integrated by DOP853,
+and the closed-form catalog as one hand-expanded formula per case.
 """
 
 from __future__ import annotations
@@ -261,3 +262,85 @@ def ou_td_reduction_ode(kappa, alpha, sigma, x0: float, upper, T: float):
         return alpha0 - x0 + (upper(t) - gamma) * np.exp(big_k)
 
     return S, lambda s: state(s)[0], upper_of_s
+
+
+# Hand-expanded closed forms of the catalog cases, with scipy's normal
+# distribution function in place of the library's.
+
+
+def normal_cdf(x: float) -> float:
+    return float(norm.cdf(x))
+
+
+def _clip01(p: float) -> float:
+    return float(min(1.0, max(0.0, p)))
+
+
+def _ou_exp_up(kappa, alpha, sigma, x0, h, T):
+    e2 = math.exp(2.0 * kappa * T)
+    den = sigma * math.sqrt((e2 - 1.0) / (2.0 * kappa))
+    p = normal_cdf((h * e2 + alpha - x0) / den)
+    q = math.exp(-4.0 * h * kappa * (h + alpha - x0) / sigma**2) * normal_cdf(
+        (h * e2 - alpha + x0 - 2.0 * h) / den
+    )
+    return _clip01(p - q)
+
+
+def _ou_exp_down(kappa, alpha, sigma, x0, h, T):
+    den = sigma * math.sqrt(math.expm1(2.0 * kappa * T) / (2.0 * kappa))
+    return _clip01(2.0 * normal_cdf((alpha - x0 + h) / den) - 1.0)
+
+
+def _growth_exp_up(alpha, beta, sigma, x0, h, T):
+    e2 = math.exp(2.0 * beta * T)
+    lx = math.log(x0)
+    den = sigma * math.sqrt(2.0 * beta * (e2 - 1.0))
+    p = normal_cdf((2.0 * beta * (h * e2 - lx) - sigma**2 + 2.0 * alpha) / den)
+    q = math.exp(
+        (4.0 * h * beta * (lx - h) + 2.0 * h * (sigma**2 - 2.0 * alpha)) / sigma**2
+    ) * normal_cdf((2.0 * beta * (h * e2 - 2.0 * h + lx) + sigma**2 - 2.0 * alpha) / den)
+    return _clip01(p - q)
+
+
+def _growth_exp_down(alpha, beta, sigma, x0, h, T):
+    den = sigma * math.sqrt(2.0 * beta * math.expm1(2.0 * beta * T))
+    z = (2.0 * beta * (h - math.log(x0)) - sigma**2 + 2.0 * alpha) / den
+    return _clip01(2.0 * normal_cdf(z) - 1.0)
+
+
+def _gbm_exp_drift(sigma, x0, p, q, T):
+    lx = math.log(x0)
+    den = sigma * math.sqrt(T)
+    drift = (p + 0.5 * sigma**2) * T
+    up = normal_cdf((drift + q - lx) / den)
+    down = math.exp((2.0 * p + sigma**2) * (lx - q) / sigma**2) * normal_cdf(
+        (drift - q + lx) / den
+    )
+    return _clip01(up - down)
+
+
+def _gbm_const_rate_const_barrier(sigma, r, x0, h, T):
+    lh = math.log(h / x0)
+    den = sigma * math.sqrt(T)
+    drift = (0.5 * sigma**2 - r) * T
+    up = normal_cdf((drift + lh) / den)
+    down = math.exp((2.0 * r - sigma**2) * lh / sigma**2) * normal_cdf((drift - lh) / den)
+    return _clip01(up - down)
+
+
+def _bm_linear(intercept, slope, T):
+    """Bachelier-Levy: P(W_t < intercept + slope*t for all t <= T)."""
+    rt = math.sqrt(T)
+    return _clip01(norm.cdf((intercept + slope * T) / rt) - math.exp(-2.0 * intercept * slope)
+                   * norm.cdf((slope * T - intercept) / rt))
+
+
+CLOSED_FORMS = {
+    "ou_exp_up": _ou_exp_up,
+    "ou_exp_down": _ou_exp_down,
+    "growth_exp_up": _growth_exp_up,
+    "growth_exp_down": _growth_exp_down,
+    "gbm_exp_drift": _gbm_exp_drift,
+    "gbm_const_rate_const_barrier": _gbm_const_rate_const_barrier,
+    "bm_linear": _bm_linear,
+}

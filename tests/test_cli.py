@@ -233,6 +233,31 @@ class TestExitCodes:
         assert code == EXIT_NUMERIC
         assert "is not finite" in err
 
+    @pytest.mark.parametrize(
+        "family, flag, value, message",
+        [("ou", "--alpha", "inf", "alpha must be finite, got inf"),
+         ("ou", "--x0", "nan", "x0 must be finite, got nan"),
+         ("ou", "--kappa", "inf", "kappa must be positive and finite, got inf"),
+         ("ou", "--sigma2", "-1", "sigma2 must be positive and finite, got -1.0"),
+         ("ou", "--sigma2", "inf", "sigma2 must be positive and finite, got inf"),
+         ("ou-td", "--x0", "nan", "x0 must be finite, got nan"),
+         ("growth", "--alpha", "inf", "alpha must be positive and finite, got inf"),
+         ("growth", "--x0", "nan", "x0 must be positive and finite, got nan"),
+         ("gbm", "--sigma", "inf", "sigma must be positive and finite, got inf"),
+         ("gbm", "--rate", "nan", "rate must be finite, got nan"),
+         ("gbm", "--rate", "inf", "rate must be finite, got inf")],
+    )
+    def test_non_finite_process_parameter(self, family, flag, value, message, capsys):
+        # ou --alpha inf once exited 4 after a RuntimeWarning, and ou --x0 nan
+        # exited 4 with "boundary evaluated to NaN at t=0.0".
+        argv = list(FAMILY_ARGV[family])
+        argv[argv.index(flag) + 1] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run_capture(argv + ["--upper", "2", "--T", "1"] + FAST, capsys)
+        assert code == EXIT_USAGE
+        assert message in err
+
     def test_series_terms_flag_removed(self, capsys):
         code, _, err = run_capture(["bm", "--upper", "1", "--T", "1", "--paths", "100",
                                     "--seed", "1", "--series-terms", "2"], capsys)

@@ -27,8 +27,10 @@ from bcp import (
     reduce_ou_td,
     uniform_partition,
 )
+from bcp import transforms
 from bcp.transforms import _rate_integral
-from oracles import euler_maruyama_survival, ou_td_reduction_ode, simpson_fixed
+from oracles import CLOSED_FORMS, euler_maruyama_survival, ou_td_reduction_ode, simpson_fixed
+from test_acceptance import CATALOG_GRID
 
 
 def const_upper(v, T):
@@ -309,6 +311,30 @@ def test_lower_boundary_zero_at_some_probes_rejected(reducer, spec, lower):
         reducer(spec, a, const_upper(2.0, 1.0), 1.0)
 
 
+@pytest.mark.parametrize(
+    "make, field, need",
+    [(lambda v: OUSpec(x0=0.0, kappa=0.5, alpha=v, sigma=1.0), "alpha", "finite"),
+     (lambda v: OUSpec(x0=v, kappa=0.5, alpha=0.0, sigma=1.0), "x0", "finite"),
+     (lambda v: OUSpec(x0=0.0, kappa=v, alpha=0.0, sigma=1.0), "kappa", "positive and finite"),
+     (lambda v: OUSpec(x0=0.0, kappa=0.5, alpha=0.0, sigma=v), "sigma", "positive and finite"),
+     (lambda v: TimeVaryingOUSpec(x0=v, kappa=parse_boundary("0.5"), alpha=parse_boundary("0"),
+                                  sigma=parse_boundary("1")), "x0", "finite"),
+     (lambda v: GrowthSpec(x0=1.0, alpha=v, beta=0.5, sigma=1.0), "alpha", "positive and finite"),
+     (lambda v: GrowthSpec(x0=1.0, alpha=0.5, beta=v, sigma=1.0), "beta", "positive and finite"),
+     (lambda v: GrowthSpec(x0=1.0, alpha=0.5, beta=0.5, sigma=v), "sigma", "positive and finite"),
+     (lambda v: GrowthSpec(x0=v, alpha=0.5, beta=0.5, sigma=1.0), "x0", "positive and finite"),
+     (lambda v: GBMSpec(x0=1.0, sigma=v, rate=0.1), "sigma", "positive and finite"),
+     (lambda v: GBMSpec(x0=v, sigma=0.1, rate=0.1), "x0", "positive and finite"),
+     (lambda v: GBMSpec(x0=1.0, sigma=0.1, rate=v), "rate", "finite")],
+    ids=["ou.alpha", "ou.x0", "ou.kappa", "ou.sigma", "ou_td.x0", "growth.alpha",
+         "growth.beta", "growth.sigma", "growth.x0", "gbm.sigma", "gbm.x0", "gbm.rate"],
+)
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_spec_rejects_non_finite_parameter(make, field, need, value):
+    with pytest.raises(ValueError, match=f"^{field} must be {need}, got {value}$"):
+        make(value)
+
+
 class TestArrayEvaluation:
     @pytest.mark.parametrize(
         "spec,a,b",
@@ -482,6 +508,97 @@ class TestClosedForms:
         # Reduced boundaries are affine, so the bracket is (numerically) tight.
         assert est.bracket_width < 1e-10
         assert abs(est.mean - exact) < 3.5 * max(est.std_error, 1e-6)
+
+
+class TestCatalogTable:
+    """The table against the hand-expanded formulas in oracles.py."""
+
+    CASES = dict(CATALOG_GRID)  # one parameter set per case
+
+    @pytest.mark.parametrize("case, params", CATALOG_GRID)
+    def test_matches_explicit_formula_on_acceptance_grid(self, case, params):
+        assert abs(closed_form_bcp(case, **params) - CLOSED_FORMS[case](**params)) < 1e-13
+
+    @pytest.mark.parametrize("case", sorted(CLOSED_FORMS))
+    def test_matches_explicit_formula_on_random_parameters(self, case):
+        rng = np.random.default_rng(20261018)
+        # sigma >= 0.2 for gbm: below it exp(-2*c*d) can overflow before the
+        # tiny normal factor scales it down, in bcp_linear_one_sided and in the
+        # oracle alike (OverflowError; an open defect of the linear formula).
+        ranges = {
+            "ou_exp_up": dict(kappa=(0.05, 3), alpha=(-1, 1), sigma=(0.2, 2), x0=(-1, 1),
+                              h=(-2, 2), T=(0.05, 3)),
+            "growth_exp_up": dict(alpha=(0.05, 2), beta=(0.05, 2), sigma=(0.2, 2),
+                                  x0=(0.2, 3), h=(-2, 2), T=(0.05, 3)),
+            "gbm_exp_drift": dict(sigma=(0.2, 1), x0=(0.2, 5), p=(-1, 1), q=(-1, 2),
+                                  T=(0.05, 3)),
+            "gbm_const_rate_const_barrier": dict(sigma=(0.2, 1), r=(-0.2, 0.3), x0=(0.2, 5),
+                                                 h=(0.2, 8), T=(0.05, 3)),
+            "bm_linear": dict(intercept=(-1, 3), slope=(-2, 2), T=(0.05, 3)),
+        }
+        box = ranges[case.replace("_down", "_up")]
+        inside = 0
+        for _ in range(500):
+            params = {k: float(rng.uniform(lo, hi)) for k, (lo, hi) in box.items()}
+            got = closed_form_bcp(case, **params)
+            assert abs(got - CLOSED_FORMS[case](**params)) < 1e-13, params
+            inside += 0.0 < got < 1.0
+        assert inside > 100  # a fifth of the draws or more are not clipped to 0 or 1
+
+    @pytest.mark.parametrize(
+        "case, params",
+        [("ou_exp_up", dict(kappa=0.8, alpha=0.5, sigma=0.7, x0=0.75, h=0.25, T=1.0)),
+         ("ou_exp_down", dict(kappa=0.8, alpha=0.5, sigma=0.7, x0=0.75, h=0.25, T=1.0)),
+         ("growth_exp_up", dict(alpha=0.5, beta=0.6, sigma=1.0, x0=1.0, h=0.0, T=1.0)),
+         ("growth_exp_down", dict(alpha=0.5, beta=0.6, sigma=1.0, x0=1.0, h=0.0, T=1.0)),
+         ("gbm_exp_drift", dict(sigma=0.4, x0=1.0, p=0.3, q=0.0, T=1.0)),
+         ("bm_linear", dict(intercept=0.0, slope=0.5, T=1.0)),
+         ("bm_linear", dict(intercept=-0.5, slope=0.5, T=1.0))],
+    )
+    def test_start_on_or_above_barrier_gives_zero(self, case, params):
+        # gbm_const_rate_const_barrier: TestClosedForms.test_barrier_at_start_gives_zero.
+        # bm_linear with intercept <= 0 once raised StartOutsideBandError.
+        assert closed_form_bcp(case, **params) == 0.0
+
+    @pytest.mark.parametrize("case", sorted(CLOSED_FORMS))
+    def test_boundary_evaluates_whole_arrays(self, case):
+        spec, lower, upper, T = catalog_problem(case, **self.CASES[case])
+        assert lower is None
+        t = np.linspace(0.0, T, 12).reshape(3, 4)
+        got = upper.evaluator(t)
+        assert isinstance(got, np.ndarray) and got.shape == t.shape
+        np.testing.assert_allclose(got, [[upper(float(x)) for x in row] for row in t],
+                                   rtol=1e-15)
+
+    def test_independent_of_reduce(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the catalog called a reduction")
+
+        for name in ("reduce", "reduce_ou", "reduce_ou_td", "reduce_growth", "reduce_gbm"):
+            monkeypatch.setattr(transforms, name, refuse)
+        for case, params in CATALOG_GRID:
+            assert abs(closed_form_bcp(case, **params) - CLOSED_FORMS[case](**params)) < 1e-13
+            catalog_problem(case, **params)
+
+    @pytest.mark.parametrize("case", sorted(CLOSED_FORMS))
+    def test_one_parameter_set_per_case(self, case):
+        params = self.CASES[case]
+        for fn in (closed_form_bcp, catalog_problem):
+            fn(case, **params)
+            with pytest.raises(TypeError, match="bogus"):
+                fn(case, **params, bogus=1)
+            for name in params:
+                with pytest.raises(TypeError, match=name):
+                    fn(case, **{k: v for k, v in params.items() if k != name})
+
+    def test_gbm_exp_drift_takes_a_rate(self):
+        params = dict(sigma=0.4, x0=1.0, p=0.3, q=1.0, T=1.0)
+        spec, _, upper, _ = catalog_problem("gbm_exp_drift", **params, rate=0.1)
+        assert spec.rate == 0.1
+        assert upper(1.0) == pytest.approx(math.exp(0.3 + 1.0 + 0.1), rel=1e-14)
+        # The rate leaves the reduced line, and so the probability, as it is.
+        assert closed_form_bcp("gbm_exp_drift", **params, rate=0.1) == (
+            closed_form_bcp("gbm_exp_drift", **params))
 
 
 class TestReducibilityChecker:

@@ -126,15 +126,27 @@ def _curve_samples(gb: GeneralBoundary | None, T: float, points: int = 129):
     return ts.tolist(), gb(ts).tolist()
 
 
-def _expr_flag(p: argparse.ArgumentParser, flag: str, what: str, **kw) -> None:
-    """An expression flag.  argparse takes a value that starts with "-" and
-    is not a plain number for an option, so such a value needs FLAG=EXPR."""
-    p.add_argument(flag, help=f"{what}; write {flag}=EXPR if EXPR starts with '-'", **kw)
+_EXPR_FLAGS = ("--lower", "--upper", "--kappa-fn", "--alpha-fn", "--sigma-fn", "--rate")
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Joins each expression flag to the argument after it (FLAG=EXPR)
+    before parsing: argparse would take an expression that starts with "-",
+    and is not a plain number, for an option."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        joined = []
+        for arg in sys.argv[1:] if args is None else args:
+            if joined and joined[-1] in _EXPR_FLAGS:
+                joined[-1] += "=" + arg
+            else:
+                joined.append(arg)
+        return super().parse_known_args(joined, namespace)
 
 
 def _common_flags(p: argparse.ArgumentParser) -> None:
-    _expr_flag(p, "--lower", "lower boundary expression in t", default="-inf")
-    _expr_flag(p, "--upper", "upper boundary expression in t", default="inf")
+    p.add_argument("--lower", help="lower boundary expression in t", default="-inf")
+    p.add_argument("--upper", help="upper boundary expression in t", default="inf")
     p.add_argument("--T", type=float, required=True, help="time horizon")
     p.add_argument("--n", type=int, default=128, help="partition subintervals")
     p.add_argument("--paths", type=int, default=1_000_000)
@@ -147,7 +159,7 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="bcp",
         description="Boundary crossing probabilities for Brownian motion "
         "and reducible diffusions.",
@@ -167,9 +179,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_outd = sub.add_parser("ou-td", help="mean reversion with t-dependent coefficients")
     _common_flags(p_outd)
-    _expr_flag(p_outd, "--kappa-fn", "kappa expression in t", required=True)
-    _expr_flag(p_outd, "--alpha-fn", "alpha expression in t", required=True)
-    _expr_flag(p_outd, "--sigma-fn", "sigma expression in t", required=True)
+    p_outd.add_argument("--kappa-fn", help="kappa expression in t", required=True)
+    p_outd.add_argument("--alpha-fn", help="alpha expression in t", required=True)
+    p_outd.add_argument("--sigma-fn", help="sigma expression in t", required=True)
     p_outd.add_argument("--x0", type=float, required=True)
 
     p_gr = sub.add_parser("growth", help="Gompertz-type growth process")
@@ -182,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gbm = sub.add_parser("gbm", help="geometric Brownian motion")
     _common_flags(p_gbm)
     p_gbm.add_argument("--sigma", type=float, required=True)
-    _expr_flag(p_gbm, "--rate", "rate expression in t, or a number", required=True)
+    p_gbm.add_argument("--rate", help="rate expression in t, or a number", required=True)
     p_gbm.add_argument("--x0", type=float, required=True)
 
     p_rep = sub.add_parser("reproduce", help="rerun the published benchmark table")

@@ -19,8 +19,10 @@ is -inf or NaN), which makes removable singularities such as
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -36,120 +38,97 @@ _FUNCTIONS: dict[str, Callable] = {
     "abs": np.abs,
 }
 
+# Python's operators, not ufuncs: np.multiply(nan, -nan) and nan * -nan differ in sign.
+_OPERATORS: dict[str, Callable] = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+    "^": np.power,
+}
+
+_NAMES = {"t": ("t",), "inf": ("num", float("inf"))}
+
+#: Levels of the left-associative binary operators, loosest first.
+_PRECEDENCE = ("+-", "*/")
+
+# Every position matches a token, the end of the input or a bad character,
+# after optional whitespace; trailing whitespace gives a second end token.
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?)"
     r"|(?P<ident>[A-Za-z_]\w*)"
-    r"|(?P<op>[-+*/^()]))"
+    r"|(?P<op>[-+*/^()])"
+    r"|(?P<end>\Z)"
+    r"|(?P<bad>.))"
 )
-
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # 'num' | 'ident' | 'op' | 'end'
-    text: str
-    offset: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            # Skip trailing whitespace before declaring an error.
-            if text[pos:].strip() == "":
-                break
-            bad = pos + len(text[pos:]) - len(text[pos:].lstrip())
-            raise ExprSyntaxError(f"unexpected character {text[bad]!r}", bad)
-        kind = m.lastgroup
-        tokens.append(_Token(kind, m.group(kind), m.start(kind)))
-        pos = m.end()
-    tokens.append(_Token("end", "", len(text)))
-    return tokens
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
+        self.tokens = [(m.lastgroup, m[m.lastgroup], m.start(m.lastgroup))
+                       for m in _TOKEN_RE.finditer(text)]
+        for kind, tok, offset in self.tokens:
+            if kind == "bad":
+                raise ExprSyntaxError(f"unexpected character {tok!r}", offset)
         self.i = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect_op(self, op: str) -> None:
-        tok = self.peek()
-        if tok.kind != "op" or tok.text != op:
-            raise ExprSyntaxError(f"expected {op!r}", tok.offset)
-        self.advance()
+    def take(self, ops: str, required: bool = False) -> str | None:
+        """Consume the next token if it is one of the operators `ops`."""
+        kind, tok, offset = self.tokens[self.i]
+        if kind == "op" and tok in ops:
+            self.i += 1
+            return tok
+        if required:
+            raise ExprSyntaxError(f"expected {ops!r}", offset)
+        return None
 
     def parse(self):
-        node = self.expr()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ExprSyntaxError(f"unexpected token {tok.text!r}", tok.offset)
+        node = self.binary()
+        kind, tok, offset = self.tokens[self.i]
+        if kind != "end":
+            raise ExprSyntaxError(f"unexpected token {tok!r}", offset)
         return node
 
-    def expr(self):
-        node = self.term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
-            rhs = self.term()
-            node = ("+" if op == "+" else "-", node, rhs)
-        return node
-
-    def term(self):
-        node = self.factor()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.advance().text
-            rhs = self.factor()
-            node = (op, node, rhs)
+    def binary(self, levels: tuple = _PRECEDENCE):
+        # partial adds no Python frame: parentheses nest as deep as with one method per level.
+        operand = partial(self.binary, levels[1:]) if levels[1:] else self.factor
+        node = operand()
+        while op := self.take(levels[0]):
+            node = (op, node, operand())
         return node
 
     def factor(self):
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
-            self.advance()
+        if self.take("-"):
             return ("neg", self.factor())
         node = self.base()
-        if self.peek().kind == "op" and self.peek().text == "^":
-            self.advance()
-            rhs = self.factor()  # right associative
-            node = ("^", node, rhs)
+        if self.take("^"):
+            node = ("^", node, self.factor())  # right associative
         return node
 
     def base(self):
-        tok = self.peek()
-        if tok.kind == "num":
-            self.advance()
-            return ("num", float(tok.text))
-        if tok.kind == "ident":
-            self.advance()
-            if tok.text == "t":
-                return ("t",)
-            if tok.text == "inf":
-                return ("num", float("inf"))
-            if tok.text in _FUNCTIONS:
-                self.expect_op("(")
-                arg = self.expr()
-                self.expect_op(")")
-                return ("call", tok.text, arg)
-            raise ExprSyntaxError(f"unknown identifier {tok.text!r}", tok.offset)
-        if tok.kind == "op" and tok.text == "(":
-            self.advance()
-            node = self.expr()
-            self.expect_op(")")
+        kind, tok, offset = self.tokens[self.i]
+        if kind == "num":
+            self.i += 1
+            return ("num", float(tok))
+        if kind == "ident":
+            self.i += 1
+            if tok in _NAMES:
+                return _NAMES[tok]
+            if tok in _FUNCTIONS:
+                self.take("(", required=True)
+                arg = self.binary()
+                self.take(")", required=True)
+                return ("call", tok, arg)
+            raise ExprSyntaxError(f"unknown identifier {tok!r}", offset)
+        if self.take("("):
+            node = self.binary()
+            self.take(")", required=True)
             return node
         raise ExprSyntaxError(
             "expected a number, 't', function or '('"
-            if tok.kind != "end"
+            if kind != "end"
             else "unexpected end of input",
-            tok.offset,
+            offset,
         )
 
 
@@ -163,19 +142,7 @@ def _evaluate(node, t):
         return -_evaluate(node[1], t)
     if kind == "call":
         return _FUNCTIONS[node[1]](_evaluate(node[2], t))
-    a = _evaluate(node[1], t)
-    b = _evaluate(node[2], t)
-    if kind == "+":
-        return a + b
-    if kind == "-":
-        return a - b
-    if kind == "*":
-        return a * b
-    if kind == "/":
-        return a / b
-    if kind == "^":
-        return np.power(a, b)
-    raise AssertionError(f"unhandled node {kind}")
+    return _OPERATORS[kind](_evaluate(node[1], t), _evaluate(node[2], t))
 
 
 @dataclass(frozen=True)
@@ -194,9 +161,7 @@ class BoundaryExpr:
     def is_constant_inf(self) -> bool:
         """True when the expression is the literal inf or -inf."""
         node = self.ast
-        sign = 1
         while node[0] == "neg":
-            sign = -sign
             node = node[1]
         return node == ("num", float("inf"))
 

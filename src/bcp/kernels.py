@@ -283,5 +283,21 @@ def bcp_linear_one_sided(intercept: float, slope: float, T: float) -> float:
         return 1.0 if slope > 0 else 0.0
     rt = math.sqrt(T)
     p = normal_cdf((intercept + slope * T) / rt)
-    q = math.exp(-2.0 * intercept * slope) * normal_cdf((slope * T - intercept) / rt)
+    try:
+        q = math.exp(-2.0 * intercept * slope) * normal_cdf((slope * T - intercept) / rt)
+    except OverflowError:
+        q = math.inf
+    if not math.isfinite(q):  # exp(-2cd) overflowed, or -2cd itself is inf or NaN
+        # exp(-2cd) Phi(-x) = exp(-(c + dT)^2 / 2T) R(x) / sqrt(2 pi), with
+        # x = (c - dT) / sqrt(T) >= 2 sqrt(-cd) > 37 once -2cd > 709.
+        q = math.exp(-0.5 * ((intercept + slope * T) / rt) ** 2) / math.sqrt(2.0 * math.pi)
+        q *= _mills_ratio((intercept - slope * T) / rt)
     return float(min(1.0, max(0.0, p - q)))
+
+
+def _mills_ratio(x: float) -> float:
+    """(1 - Phi(x)) / phi(x) for x > 37, from Laplace's continued fraction."""
+    r = x
+    for k in range(24, 0, -1):
+        r = x + k / r
+    return 1.0 / r

@@ -11,8 +11,9 @@ order, as one (count, n) draw, so the blocks never change a value; the
 sums of g and g^2 still run over the whole chunk.
 
 Every estimate comes from `_estimate`: the inner and outer bands run on
-the same node samples (common random numbers), which makes the bracket
-ordering hold path by path.  The plain estimate is the bracketed one
+the same node samples (common random numbers), and each path's inner g
+is capped at its outer g, so the bracket ordering holds path by path,
+rounding included.  The plain estimate is the bracketed one
 with inner = outer, so its bracket is (mean, mean).
 """
 
@@ -101,7 +102,13 @@ def _worker_lanes(n_chunks: int) -> int:
 
 
 def _evaluate_bands(bands: list[PiecewiseLinearBand], cfg: McConfig) -> list[tuple[float, float]]:
-    """Accumulate (sum g, sum g^2) per band over all chunks, in chunk order."""
+    """Accumulate (sum g, sum g^2) per band over all chunks, in chunk order.
+
+    Two bands are (inner, outer): each path's inner g is capped at its
+    outer g.  A straight side's envelopes differ by an ulp, and rounding
+    in the series can then put the inner g above the outer one (by up to
+    2e-14 on `bm --lower=-0.5-t --upper 1`).
+    """
     p = bands[0].partition
     n_chunks = -(-cfg.paths // cfg.chunk_size)
     block = max(1, BLOCK_SIZE // p.n)  # rows: one kernel block per mc block
@@ -119,6 +126,8 @@ def _evaluate_bands(bands: list[PiecewiseLinearBand], cfg: McConfig) -> list[tup
                     g2, _ = band_kernel(band, -x)
                     gb = 0.5 * (gb + g2)
                 g[b, r0:r0 + block] = gb
+        if len(bands) == 2:
+            np.minimum(g[0], g[1], out=g[0])
         return [(float(np.sum(gb)), float(np.sum(gb * gb))) for gb in g]
 
     with ThreadPoolExecutor(max_workers=_worker_lanes(n_chunks)) as pool:

@@ -15,6 +15,7 @@ import math
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
+from scipy.special import log_ndtr
 from scipy.stats import norm
 
 from bcp.errors import InvalidBoundariesError
@@ -343,4 +344,42 @@ CLOSED_FORMS = {
     "gbm_exp_drift": _gbm_exp_drift,
     "gbm_const_rate_const_barrier": _gbm_const_rate_const_barrier,
     "bm_linear": _bm_linear,
+}
+
+
+# The linear formula and the two gbm cases with exp(a) * Phi(z) taken as
+# exp(a + log Phi(z)), valid where exp(a) alone overflows.
+
+
+def _reflected(log_factor: float, z: float) -> float:
+    # Above 709 only for a start above the barrier, where the result clips to 0.
+    e = log_factor + float(log_ndtr(z))
+    return math.exp(e) if e < 709.0 else math.inf
+
+
+def bm_linear_log_space(intercept, slope, T):
+    rt = math.sqrt(T)
+    return _clip01(normal_cdf((intercept + slope * T) / rt)
+                   - _reflected(-2.0 * intercept * slope, (slope * T - intercept) / rt))
+
+
+def _gbm_exp_drift_log_space(sigma, x0, p, q, T):
+    lx = math.log(x0)
+    den = sigma * math.sqrt(T)
+    drift = (p + 0.5 * sigma**2) * T
+    down = _reflected((2.0 * p + sigma**2) * (lx - q) / sigma**2, (drift - q + lx) / den)
+    return _clip01(normal_cdf((drift + q - lx) / den) - down)
+
+
+def _gbm_const_rate_const_barrier_log_space(sigma, r, x0, h, T):
+    lh = math.log(h / x0)
+    den = sigma * math.sqrt(T)
+    drift = (0.5 * sigma**2 - r) * T
+    down = _reflected((2.0 * r - sigma**2) * lh / sigma**2, (drift - lh) / den)
+    return _clip01(normal_cdf((drift + lh) / den) - down)
+
+
+LOG_SPACE_FORMS = {
+    "gbm_exp_drift": _gbm_exp_drift_log_space,
+    "gbm_const_rate_const_barrier": _gbm_const_rate_const_barrier_log_space,
 }

@@ -368,6 +368,63 @@ class TestSubcommands:
         doc = json.loads(out)
         assert doc["results"]["lower"] <= doc["results"]["mean"] <= doc["results"]["upper"]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["bm", "--lower=-1", "--upper", "1+0.5*t", "--seed", "3"],
+         ["bm", "--lower=-0.5-t", "--upper", "1", "--seed", "3"],
+         ["bm", "--lower=-0.5-t", "--upper", "1", "--seed", "1"]],
+        ids=["straight_upper", "straight_lower", "straight_lower_seed_1"],
+    )
+    def test_two_sided_band_with_straight_side(self, argv, capsys):
+        # A straight side's envelopes differ by an ulp; rounding in the
+        # series once put the inner sum above the outer one, and the request
+        # exited 2 with "bracket lower bound exceeds upper bound".
+        code, out, err = run_capture(argv + ["--T", "1", "--paths", "4096"], capsys)
+        assert code == EXIT_OK, err
+        r = json.loads(out)["results"]
+        assert r["lower"] <= r["mean"] <= r["upper"]
+
+
+class TestLeadingMinus:
+    """An expression that starts with "-" may follow its flag after a space."""
+
+    @pytest.mark.parametrize(
+        "argv, flag, value",
+        [(["bm", "--upper", "1"], "--lower", "-0.5-t"),
+         (["bm", "--lower", "-2"], "--upper", "-(-1)+t"),
+         (["ou-td", "--alpha-fn", "0", "--sigma-fn", "1", "--x0", "0"], "--kappa-fn", "-(-0.5)"),
+         (["ou-td", "--kappa-fn", "0.5", "--sigma-fn", "1", "--x0", "0"], "--alpha-fn", "-0.1*t"),
+         (["ou-td", "--kappa-fn", "0.5", "--alpha-fn", "0", "--x0", "0"], "--sigma-fn", "-(-1)"),
+         (["gbm", "--sigma", "0.1", "--x0", "1"], "--rate", "-0.05+0.1*exp(-t)")],
+        ids=["lower", "upper", "kappa_fn", "alpha_fn", "sigma_fn", "rate"],
+    )
+    def test_spaced_value_parses_like_joined(self, argv, flag, value):
+        tail = ["--T", "1", "--seed", "3"]
+        spaced = build_parser().parse_args(argv + [flag, value] + tail)
+        joined = build_parser().parse_args(argv + [f"{flag}={value}"] + tail)
+        assert spaced == joined
+        assert getattr(spaced, flag[2:].replace("-", "_")) == value
+
+    def test_request_runs_as_joined(self, capsys):
+        argv = ["bm", "--upper", "1", "--T", "1", "--paths", "4096", "--seed", "3"]
+        code, spaced, err = run_capture(argv + ["--lower", "-0.5-t"], capsys)
+        assert code == EXIT_OK, err
+        _, joined, _ = run_capture(argv + ["--lower=-0.5-t"], capsys)
+        r = json.loads(spaced)["results"]
+        assert r == json.loads(joined)["results"] and r["lower"] <= r["upper"]
+
+    def test_flag_without_value(self, capsys):
+        code, _, err = run_capture(["bm", "--upper", "1", "--T", "1", "--seed", "1", "--lower"],
+                                   capsys)
+        assert code == EXIT_USAGE
+        assert "argument --lower: expected one argument" in err
+
+    def test_help_gives_no_joined_form_advice(self, capsys):
+        for command in FAMILY_ARGV:
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([command, "--help"])
+            assert "=EXPR" not in capsys.readouterr().out
+
 
 class TestEmptyInnerBand:
     # The boundaries are valid, but the inner envelope, shifted inward by

@@ -24,6 +24,7 @@ from bcp.kernels import TAIL_BOUND, _term_counts, normal_cdf
 from bcp.mc import _chunk_stream
 from oracles import (
     band_kernel_unfused,
+    bm_linear_log_space,
     bridge_abs_max_theta,
     h_term,
     h_terms,
@@ -136,6 +137,17 @@ class TestHTerm:
             h_term(0, 1, 0.0, 0.0, SYMMETRIC)
         with pytest.raises(ValueError):
             h_term(1, 0, 0.0, 0.0, SYMMETRIC)
+
+
+class TestNoSide:
+    def test_both_sides_infinite_gives_one(self):
+        p = uniform_partition(1.0, 4)
+        band = PiecewiseLinearBand(PiecewiseLinearBoundary.infinite(p, "lower"),
+                                   PiecewiseLinearBoundary.infinite(p, "upper"))
+        x = np.array([[0.0, 5.0, -40.0, 1e6], [1.0, 2.0, 3.0, 4.0]])
+        g, tail = band_kernel(band, x)
+        assert g.tolist() == [1.0, 1.0] and tail == 0.0
+        assert band_kernel(band, x[0]) == (1.0, 0.0)
 
 
 class TestTwoSided:
@@ -381,6 +393,31 @@ class TestLinearClosedForm:
     def test_receding_boundary(self):
         assert bcp_linear_one_sided(1.0, math.inf, 1.0) == 1.0
         assert bcp_linear_one_sided(1.0, 1e3, 1.0) == pytest.approx(1.0, abs=1e-12)
+
+    def test_overflowing_reflection_factor(self):
+        # exp(-2cd) overflows for -2cd > 709.78; the product with its tiny
+        # normal factor is finite and matches exp(-2cd + log_ndtr(z)).
+        assert bcp_linear_one_sided(20.0, -20.0, 1.0) == pytest.approx(
+            0.4900326648116987, abs=1e-15)
+        rng = np.random.default_rng(20261019)
+        overflow = 0
+        for _ in range(2000):
+            c, d, T = (10.0 ** rng.uniform([-1, -1, -2], [2, 3, 1]) * [1, -1, 1]).tolist()
+            got = bcp_linear_one_sided(c, d, T)
+            assert abs(got - bm_linear_log_space(c, d, T)) < 1e-13, (c, d, T)
+            overflow += -2.0 * c * d > 710.0
+        assert overflow > 300  # about a fifth of the draws
+        # -2cd itself overflows, or is NaN for an infinite intercept and slope 0.
+        assert bcp_linear_one_sided(1e200, -1e200, 1.0) == 0.5
+        assert bcp_linear_one_sided(math.inf, -1.0, 1.0) == 1.0
+        assert bcp_linear_one_sided(math.inf, 0.0, 1.0) == 1.0
+
+    def test_values_below_overflow_use_the_direct_product(self):
+        rt = math.sqrt(0.7)
+        for c, d in [(1.0, -354.0), (26.6, -13.3), (0.5, 0.3), (2.0, -1.0)]:
+            direct = normal_cdf((c + d * 0.7) / rt) - math.exp(-2.0 * c * d) * normal_cdf(
+                (d * 0.7 - c) / rt)
+            assert bcp_linear_one_sided(c, d, 0.7) == min(1.0, max(0.0, direct))
 
     def test_start_outside(self):
         with pytest.raises(StartOutsideBandError):

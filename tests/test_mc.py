@@ -303,6 +303,28 @@ class TestBracketing:
         assert est.bracket == (0.0, upper.mean) and est.std_error == upper.std_error
         assert est.mean == 0.5 * upper.mean
 
+    def test_straight_side_keeps_bracket_order(self):
+        # The straight side's envelopes differ by an ulp, so rounding in the
+        # series puts some paths' inner g above their outer g; each inner g
+        # is capped at the outer one, and the inner sum stays below.
+        p = uniform_partition(1.0, 128)
+        lo = GeneralBoundary(parse_boundary("-0.5-t"), "lower", 1.0)
+        hi = GeneralBoundary.constant(1.0, "upper", 1.0)
+        (lo_in, lo_out), (hi_in, _) = envelopes(lo, p, 50), envelopes(hi, p, 50)
+        x = sample_nodes(p, _chunk_stream(3, 0), np.empty((4096, p.n)))
+        g_in, _ = band_kernel(PiecewiseLinearBand(lo_in, hi_in), x)
+        g_out, _ = band_kernel(PiecewiseLinearBand(lo_out, hi_in), x)
+        assert np.any(g_in > g_out) and np.max(g_in - g_out) < 1e-12
+        cfg = McConfig(paths=4096, seed=3)
+        est = estimate_bcp_bracketed(lo, hi, p, 50, cfg)
+        assert est.bracket == (float(np.sum(np.minimum(g_in, g_out))) / 4096,
+                               float(np.sum(g_out)) / 4096)
+
+    def test_no_side_gives_one(self):
+        p = uniform_partition(1.0, 8)
+        est = estimate_bcp_bracketed(None, None, p, 10, McConfig(paths=100, seed=1))
+        assert (est.mean, est.std_error, est.bracket) == (1.0, 0.0, (1.0, 1.0))
+
     def test_two_sided_bracketed(self):
         lo = GeneralBoundary(lambda t: -1.0 - 0.1 * t, "lower", 1.0)
         hi = GeneralBoundary(lambda t: 1.0 + 0.1 * t * t, "upper", 1.0)

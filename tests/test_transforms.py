@@ -29,7 +29,13 @@ from bcp import (
 )
 from bcp import transforms
 from bcp.transforms import _rate_integral
-from oracles import CLOSED_FORMS, euler_maruyama_survival, ou_td_reduction_ode, simpson_fixed
+from oracles import (
+    CLOSED_FORMS,
+    LOG_SPACE_FORMS,
+    euler_maruyama_survival,
+    ou_td_reduction_ode,
+    simpson_fixed,
+)
 from test_acceptance import CATALOG_GRID
 
 
@@ -522,9 +528,9 @@ class TestCatalogTable:
     @pytest.mark.parametrize("case", sorted(CLOSED_FORMS))
     def test_matches_explicit_formula_on_random_parameters(self, case):
         rng = np.random.default_rng(20261018)
-        # sigma >= 0.2 for gbm: below it exp(-2*c*d) can overflow before the
-        # tiny normal factor scales it down, in bcp_linear_one_sided and in the
-        # oracle alike (OverflowError; an open defect of the linear formula).
+        # sigma >= 0.2 for gbm: below it the oracle's exp(-2*c*d) can overflow
+        # before the tiny normal factor scales it down (OverflowError); the
+        # next test covers sigma in [0.05, 0.2) against a log-space oracle.
         ranges = {
             "ou_exp_up": dict(kappa=(0.05, 3), alpha=(-1, 1), sigma=(0.2, 2), x0=(-1, 1),
                               h=(-2, 2), T=(0.05, 3)),
@@ -544,6 +550,36 @@ class TestCatalogTable:
             assert abs(got - CLOSED_FORMS[case](**params)) < 1e-13, params
             inside += 0.0 < got < 1.0
         assert inside > 100  # a fifth of the draws or more are not clipped to 0 or 1
+
+    @pytest.mark.parametrize("case", sorted(LOG_SPACE_FORMS))
+    def test_small_sigma_gbm_matches_log_space_formula(self, case):
+        # sigma in [0.05, 0.2), where the reflection factor exp(a) can
+        # overflow and the hand-expanded formula raises OverflowError: the
+        # box of the test above with smaller sigma, then a box of starts far
+        # below the barrier, where a > 709 on most draws.
+        rng = np.random.default_rng(20261019)
+        boxes = {
+            "gbm_exp_drift": [
+                dict(sigma=(0.05, 0.2), x0=(0.2, 5), p=(-1, 1), q=(-1, 2), T=(0.05, 3)),
+                dict(sigma=(0.05, 0.1), x0=(0.2, 1), p=(-1, -0.5), q=(0.5, 2), T=(0.05, 3)),
+            ],
+            "gbm_const_rate_const_barrier": [
+                dict(sigma=(0.05, 0.2), r=(-0.2, 0.3), x0=(0.2, 5), h=(0.2, 8), T=(0.05, 3)),
+                dict(sigma=(0.05, 0.053), r=(0.28, 0.3), x0=(0.2, 0.25), h=(7, 8), T=(0.05, 3)),
+            ],
+        }[case]
+        inside = overflow = 0
+        for box in boxes:
+            for _ in range(250):
+                params = {k: float(rng.uniform(lo, hi)) for k, (lo, hi) in box.items()}
+                got = closed_form_bcp(case, **params)
+                assert abs(got - LOG_SPACE_FORMS[case](**params)) < 1e-13, params
+                inside += 0.0 < got < 1.0
+                try:
+                    CLOSED_FORMS[case](**params)
+                except OverflowError:
+                    overflow += 1
+        assert inside > 100 and overflow > 50
 
     @pytest.mark.parametrize(
         "case, params",

@@ -1,10 +1,10 @@
 """Partitions, piecewise-linear boundary bands and bracketing envelopes.
 
 A piecewise-linear boundary is linear on each open subinterval of its
-partition and may jump at interior nodes, but only outward: an upper
-boundary may jump up, a lower boundary may jump down.  Node values are
-therefore kept per side (left limit / right limit).  All types here are
-immutable after construction.
+partition and may jump either way at interior nodes, so node values are
+kept per side (left limit / right limit).  A path is inside a band at a
+node only strictly between its limits there (`PiecewiseLinearBand.limits`).
+All types here are immutable after construction.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ Side = Literal["lower", "upper"]
 
 
 def _frozen_array(values) -> np.ndarray:
-    a = np.asarray(values, dtype=np.float64)
+    """A read-only float64 copy: the caller's array stays writable."""
+    a = np.array(values, dtype=np.float64)
     a.setflags(write=False)
     return a
 
@@ -72,7 +73,7 @@ def uniform_partition(T: float, n: int) -> Partition:
 
 @dataclass(frozen=True)
 class PiecewiseLinearBoundary:
-    """One boundary side, linear between nodes, with outward jumps only.
+    """One boundary side, linear between nodes, with jumps at interior nodes.
 
     `right[i]` is the value at t_i+ (used by subinterval i+1) and
     `left[i]` the value at t_i-; both arrays have length n+1 with
@@ -106,25 +107,17 @@ class PiecewiseLinearBoundary:
             return
         if np.isnan(right).any() or np.isnan(left).any():
             raise EvaluationError("boundary values contain NaN")
-        interior = slice(1, n)
-        if self.side == "upper":
-            if not np.all(left[interior] <= right[interior]):
-                raise InvalidBoundariesError("upper boundary may only jump upward")
-        else:
-            if not np.all(left[interior] >= right[interior]):
-                raise InvalidBoundariesError("lower boundary may only jump downward")
 
     @classmethod
     def from_values(cls, partition: Partition, side: Side, values) -> "PiecewiseLinearBoundary":
         """Continuous boundary through the given node values."""
-        v = np.asarray(values, dtype=np.float64)
-        return cls(partition, side, v, v.copy())
+        return cls(partition, side, values, values)
 
     @classmethod
     def infinite(cls, partition: Partition, side: Side) -> "PiecewiseLinearBoundary":
         inf = -math.inf if side == "lower" else math.inf
         v = np.full(partition.n + 1, inf)
-        return cls(partition, side, v, v.copy())
+        return cls(partition, side, v, v)
 
     @property
     def is_infinite(self) -> bool:
@@ -150,9 +143,9 @@ class PiecewiseLinearBoundary:
 class PiecewiseLinearBand:
     """Lower/upper boundary pair over a shared partition, for a path started at 0.
 
-    This is the one check of a band: the lower side stays strictly below
-    the upper one (InvalidBoundariesError), and 0 lies strictly inside
-    the band at t=0 (StartOutsideBandError).
+    This is the one check of a band: at every node the lower limits stay
+    strictly below the upper ones (InvalidBoundariesError), and 0 lies
+    strictly inside the band at t=0 (StartOutsideBandError).
     """
 
     lower: PiecewiseLinearBoundary
@@ -164,8 +157,7 @@ class PiecewiseLinearBand:
             raise ValueError("band needs a lower and an upper boundary, in that order")
         if not np.array_equal(lo.partition.nodes, hi.partition.nodes):
             raise ValueError("both boundaries must share one partition")
-        if not (lo.is_infinite or hi.is_infinite or (
-                np.all(lo.right < hi.right) and np.all(lo.left[1:] < hi.left[1:]))):
+        if not np.all(np.less(*self.limits)):
             raise InvalidBoundariesError("lower boundary must stay strictly below upper")
         if not lo.right[0] < 0 < hi.right[0]:
             raise StartOutsideBandError(
@@ -176,20 +168,28 @@ class PiecewiseLinearBand:
     def partition(self) -> Partition:
         return self.lower.partition
 
+    @property
+    def limits(self) -> tuple[np.ndarray, np.ndarray]:
+        """At each node, the larger of the lower side's two limits and the
+        smaller of the upper side's: the band there is the open interval between."""
+        return (np.maximum(self.lower.left, self.lower.right),
+                np.minimum(self.upper.left, self.upper.right))
 
-def evaluate(fn: Callable[[float], float], t):
-    """fn at t under the `GeneralBoundary` contract: a float or a same-shape array."""
-    if np.ndim(t) == 0:
-        return float(fn(t))
-    t = np.asarray(t, dtype=np.float64)
+
+def evaluate(fn: Callable[..., float], *args):
+    """fn at args under the `GeneralBoundary` contract: a float for scalar
+    args, else an array of their broadcast shape."""
+    if all(np.ndim(a) == 0 for a in args):
+        return float(fn(*args))
+    args = np.broadcast_arrays(*(np.asarray(a, dtype=np.float64) for a in args))
     try:
-        out = fn(t)
-        if np.shape(out) == t.shape:
+        out = fn(*args)
+        if np.shape(out) == args[0].shape:
             return np.asarray(out, dtype=np.float64)
     except (TypeError, ValueError):
         pass
-    vals = [float(fn(x)) for x in t.ravel().tolist()]
-    return np.array(vals, dtype=np.float64).reshape(t.shape)
+    vals = [float(fn(*xs)) for xs in zip(*(a.ravel().tolist() for a in args))]
+    return np.array(vals, dtype=np.float64).reshape(args[0].shape)
 
 
 @dataclass(frozen=True)
@@ -251,6 +251,11 @@ def chord_boundary(gb: GeneralBoundary, p: Partition) -> PiecewiseLinearBoundary
     return PiecewiseLinearBoundary.from_values(p, gb.side, _values(gb, p.nodes))
 
 
+#: A side whose largest envelope shift is at most this many epsilons of its
+#: largest |value| is straight up to rounding, and its chord is exact.
+_EXACT_ULPS = 16
+
+
 def envelopes(
     gb: GeneralBoundary, p: Partition, m: int = 50
 ) -> tuple[PiecewiseLinearBoundary, PiecewiseLinearBoundary]:
@@ -263,8 +268,9 @@ def envelopes(
     excess; node values take the larger of the two adjacent shifts so no
     jumps appear.  gb is evaluated once, on the (n, m) grid of samples; the
     nodes are its first and last columns.  A side with no boundary, or one
-    that needs no shift anywhere (a constant), is exact: one boundary comes
-    back as both ends.  p must span gb's horizon.
+    whose shifts are all within rounding (a constant or a straight line, see
+    _EXACT_ULPS), is exact: its chord comes back as both ends.  p must span
+    gb's horizon.
     """
     if m < 2:
         raise ValueError(f"need at least 2 samples per interval, got {m}")
@@ -292,8 +298,8 @@ def envelopes(
                       np.concatenate([shift_in, [shift_in[-1]]]))
     up = np.maximum(np.concatenate([[shift_out[0]], shift_out]),
                     np.concatenate([shift_out, [shift_out[-1]]]))
-    inner = PiecewiseLinearBoundary.from_values(p, gb.side, sign * (u_nodes - down))
-    if not (down.any() or up.any()):  # exact: the chords are the boundary
-        return inner, inner
-    outer = PiecewiseLinearBoundary.from_values(p, gb.side, sign * (u_nodes + up))
-    return inner, outer
+    if max(down.max(), up.max()) <= _EXACT_ULPS * np.finfo(float).eps * np.max(np.abs(us)):
+        exact = PiecewiseLinearBoundary.from_values(p, gb.side, sign * u_nodes)
+        return exact, exact
+    return (PiecewiseLinearBoundary.from_values(p, gb.side, sign * (u_nodes - down)),
+            PiecewiseLinearBoundary.from_values(p, gb.side, sign * (u_nodes + up)))

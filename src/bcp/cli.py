@@ -158,6 +158,45 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", default="-", help="output file, '-' for stdout")
 
 
+def _ou_spec(args: argparse.Namespace) -> OUSpec:
+    if not 0 < args.sigma2 < math.inf:
+        raise ValueError(f"sigma2 must be positive and finite, got {args.sigma2}")
+    return OUSpec(x0=args.x0, kappa=args.kappa, alpha=args.alpha, sigma=math.sqrt(args.sigma2))
+
+
+def _gbm_spec(args: argparse.Namespace) -> GBMSpec:
+    try:
+        rate = float(args.rate)
+    except ValueError:
+        rate = parse_boundary(args.rate)
+    return GBMSpec(x0=args.x0, sigma=args.sigma, rate=rate)
+
+
+# One entry per process subcommand: its help, its own required flags as
+# (flag, help), and the spec built from the parsed arguments (None is
+# Brownian motion).  A flag in _EXPR_FLAGS takes an expression, any other a float.
+_FAMILIES = {
+    "bm": ("standard Brownian motion", (), lambda args: None),
+    "ou": ("mean-reverting process, constant coefficients",
+           (("--kappa", None), ("--alpha", None), ("--sigma2", "diffusion variance"),
+            ("--x0", None)),
+           _ou_spec),
+    "ou-td": ("mean reversion with t-dependent coefficients",
+              (("--kappa-fn", "kappa expression in t"), ("--alpha-fn", "alpha expression in t"),
+               ("--sigma-fn", "sigma expression in t"), ("--x0", None)),
+              lambda args: TimeVaryingOUSpec(
+                  x0=args.x0, kappa=parse_boundary(args.kappa_fn),
+                  alpha=parse_boundary(args.alpha_fn), sigma=parse_boundary(args.sigma_fn))),
+    "growth": ("Gompertz-type growth process",
+               (("--alpha", None), ("--beta", None), ("--sigma", None), ("--x0", None)),
+               lambda args: GrowthSpec(x0=args.x0, alpha=args.alpha, beta=args.beta,
+                                       sigma=args.sigma)),
+    "gbm": ("geometric Brownian motion",
+            (("--sigma", None), ("--rate", "rate expression in t, or a number"), ("--x0", None)),
+            _gbm_spec),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="bcp",
@@ -166,36 +205,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_bm = sub.add_parser("bm", help="standard Brownian motion")
-    _common_flags(p_bm)
-
-    p_ou = sub.add_parser("ou", help="mean-reverting process, constant coefficients")
-    _common_flags(p_ou)
-    p_ou.add_argument("--kappa", type=float, required=True)
-    p_ou.add_argument("--alpha", type=float, required=True)
-    p_ou.add_argument("--sigma2", type=float, required=True, help="diffusion variance")
-    p_ou.add_argument("--x0", type=float, required=True)
-
-    p_outd = sub.add_parser("ou-td", help="mean reversion with t-dependent coefficients")
-    _common_flags(p_outd)
-    p_outd.add_argument("--kappa-fn", help="kappa expression in t", required=True)
-    p_outd.add_argument("--alpha-fn", help="alpha expression in t", required=True)
-    p_outd.add_argument("--sigma-fn", help="sigma expression in t", required=True)
-    p_outd.add_argument("--x0", type=float, required=True)
-
-    p_gr = sub.add_parser("growth", help="Gompertz-type growth process")
-    _common_flags(p_gr)
-    p_gr.add_argument("--alpha", type=float, required=True)
-    p_gr.add_argument("--beta", type=float, required=True)
-    p_gr.add_argument("--sigma", type=float, required=True)
-    p_gr.add_argument("--x0", type=float, required=True)
-
-    p_gbm = sub.add_parser("gbm", help="geometric Brownian motion")
-    _common_flags(p_gbm)
-    p_gbm.add_argument("--sigma", type=float, required=True)
-    p_gbm.add_argument("--rate", help="rate expression in t, or a number", required=True)
-    p_gbm.add_argument("--x0", type=float, required=True)
+    for command, (help_text, flags, _) in _FAMILIES.items():
+        p = sub.add_parser(command, help=help_text)
+        _common_flags(p)
+        for flag, flag_help in flags:
+            kind = {} if flag in _EXPR_FLAGS else {"type": float}
+            p.add_argument(flag, help=flag_help, required=True, **kind)
 
     p_rep = sub.add_parser("reproduce", help="rerun the published benchmark table")
     p_rep.add_argument("table", choices=["paper7"])
@@ -203,34 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--seed", type=int, default=1)
     p_rep.add_argument("--format", choices=["json", "table"], default="table")
     return parser
-
-
-def _build_spec(args: argparse.Namespace):
-    if args.command == "ou":
-        if not 0 < args.sigma2 < math.inf:
-            raise ValueError(f"sigma2 must be positive and finite, got {args.sigma2}")
-        return OUSpec(
-            x0=args.x0,
-            kappa=args.kappa,
-            alpha=args.alpha,
-            sigma=math.sqrt(args.sigma2),
-        )
-    if args.command == "ou-td":
-        return TimeVaryingOUSpec(
-            x0=args.x0,
-            kappa=parse_boundary(args.kappa_fn),
-            alpha=parse_boundary(args.alpha_fn),
-            sigma=parse_boundary(args.sigma_fn),
-        )
-    if args.command == "growth":
-        return GrowthSpec(x0=args.x0, alpha=args.alpha, beta=args.beta, sigma=args.sigma)
-    if args.command == "gbm":
-        try:
-            rate = float(args.rate)
-        except ValueError:
-            rate = parse_boundary(args.rate)
-        return GBMSpec(x0=args.x0, sigma=args.sigma, rate=rate)
-    return None  # plain Brownian motion
 
 
 def run_request(args: argparse.Namespace) -> RunReport:
@@ -242,7 +229,7 @@ def run_request(args: argparse.Namespace) -> RunReport:
             "upper boundary must be finite or the problem is trivial "
             "(P=1 when both boundaries are infinite)"
         )
-    reduced = reduce(_build_spec(args), a, b, args.T)
+    reduced = reduce(_FAMILIES[args.command][2](args), a, b, args.T)
 
     p = uniform_partition(reduced.horizon, args.n)
     cfg = McConfig(

@@ -150,17 +150,18 @@ def _shift_right(x: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _inside(band: PiecewiseLinearBand, x: np.ndarray) -> np.ndarray:
-    """Rows of x strictly inside the band at every node.
+    """Rows of x strictly inside the band's limits at every node.
 
     Interval i runs from the right limit at its left node to the left
-    limit at its right node; the indicators use the left limits, the
-    restrictive side for outward jumps.
+    limit at its right node; a node value must lie inside both, whichever
+    way a side jumps there.
     """
     ok = np.ones(x.shape[0], dtype=bool)
+    lo, hi = band.limits
     if not band.lower.is_infinite:
-        ok &= np.all(x > band.lower.left[1:], axis=1)
+        ok &= np.all(x > lo[1:], axis=1)
     if not band.upper.is_infinite:
-        ok &= np.all(x < band.upper.left[1:], axis=1)
+        ok &= np.all(x < hi[1:], axis=1)
     return ok
 
 

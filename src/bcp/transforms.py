@@ -629,6 +629,13 @@ def catalog_problem(case: str, **params):
 # Reducibility checker
 
 
+#: Grid points per axis of the reducibility check, its finite-difference
+#: step in t and in x, and its bound on the worst scaled residual.
+_REDUCIBILITY_GRID = 9
+_REDUCIBILITY_STEP = 1e-3
+_REDUCIBILITY_TOL = 1e-4
+
+
 @dataclass(frozen=True)
 class ReducibilityReport:
     max_residual: float
@@ -641,42 +648,32 @@ def check_reducibility(
     sigma: Callable[[float, float], float],
     t_range: tuple[float, float],
     x_range: tuple[float, float],
-    nt: int = 9,
-    nx: int = 9,
-    ht: float = 1e-3,
-    hx: float = 1e-3,
-    tol: float = 1e-4,
 ) -> ReducibilityReport:
     """Finite-difference test of the reduction condition on a grid.
 
     The condition is that d/dx of F vanishes identically, where
     F = (1/sigma) dsigma/dt + sigma * d/dx (0.5 dsigma/dx - mu/sigma).
-    The verdict compares the worst residual, scaled by 1 + |F|, to tol.
+    mu and sigma are evaluated on whole grids.  The verdict compares the
+    worst residual, scaled by 1 + |F|, to _REDUCIBILITY_TOL; NaN fails it.
     """
-    ts = np.linspace(t_range[0], t_range[1], nt)
-    xs = np.linspace(x_range[0], x_range[1], nx)
-    for t in ts:
-        for x in xs:
-            if sigma(float(t), float(x)) <= 0:
-                raise InvalidDomainError(f"sigma(t={t}, x={x}) is not positive")
+    t, x = np.meshgrid(np.linspace(*t_range, _REDUCIBILITY_GRID),
+                       np.linspace(*x_range, _REDUCIBILITY_GRID), indexing="ij")
+    bad = evaluate(sigma, t, x) <= 0
+    if bad.any():
+        i = np.unravel_index(np.argmax(bad), bad.shape)
+        raise InvalidDomainError(f"sigma(t={t[i]}, x={x[i]}) is not positive")
+    h = _REDUCIBILITY_STEP
 
     def cap_g(t, x):
-        sx = (sigma(t, x + hx) - sigma(t, x - hx)) / (2.0 * hx)
-        return 0.5 * sx - mu(t, x) / sigma(t, x)
+        sx = (evaluate(sigma, t, x + h) - evaluate(sigma, t, x - h)) / (2.0 * h)
+        return 0.5 * sx - evaluate(mu, t, x) / evaluate(sigma, t, x)
 
     def cap_f(t, x):
-        st = (sigma(t + ht, x) - sigma(t - ht, x)) / (2.0 * ht)
-        gx = (cap_g(t, x + hx) - cap_g(t, x - hx)) / (2.0 * hx)
-        return st / sigma(t, x) + sigma(t, x) * gx
+        st = (evaluate(sigma, t + h, x) - evaluate(sigma, t - h, x)) / (2.0 * h)
+        gx = (cap_g(t, x + h) - cap_g(t, x - h)) / (2.0 * h)
+        return st / evaluate(sigma, t, x) + evaluate(sigma, t, x) * gx
 
-    worst = 0.0
-    worst_scaled = 0.0
-    for t in ts:
-        for x in xs:
-            res = (cap_f(t, x + hx) - cap_f(t, x - hx)) / (2.0 * hx)
-            scaled = abs(res) / (1.0 + abs(cap_f(t, x)))
-            worst = max(worst, abs(res))
-            worst_scaled = max(worst_scaled, scaled)
-    return ReducibilityReport(
-        max_residual=worst, max_scaled_residual=worst_scaled, reducible=worst_scaled < tol
-    )
+    res = np.abs(cap_f(t, x + h) - cap_f(t, x - h)) / (2.0 * h)
+    worst_scaled = float(np.max(res / (1.0 + np.abs(cap_f(t, x)))))
+    return ReducibilityReport(max_residual=float(np.max(res)), max_scaled_residual=worst_scaled,
+                              reducible=worst_scaled < _REDUCIBILITY_TOL)

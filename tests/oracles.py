@@ -6,7 +6,9 @@ the method-of-images barrier series, a scalar form of the two-sided
 kernel series, the kernel as whole-array expressions, and a plain
 Euler-Maruyama simulator for the original (untransformed) diffusions,
 the time-varying mean-reverting reduction as an ODE integrated by DOP853,
-and the closed-form catalog as one hand-expanded formula per case.
+the closed-form catalog as one hand-expanded formula per case, the
+two-interval kernel and survival probability of a side that jumps, and
+the reducibility residuals computed point by point in nested loops.
 """
 
 from __future__ import annotations
@@ -122,6 +124,46 @@ def series_term_unfused(j, dt, dprev, dcur, ap, ac, bp, bc):
     return t1 - t2 + t3 - t4
 
 
+def inside(band, x) -> np.ndarray:
+    """Rows of the (paths, n) matrix x strictly inside both limits of both
+    sides at every node t_1..t_n, whichever way a side jumps there."""
+    lo, hi = band.lower, band.upper
+    return np.all((x > lo.left[1:]) & (x > lo.right[1:])
+                  & (x < hi.left[1:]) & (x < hi.right[1:]), axis=1)
+
+
+def one_sided_kernel_n2(band, x1: float, x2: float) -> float:
+    """g at the node values (x1, x2) of a one-sided band on two intervals.
+
+    Each interval runs from the right limit at its left node to the left
+    limit at its right node, and contributes its single-reflection factor.
+    """
+    if not inside(band, np.array([[x1, x2]]))[0]:
+        return 0.0
+    b = band.lower if band.upper.is_infinite else band.upper
+    t1, t2 = band.partition.nodes[1:]
+    f1 = 1.0 - math.exp(-2.0 * b.right[0] * (b.left[1] - x1) / t1)
+    f2 = 1.0 - math.exp(-2.0 * (b.right[1] - x1) * (b.left[2] - x2) / (t2 - t1))
+    return f1 * f2
+
+
+def step_survival(high: float, low: float, t1: float, T: float) -> float:
+    """P(W_t < high for t <= t1 and W_t < low for t1 < t <= T), high, low > 0.
+
+    W_t1 killed at high has the density phi_t1(x) - phi_t1(x - 2 high)
+    below high; from x < low it stays below low over T - t1 with
+    probability 2 Phi((low - x) / sqrt(T - t1)) - 1.
+    """
+    s, r = math.sqrt(t1), math.sqrt(T - t1)
+
+    def integrand(x):
+        killed = norm.pdf(x, scale=s) - norm.pdf(x - 2.0 * high, scale=s)
+        return killed * (2.0 * norm.cdf((low - x) / r) - 1.0)
+
+    val, _ = quad(integrand, -np.inf, min(high, low), epsabs=1e-13, epsrel=1e-12, limit=400)
+    return float(val)
+
+
 def band_kernel_unfused(band, x, terms=None) -> np.ndarray:
     """The kernel g on a (paths, n) matrix, with no blocking and no clamp.
 
@@ -132,11 +174,7 @@ def band_kernel_unfused(band, x, terms=None) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     lo, hi = band.lower, band.upper
     dt = band.partition.dt
-    ok = np.ones(x.shape[0], dtype=bool)
-    if not lo.is_infinite:
-        ok &= np.all(x > lo.left[1:], axis=1)
-    if not hi.is_infinite:
-        ok &= np.all(x < hi.left[1:], axis=1)
+    ok = inside(band, x)
     xprev = np.concatenate([np.zeros((x.shape[0], 1)), x[:, :-1]], axis=1)
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         if lo.is_infinite and hi.is_infinite:
@@ -383,3 +421,28 @@ LOG_SPACE_FORMS = {
     "gbm_exp_drift": _gbm_exp_drift_log_space,
     "gbm_const_rate_const_barrier": _gbm_const_rate_const_barrier_log_space,
 }
+
+
+def reducibility_residuals_pointwise(mu, sigma, t_range, x_range, n=9, h=1e-3):
+    """Worst |d/dx F| and worst |d/dx F| / (1 + |F|) on an n-by-n grid, by
+    central differences of step h, calling mu and sigma one point at a time
+    in two nested loops; Python's max skips a NaN residual."""
+    ts = np.linspace(t_range[0], t_range[1], n)
+    xs = np.linspace(x_range[0], x_range[1], n)
+
+    def cap_g(t, x):
+        sx = (sigma(t, x + h) - sigma(t, x - h)) / (2.0 * h)
+        return 0.5 * sx - mu(t, x) / sigma(t, x)
+
+    def cap_f(t, x):
+        st = (sigma(t + h, x) - sigma(t - h, x)) / (2.0 * h)
+        gx = (cap_g(t, x + h) - cap_g(t, x - h)) / (2.0 * h)
+        return st / sigma(t, x) + sigma(t, x) * gx
+
+    worst = worst_scaled = 0.0
+    for t in ts:
+        for x in xs:
+            res = (cap_f(t, x + h) - cap_f(t, x - h)) / (2.0 * h)
+            worst = max(worst, abs(res))
+            worst_scaled = max(worst_scaled, abs(res) / (1.0 + abs(cap_f(t, x))))
+    return worst, worst_scaled

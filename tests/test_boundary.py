@@ -16,6 +16,7 @@ from bcp import (
     parse_boundary,
     uniform_partition,
 )
+from bcp.boundary import evaluate
 
 
 DANIELS = "0.5 - t*log(0.25+0.25*sqrt(1+8*exp(-1/t)))"
@@ -62,20 +63,26 @@ class TestPartition:
 
 
 class TestPiecewiseLinearBoundary:
-    def test_jump_direction_upper(self):
+    @pytest.mark.parametrize("side, sign", [("upper", 1.0), ("lower", -1.0)])
+    @pytest.mark.parametrize("jump", [0.5, -0.5], ids=["outward", "inward"])
+    def test_jumps_either_way(self, side, sign, jump):
         p = uniform_partition(1.0, 2)
-        # Upward jump at the interior node is fine...
-        b = PiecewiseLinearBoundary(p, "upper", right=[1.0, 2.0, 2.0], left=[1.0, 1.0, 2.0])
-        assert b.left[1] == 1.0 and b.right[1] == 2.0
-        # ...a downward one is not.
-        with pytest.raises(InvalidBoundariesError):
-            PiecewiseLinearBoundary(p, "upper", right=[1.0, 1.0, 1.0], left=[1.0, 2.0, 1.0])
+        right = sign * np.array([1.0, 1.0 + jump, 1.0 + jump])
+        left = sign * np.array([1.0, 1.0, 1.0 + jump])
+        b = PiecewiseLinearBoundary(p, side, right=right, left=left)
+        assert b.left[1] == sign and b.right[1] == sign * (1.0 + jump)
 
-    def test_jump_direction_lower(self):
-        p = uniform_partition(1.0, 2)
-        PiecewiseLinearBoundary(p, "lower", right=[-1.0, -2.0, -2.0], left=[-1.0, -1.0, -2.0])
-        with pytest.raises(InvalidBoundariesError):
-            PiecewiseLinearBoundary(p, "lower", right=[-1.0, -1.0, -1.0], left=[-1.0, -2.0, -1.0])
+    def test_caller_arrays_stay_writable(self):
+        nodes = np.array([0.0, 0.5, 1.0])
+        p = Partition(nodes)
+        values = np.array([1.0, 2.0, 1.5])
+        b = PiecewiseLinearBoundary.from_values(p, "upper", values)
+        nodes[1] = 0.25
+        values[1] = 3.0
+        assert p.nodes[1] == 0.5 and b.right[1] == b.left[1] == 2.0
+        for a in (p.nodes, b.right, b.left, PiecewiseLinearBoundary.infinite(p, "lower").right):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
 
     def test_no_mixing_finite_infinite(self):
         p = uniform_partition(1.0, 2)
@@ -88,6 +95,26 @@ class TestPiecewiseLinearBoundary:
         p = uniform_partition(1.0, 2)
         b = PiecewiseLinearBoundary.from_values(p, "upper", [0.0, 1.0, 0.5])
         assert np.allclose(b([0.0, 0.25, 0.5, 0.75, 1.0]), [0.0, 0.5, 1.0, 0.75, 0.5])
+
+
+class TestEvaluate:
+    def test_scalars_give_a_float(self):
+        assert type(evaluate(lambda t, x: np.float64(t + x), 1.0, 2.0)) is float
+
+    def test_arrays_broadcast_into_one_call(self):
+        shapes = []
+
+        def fn(t, x):
+            shapes.append((np.shape(t), np.shape(x)))
+            return t * x
+
+        t, x = np.linspace(0.0, 1.0, 3)[:, None], np.linspace(-1.0, 1.0, 4)
+        assert np.array_equal(evaluate(fn, t, x), t * x)
+        assert shapes == [((3, 4), (3, 4))]
+
+    def test_scalar_only_function_called_per_element(self):
+        got = evaluate(lambda t, x: math.exp(t) * x, np.array([0.0, 1.0]), 2.0)
+        assert np.array_equal(got, [2.0, math.exp(1.0) * 2.0])
 
 
 class TestGeneralBoundary:
@@ -272,6 +299,23 @@ class TestEnvelopes:
             envelopes(gb, uniform_partition(1.0, 4), m=5)
         assert err.value.t == 0.3125
 
+    @pytest.mark.parametrize("text", ["1+0.5*t", "-0.5-t", "2-3*t", "1e6+1e3*t"])
+    @pytest.mark.parametrize("side", ["upper", "lower"])
+    @pytest.mark.parametrize("n", [16, 128])
+    def test_straight_side_is_its_chord(self, text, side, n):
+        # Its shifts are rounding (within 0.83 eps of its largest value here),
+        # so the chord is exact, as for a constant.
+        p = uniform_partition(1.0, n)
+        gb = GeneralBoundary(parse_boundary(text), side, 1.0)
+        inner, outer = envelopes(gb, p, 50)
+        assert inner is outer and np.array_equal(inner.right, gb(p.nodes))
+
+    def test_near_straight_side_keeps_two_boundaries(self):
+        # 1e-9 t^2 shifts the chords by 47 eps of the side's scale at n = 128.
+        gb = GeneralBoundary(parse_boundary("1+0.5*t+1e-9*t*t"), "upper", 1.0)
+        inner, outer = envelopes(gb, uniform_partition(1.0, 128), 50)
+        assert inner is not outer and np.all(inner.right < outer.right)
+
     def test_m_too_small(self):
         gb = GeneralBoundary.constant(1.0, "upper", 1.0)
         with pytest.raises(ValueError):
@@ -318,6 +362,30 @@ class TestBandConstruction:
                 PiecewiseLinearBoundary.infinite(p, "upper") if upper is None
                 else PiecewiseLinearBoundary.from_values(p, "upper", upper),
             )
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["upper_jumps_down", "lower_jumps_up"])
+    def test_ordering_uses_node_limits(self, sign):
+        # Each interval is strictly ordered, but at t = 0.5 the inner side
+        # jumps from 1.0 to 0.5 and the other from 0.7 to -1: the larger
+        # lower limit (0.7) passes the smaller upper one (0.5).
+        p = uniform_partition(1.0, 2)
+        inward = PiecewiseLinearBoundary(p, "upper" if sign > 0 else "lower",
+                                         right=sign * np.array([1.0, 0.5, 0.5]),
+                                         left=sign * np.array([1.0, 1.0, 0.5]))
+        outward = PiecewiseLinearBoundary(p, "lower" if sign > 0 else "upper",
+                                          right=sign * np.array([-1.0, -1.0, -1.0]),
+                                          left=sign * np.array([-1.0, 0.7, -1.0]))
+        with pytest.raises(InvalidBoundariesError, match="strictly below"):
+            PiecewiseLinearBand(*((outward, inward) if sign > 0 else (inward, outward)))
+
+    def test_limits_take_the_restrictive_side(self):
+        p = uniform_partition(1.0, 2)
+        band = PiecewiseLinearBand(
+            PiecewiseLinearBoundary(p, "lower", right=[-1.0, -0.2, -0.2], left=[-1.0, -0.6, -0.2]),
+            PiecewiseLinearBoundary(p, "upper", right=[1.0, 0.4, 0.4], left=[1.0, 0.8, 0.4]),
+        )
+        lo, hi = band.limits
+        assert np.array_equal(lo, [-1.0, -0.2, -0.2]) and np.array_equal(hi, [1.0, 0.4, 0.4])
 
     def test_start_error_is_a_band_error(self):
         assert issubclass(StartOutsideBandError, InvalidBoundariesError)

@@ -9,12 +9,15 @@ import warnings
 
 import pytest
 
+import bcp.cli
 from bcp.cli import (
     EXIT_BAND,
     EXIT_NUMERIC,
     EXIT_OK,
     EXIT_USAGE,
     _CSV_FIELDS,
+    _EXPR_FLAGS,
+    _FAMILIES,
     build_parser,
     run,
     run_request,
@@ -385,6 +388,36 @@ class TestSubcommands:
         assert r["lower"] <= r["mean"] <= r["upper"]
 
 
+class TestFamilyTable:
+    """One `_FAMILIES` entry per process subcommand; `_EXPR_FLAGS` types its flags."""
+
+    def test_one_entry_per_subcommand(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert list(sub.choices) == [*_FAMILIES, "reproduce"] == [*FAMILY_ARGV, "reproduce"]
+
+    @pytest.mark.parametrize("command", list(_FAMILIES))
+    def test_expression_flags_take_text_others_floats(self, command):
+        flags = [flag for flag, _ in _FAMILIES[command][1]]
+        argv = [command, "--T", "1", "--seed", "1"] + [a for f in flags for a in (f, "2")]
+        args = build_parser().parse_args(argv)
+        for flag in flags:
+            value = getattr(args, flag[2:].replace("-", "_"))
+            assert (value, type(value)) == (("2", str) if flag in _EXPR_FLAGS else (2.0, float))
+
+    def test_expressions_parsed_at_request_time(self, monkeypatch):
+        # The builders look parse_boundary up in the module when the request runs.
+        seen = []
+        parse = bcp.cli.parse_boundary
+        monkeypatch.setattr(bcp.cli, "parse_boundary",
+                            lambda text: seen.append(text) or parse(text))
+        argv = FAMILY_ARGV["ou-td"] + ["--upper", "1", "--T", "1"] + FAST
+        args = build_parser().parse_args(argv)
+        assert seen == []
+        run_request(args)
+        assert seen == ["-inf", "1", "0.5", "0", "1"]
+
+
 class TestLeadingMinus:
     """An expression that starts with "-" may follow its flag after a space."""
 
@@ -467,9 +500,11 @@ FAMILY_PINS = [
     (["gbm", "--sigma", "0.1", "--rate", "0.1+0.05*exp(-t)", "--x0", "10",
       "--lower", "8", "--upper", "12"],
      (0.6133091885039019, 0.007344790893045905, 0.6132852377888046, 0.6133331392189993)),
+    # This side reduces to a straight line (catalog case ou_exp_up), which is
+    # exact since straight sides are: one band, so the bracket is (mean, mean).
     (["ou-td", "--kappa-fn", "0.5", "--alpha-fn", "0", "--sigma-fn", "1", "--x0", "0",
       "--upper", "exp(0.5*t)"],
-     (0.8903724404809019, 0.004541002033559919, 0.8903724404809018, 0.8903724404809021)),
+     (0.8903724404809019, 0.004541002033559922, 0.8903724404809019, 0.8903724404809019)),
     (["ou-td", "--kappa-fn", "0.5+0.25*sin(t)", "--alpha-fn", "0.1*t",
       "--sigma-fn", "1+0.2*t", "--x0", "0", "--upper", "1+0.5*t"],
      (0.8303097069733505, 0.005487691327381725, 0.8302137625595862, 0.8304056513871149)),

@@ -28,9 +28,11 @@ from oracles import (
     bridge_abs_max_theta,
     h_term,
     h_terms,
+    one_sided_kernel_n2,
     quad_of_kernel_n1,
     quad_one_sided_n1,
     reflection_one_sided,
+    step_survival,
     two_barrier_survival,
 )
 
@@ -263,6 +265,51 @@ def _bit_identity_band(name):
         return PiecewiseLinearBand(minus_one, upper)
     inner, outer = envelopes(GeneralBoundary(parse_boundary(DANIELS), "upper", 1.0), p, 50)
     return PiecewiseLinearBand(minus_one, inner if name == "daniels_inner" else outer)
+
+
+def step_band(sign: float, lower_side=None) -> PiecewiseLinearBand:
+    """A side that jumps inward at t = 0.5, from 1.5 to 1.0 (sign 1, upper)
+    or from -1.5 to -1.0 (sign -1, lower); lower_side closes an upper band."""
+    p = uniform_partition(1.0, 2)
+    step = PiecewiseLinearBoundary(p, "upper" if sign > 0 else "lower",
+                                   right=sign * np.array([1.5, 1.0, 1.0]),
+                                   left=sign * np.array([1.5, 1.5, 1.0]))
+    if lower_side is None:
+        other = PiecewiseLinearBoundary.infinite(p, "lower" if sign > 0 else "upper")
+    else:
+        other = PiecewiseLinearBoundary.from_values(p, "lower", lower_side)
+    return PiecewiseLinearBand(*((other, step) if sign > 0 else (step, other)))
+
+
+class TestInwardJumps:
+    """A side may jump inward; a path survives a node only inside both limits."""
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["upper", "lower"])
+    def test_matches_closed_form_n2_kernel(self, sign):
+        band = step_band(sign)
+        x = sign * _chunk_stream(5, 0).uniform(-1.0, 2.0, size=(400, 2))
+        x[0] = sign * np.array([1.2, 0.0])  # between the two limits at t = 0.5
+        g, _ = band_kernel(band, x)
+        assert g[0] == 0.0 and np.count_nonzero(g) > 100
+        want = [one_sided_kernel_n2(band, *row) for row in x]
+        np.testing.assert_allclose(g, want, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["upper", "lower"])
+    def test_estimate_matches_step_survival(self, sign):
+        from bcp import McConfig, estimate_bcp
+
+        exact = step_survival(1.5, 1.0, 0.5, 1.0)
+        assert exact == pytest.approx(0.7073434, abs=1e-7)
+        est = estimate_bcp(step_band(sign), McConfig(paths=2**18, seed=7))
+        assert abs(est.mean - exact) < 4.0 * est.std_error
+
+    def test_two_sided_node_between_limits_gets_zero(self):
+        band = step_band(1.0, lower_side=[-1.0, -1.0, -1.0])
+        x = np.array([[1.2, 0.0], [0.9, 0.0], [0.0, 0.0]])
+        g, _ = band_kernel(band, x)
+        assert g[0] == 0.0 and 0.0 < g[1] < g[2]
+        terms = _term_counts(band, 1)[0]
+        assert np.array_equal(g, band_kernel_unfused(band, x, terms))
 
 
 class TestBlockedKernel:

@@ -304,21 +304,37 @@ class TestBracketing:
         assert est.mean == 0.5 * upper.mean
 
     def test_straight_side_keeps_bracket_order(self):
-        # The straight side's envelopes differ by an ulp, so rounding in the
-        # series puts some paths' inner g above their outer g; each inner g
-        # is capped at the outer one, and the inner sum stays below.
+        # Two hand-built bands whose lower sides, -0.5 - t, are two ulps
+        # apart: rounding in the series puts some paths' inner g above their
+        # outer g.  Each inner g is capped at the outer one, and the inner
+        # sum stays below.
         p = uniform_partition(1.0, 128)
-        lo = GeneralBoundary(parse_boundary("-0.5-t"), "lower", 1.0)
-        hi = GeneralBoundary.constant(1.0, "upper", 1.0)
-        (lo_in, lo_out), (hi_in, _) = envelopes(lo, p, 50), envelopes(hi, p, 50)
+        v = -0.5 - p.nodes
+        hi = PiecewiseLinearBoundary.from_values(p, "upper", np.ones(129))
+        outer = PiecewiseLinearBand(PiecewiseLinearBoundary.from_values(p, "lower", v), hi)
+        inner = PiecewiseLinearBand(
+            PiecewiseLinearBoundary.from_values(p, "lower", np.nextafter(np.nextafter(v, 0), 0)),
+            hi)
         x = sample_nodes(p, _chunk_stream(3, 0), np.empty((4096, p.n)))
-        g_in, _ = band_kernel(PiecewiseLinearBand(lo_in, hi_in), x)
-        g_out, _ = band_kernel(PiecewiseLinearBand(lo_out, hi_in), x)
+        g_in, _ = band_kernel(inner, x)
+        g_out, _ = band_kernel(outer, x)
         assert np.any(g_in > g_out) and np.max(g_in - g_out) < 1e-12
-        cfg = McConfig(paths=4096, seed=3)
-        est = estimate_bcp_bracketed(lo, hi, p, 50, cfg)
+        est = bcp.mc._estimate(inner, outer, McConfig(paths=4096, seed=3))
         assert est.bracket == (float(np.sum(np.minimum(g_in, g_out))) / 4096,
                                float(np.sum(g_out)) / 4096)
+
+    @pytest.mark.parametrize("upper", ["1", "1+0.5*t"])
+    def test_straight_side_evaluated_once(self, upper, monkeypatch):
+        # A straight side is exact, like a constant one: 8 kernel calls for
+        # 8192 paths at n = 128, where its two envelopes made 16.
+        p = uniform_partition(1.0, 128)
+        calls = self._count_kernel_calls(monkeypatch)
+        est = estimate_bcp_bracketed(
+            GeneralBoundary.constant(-1.0, "lower", 1.0),
+            GeneralBoundary(parse_boundary(upper), "upper", 1.0), p, 50,
+            McConfig(paths=8192, seed=3),
+        )
+        assert calls == [1024] * 8 and est.bracket_width == 0.0
 
     def test_no_side_gives_one(self):
         p = uniform_partition(1.0, 8)

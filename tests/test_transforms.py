@@ -34,6 +34,7 @@ from oracles import (
     LOG_SPACE_FORMS,
     euler_maruyama_survival,
     ou_td_reduction_ode,
+    reducibility_residuals_pointwise,
     simpson_fixed,
 )
 from test_acceptance import CATALOG_GRID
@@ -676,3 +677,39 @@ class TestReducibilityChecker:
                 t_range=(0.0, 1.0),
                 x_range=(-1.0, 1.0),
             )
+
+    @pytest.mark.parametrize(
+        "mu, sigma, t_range, x_range",
+        [
+            (lambda t, x: 0.7 * (0.3 - x), lambda t, x: 0.9, (0.0, 1.0), (-1.0, 1.0)),
+            (lambda t, x: 0.5 * (0.2 - x), lambda t, x: 0.9, (0.0, 1.0), (-1.0, 1.0)),
+            (lambda t, x: x * x, lambda t, x: 1.0, (0.0, 1.0), (-1.0, 1.0)),
+            (lambda t, x: 0.5 * x - 0.5 * x * math.log(x), lambda t, x: x, (0.0, 1.0),
+             (0.5, 3.0)),
+            (lambda t, x: (0.05 + 0.1 * math.exp(-2.0 * t)) * x, lambda t, x: 0.2 * x,
+             (0.0, 1.0), (0.5, 2.0)),
+            (lambda t, x: np.sin(t) * x, lambda t, x: 1.0 + 0.1 * t, (0.0, 2.0), (-1.0, 1.0)),
+        ],
+        ids=["ou", "ou_other", "quadratic", "growth", "gbm_rate", "sin_drift"],
+    )
+    def test_whole_grid_matches_pointwise_loops(self, mu, sigma, t_range, x_range):
+        rep = check_reducibility(mu, sigma, t_range, x_range)
+        worst, worst_scaled = reducibility_residuals_pointwise(mu, sigma, t_range, x_range)
+        assert (rep.max_residual, rep.max_scaled_residual) == (worst, worst_scaled)
+        assert rep.reducible == (worst_scaled < 1e-4)
+
+    def test_array_functions_called_on_whole_grids(self):
+        shapes = []
+
+        def mu(t, x):
+            shapes.append(np.shape(t) + np.shape(x))
+            return 0.7 * (0.3 - x)
+
+        rep = check_reducibility(mu, lambda t, x: 0.9 + 0.0 * x, (0.0, 1.0), (-1.0, 1.0))
+        assert rep.reducible and shapes and set(shapes) == {(9, 9, 9, 9)}
+
+    def test_nan_drift_is_not_reducible(self):
+        # Python's max skipped a NaN residual, which read as reducible.
+        rep = check_reducibility(mu=lambda t, x: math.nan, sigma=lambda t, x: 1.0,
+                                 t_range=(0.0, 1.0), x_range=(-1.0, 1.0))
+        assert math.isnan(rep.max_residual) and not rep.reducible

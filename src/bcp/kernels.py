@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import PiecewiseLinearBand
+from .boundary import PiecewiseLinearBand, check_horizon
 from .errors import InvalidBoundariesError, StartOutsideBandError
 
 #: Per-interval bound on the omitted series tail.
@@ -104,19 +104,15 @@ def _exp(u: np.ndarray) -> np.ndarray:
     return np.exp(u, out=u)
 
 
-def _coefficients(j: int, dt, dprev, dcur) -> tuple:
-    """Operands of term j: -2/dt, -2j/dt, j dprev, j dcur, j dprev dcur, dprev, dcur."""
-    jp = j * dprev
-    return -2.0 / dt, -2.0 * j / dt, jp, j * dcur, jp * dcur, dprev, dcur
-
-
-def _series_term(coef, ap, ac, bp, bc, out, u, v) -> None:
-    """out = t1 - t2 + t3 - t4 for the coefficients of one index j.
+def _series_term(j: int, dt, dprev, dcur, ap, ac, bp, bc, out, u, v) -> None:
+    """out = t1 - t2 + t3 - t4 for index j, with widths dprev, dcur.
 
     u and v are scratch.  The operations and their order are those of the
     unfused formula, so only the clamped exponents can differ.
     """
-    c1, c2, jp, jc, jpc, dprev, dcur = coef
+    c1, c2 = -2.0 / dt, -2.0 * j / dt
+    jp, jc = j * dprev, j * dcur
+    jpc = jp * dcur
     # t1 = exp(c1 (j dprev + ap) (j dcur + ac))
     np.add(jp, ap, out=out)
     np.multiply(c1, out, out=out)
@@ -165,33 +161,33 @@ def _inside(band: PiecewiseLinearBand, x: np.ndarray) -> np.ndarray:
     return ok
 
 
-def _reflection_sum(x, bufs, consts) -> np.ndarray:
+def _reflection_sum(x, bufs, sides, dt) -> np.ndarray:
     """S of a one-sided band, the single reflection off its finite side b."""
     s, u = bufs
-    b_prev, b_cur, c1 = consts
+    b_prev, b_cur = sides
     np.subtract(b_prev, _shift_right(x, s), out=s)
     np.multiply(s, np.subtract(b_cur, x, out=u), out=s)
-    return _exp(np.multiply(s, c1, out=s))
+    return _exp(np.multiply(s, -2.0 / dt, out=s))
 
 
-def _series_sum(x, bufs, consts, terms, dt, dprev, dcur) -> np.ndarray:
+def _series_sum(x, bufs, sides, dt, terms) -> np.ndarray:
     """S of a two-sided band, the series truncated at terms[i] on interval i."""
     s, u, v, ap, ac, bp, bc = bufs
-    a_prev, a_cur, b_prev, b_cur, c1, dp, dc, dd = consts
+    a_prev, a_cur, b_prev, b_cur = sides
+    dprev, dcur = b_prev - a_prev, b_cur - a_cur
     _shift_right(x, bp)
     np.subtract(a_prev, bp, out=ap)
     np.subtract(b_prev, bp, out=bp)
     np.subtract(a_cur, x, out=ac)
     np.subtract(b_cur, x, out=bc)
     # Index j = 1 holds both single reflections (t1 off the upper side, t3
-    # off the lower); later indices only where J needs them.  At j = 1,
-    # -2j/dt = -2/dt, j dprev = dprev and j dcur = dcur exactly.
-    _series_term((c1, c1, dp, dc, dd, dp, dc), ap, ac, bp, bc, s, u, v)
+    # off the lower); later indices only where J needs them.
+    _series_term(1, dt, dprev, dcur, ap, ac, bp, bc, s, u, v)
     for j in range(2, int(terms.max()) + 1):
         c = terms >= j
         sub = [a[:, c] for a in (ap, ac, bp, bc)]
         scratch = [np.empty_like(sub[0]) for _ in range(3)]
-        _series_term(_coefficients(j, dt[c], dprev[c], dcur[c]), *sub, *scratch)
+        _series_term(j, dt[c], dprev[c], dcur[c], *sub, *scratch)
         s[:, c] += scratch[0]
     return s
 
@@ -219,14 +215,11 @@ def band_kernel(
     if lo.is_infinite or hi.is_infinite:
         b = hi if lo.is_infinite else lo
         terms = None
-        consts = (b.right[:-1], b.left[1:], -2.0 / dt)
+        sides = (b.right[:-1], b.left[1:])
     else:
         terms, tails = _term_counts(band, cfg.min_terms)
         tail = float(np.sum(tails))
-        dprev = hi.right[:-1] - lo.right[:-1]
-        dcur = hi.left[1:] - lo.left[1:]
-        consts = (lo.right[:-1], lo.left[1:], hi.right[:-1], hi.left[1:],
-                  -2.0 / dt, dprev, dcur, dprev * dcur)
+        sides = (lo.right[:-1], lo.left[1:], hi.right[:-1], hi.left[1:])
     bufs = np.empty((2 if terms is None else 7, block, n))
     g = np.zeros(rows)
     # Only rows inside the band are evaluated, where every exponent is
@@ -238,11 +231,10 @@ def band_kernel(
             if not ok.all():
                 xb = xb[ok]
             k = xb.shape[0]
-            args = xb, bufs[:, :k], consts
             if terms is None:
-                s = _reflection_sum(*args)
+                s = _reflection_sum(xb, bufs[:, :k], sides, dt)
             else:
-                s = _series_sum(*args, terms, dt, dprev, dcur)
+                s = _series_sum(xb, bufs[:, :k], sides, dt, terms)
             np.subtract(1.0, s, out=s)
             np.clip(s, 0.0, 1.0, out=s)
             g[r0:r0 + block][ok] = np.prod(s, axis=1)
@@ -276,8 +268,7 @@ def normal_cdf(x: float) -> float:
 
 def bcp_linear_one_sided(intercept: float, slope: float, T: float) -> float:
     """P(W_t < intercept + slope*t for all t <= T), intercept > 0."""
-    if not T > 0:
-        raise ValueError(f"horizon must be positive, got {T}")
+    check_horizon(T)
     if not intercept > 0:
         raise StartOutsideBandError("start point must lie strictly below the boundary")
     if math.isinf(slope):

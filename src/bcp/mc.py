@@ -101,46 +101,6 @@ def _worker_lanes(n_chunks: int) -> int:
     return max(1, min(threads, cpus, n_chunks))
 
 
-def _evaluate_bands(bands: list[PiecewiseLinearBand], cfg: McConfig) -> list[tuple[float, float]]:
-    """Accumulate (sum g, sum g^2) per band over all chunks, in chunk order.
-
-    Two bands are (inner, outer): each path's inner g is capped at its
-    outer g.  Envelopes only ulps apart, as for a side that a reduction
-    maps to a line, let rounding in the series put the inner g above the
-    outer one.
-    """
-    p = bands[0].partition
-    n_chunks = -(-cfg.paths // cfg.chunk_size)
-    block = max(1, BLOCK_SIZE // p.n)  # rows: one kernel block per mc block
-
-    def run_chunk(k: int):
-        count = min(cfg.chunk_size, cfg.paths - k * cfg.chunk_size)
-        stream = _chunk_stream(cfg.seed, k)
-        buf = np.empty((min(block, count), p.n))
-        g = np.empty((len(bands), count))
-        for r0 in range(0, count, block):
-            x = sample_nodes(p, stream, buf[:min(block, count - r0)])
-            for b, band in enumerate(bands):
-                gb, _ = band_kernel(band, x)
-                if cfg.antithetic:
-                    g2, _ = band_kernel(band, -x)
-                    gb = 0.5 * (gb + g2)
-                g[b, r0:r0 + block] = gb
-        if len(bands) == 2:
-            np.minimum(g[0], g[1], out=g[0])
-        return [(float(np.sum(gb)), float(np.sum(gb * gb))) for gb in g]
-
-    with ThreadPoolExecutor(max_workers=_worker_lanes(n_chunks)) as pool:
-        results = list(pool.map(run_chunk, range(n_chunks)))
-
-    totals = []
-    for b in range(len(bands)):
-        s1 = math.fsum(stats[b][0] for stats in results)
-        s2 = math.fsum(stats[b][1] for stats in results)
-        totals.append((s1, s2))
-    return totals
-
-
 def _mean_se(s1: float, s2: float, paths: int) -> tuple[float, float]:
     mean = s1 / paths
     if paths > 1:
@@ -158,10 +118,36 @@ def _estimate(
 
     Both bands run on the same node samples; when inner is outer the band
     is evaluated once and the bracket is (mean, mean).  inner=None is an
-    empty band: its mean is 0 and only the outer band is evaluated.
+    empty band: its mean is 0 and only the outer band is evaluated.  Each
+    path's inner g is capped at its outer g: envelopes only ulps apart, as
+    for a side that a reduction maps to a line, let rounding in the series
+    put the inner g above the outer one.  Sums run in chunk order.
     """
     bands = [outer] if inner is None or inner is outer else [inner, outer]
-    totals = _evaluate_bands(bands, cfg)
+    p = outer.partition
+    n_chunks = -(-cfg.paths // cfg.chunk_size)
+    block = max(1, BLOCK_SIZE // p.n)  # rows: one kernel block per mc block
+
+    def run_chunk(k: int):
+        count = min(cfg.chunk_size, cfg.paths - k * cfg.chunk_size)
+        stream = _chunk_stream(cfg.seed, k)
+        buf = np.empty((min(block, count), p.n))
+        g = np.empty((len(bands), count))
+        for r0 in range(0, count, block):
+            x = sample_nodes(p, stream, buf[:min(block, count - r0)])
+            for b, band in enumerate(bands):
+                gb, _ = band_kernel(band, x)
+                if cfg.antithetic:
+                    g2, _ = band_kernel(band, -x)
+                    gb = 0.5 * (gb + g2)
+                g[b, r0:r0 + block] = gb
+        np.minimum(g[0], g[-1], out=g[0])
+        return [(float(np.sum(gb)), float(np.sum(gb * gb))) for gb in g]
+
+    with ThreadPoolExecutor(max_workers=_worker_lanes(n_chunks)) as pool:
+        results = list(pool.map(run_chunk, range(n_chunks)))
+    totals = [[math.fsum(stats[b][i] for stats in results) for i in (0, 1)]
+              for b in range(len(bands))]
     mean_in = 0.0 if inner is None else _mean_se(*totals[0], cfg.paths)[0]
     mean_out, se_out = _mean_se(*totals[-1], cfg.paths)
     return BcpEstimate(

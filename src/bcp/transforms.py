@@ -129,6 +129,12 @@ def _expm1(x: float) -> float:
         return math.inf
 
 
+def _check_time_change(S: float) -> None:
+    """NumericFailureError unless the time change S(T) is finite and positive."""
+    if not (math.isfinite(S) and S > 0):
+        raise NumericFailureError(f"the time change S(T) = {S:g} is not finite and positive")
+
+
 def _log_domain(a: GeneralBoundary | None, b: GeneralBoundary | None,
                 T: float) -> GeneralBoundary | None:
     """Check the log map's domain on _PROBES points of [0, T]; return the lower side to map.
@@ -172,8 +178,7 @@ def _reduced(family: str, spec: DiffusionSpec | None, a: GeneralBoundary | None,
     and finite (ValueError), and then S (NumericFailureError).
     """
     check_horizon(T)
-    if not (math.isfinite(S) and S > 0):
-        raise NumericFailureError(f"the time change S(T) = {S:g} is not finite and positive")
+    _check_time_change(S)
 
     def side(gb, name):
         if gb is None or not gb.finite:
@@ -544,7 +549,7 @@ def _ou_exp(sign: float) -> Callable:
         spec = OUSpec(x0=x0, kappa=kappa, alpha=alpha, sigma=sigma)
         upper = GeneralBoundary(lambda t: alpha + h * np.exp(sign * kappa * t), "upper", T)
         d = 2.0 * kappa * h / sigma**2 if sign > 0 else 0.0
-        S = sigma**2 * math.expm1(2.0 * kappa * T) / (2.0 * kappa)
+        S = sigma**2 * _expm1(2.0 * kappa * T) / (2.0 * kappa)
         return (spec, None, upper, T), (h + alpha - x0, d, S)
 
     return entry
@@ -561,7 +566,7 @@ def _growth_exp(sign: float) -> Callable:
         upper = GeneralBoundary(lambda t: np.exp(h * np.exp(sign * beta * t) - shift),
                                 "upper", T)
         d = 2.0 * beta * h / sigma if sign > 0 else 0.0
-        S = math.expm1(2.0 * beta * T) / (2.0 * beta)
+        S = _expm1(2.0 * beta * T) / (2.0 * beta)
         return (spec, None, upper, T), ((h - math.log(x0) - shift) / sigma, d, S)
 
     return entry
@@ -601,13 +606,15 @@ _CATALOG = {
 
 
 def _catalog_entry(case: str, params: dict) -> tuple[tuple, tuple]:
-    """(problem, line) of a case; TypeError for a missing or unknown parameter."""
+    """(problem, line) of a case; TypeError for a missing or unknown parameter.
+    T and the time change S(T) are checked as in `reduce`."""
     try:
         entry = _CATALOG[case]
     except KeyError:
         raise ValueError(f"unknown catalog case {case!r}; known: {sorted(_CATALOG)}") from None
     problem, line = entry(**params)
     check_horizon(problem[3])
+    _check_time_change(line[2])
     return problem, line
 
 

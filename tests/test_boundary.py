@@ -55,6 +55,11 @@ class TestPartition:
         with pytest.raises(ValueError, match=f"horizon must be {message}"):
             uniform_partition(T, 4)
 
+    @pytest.mark.parametrize("nodes", [[0.0], [[0.0, 1.0]]], ids=["one_node", "two_dims"])
+    def test_needs_two_nodes_in_one_dimension(self, nodes):
+        with pytest.raises(ValueError, match="at least two nodes"):
+            Partition(np.array(nodes))
+
     def test_nodes_must_increase(self):
         with pytest.raises(ValueError):
             Partition(np.array([0.0, 0.5, 0.5, 1.0]))
@@ -84,6 +89,20 @@ class TestPiecewiseLinearBoundary:
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0.0
 
+    @pytest.mark.parametrize(
+        "side, right, left, error, message",
+        [("upper", [1.0, 1.0], [1.0, 1.0], ValueError, "length n\\+1"),
+         ("upper", [1.0, 1.0, 1.0], [1.5, 1.0, 1.0], ValueError, "endpoint nodes"),
+         ("upper", [1.0, 1.0, 1.0], [1.0, 1.0, 0.5], ValueError, "endpoint nodes"),
+         ("middle", [1.0, 1.0, 1.0], [1.0, 1.0, 1.0], ValueError, "side must be"),
+         ("upper", [1.0, math.nan, 1.0], [1.0, 1.0, 1.0], EvaluationError, "NaN")],
+        ids=["short", "jump_at_start", "jump_at_end", "bad_side", "nan"],
+    )
+    def test_constructor_guards(self, side, right, left, error, message):
+        p = uniform_partition(1.0, 2)
+        with pytest.raises(error, match=message):
+            PiecewiseLinearBoundary(p, side, right=right, left=left)
+
     def test_no_mixing_finite_infinite(self):
         p = uniform_partition(1.0, 2)
         with pytest.raises(InvalidBoundariesError):
@@ -95,6 +114,12 @@ class TestPiecewiseLinearBoundary:
         p = uniform_partition(1.0, 2)
         b = PiecewiseLinearBoundary.from_values(p, "upper", [0.0, 1.0, 0.5])
         assert np.allclose(b([0.0, 0.25, 0.5, 0.75, 1.0]), [0.0, 0.5, 1.0, 0.75, 0.5])
+
+    @pytest.mark.parametrize("side, value", [("lower", -math.inf), ("upper", math.inf)])
+    def test_infinite_evaluates_to_its_infinity(self, side, value):
+        b = PiecewiseLinearBoundary.infinite(uniform_partition(1.0, 2), side)
+        t = np.array([[0.0, 0.3], [0.7, 1.0]])
+        assert np.array_equal(b(t), np.full((2, 2), value))
 
 
 class TestEvaluate:
@@ -346,6 +371,14 @@ class TestBandConstruction:
                 PiecewiseLinearBoundary.from_values(p, "lower", [0.0, 0.5, 2.0]),
                 PiecewiseLinearBoundary.from_values(p, "upper", [1.0, 1.0, 1.0]),
             )
+
+    def test_sides_in_order(self):
+        p = uniform_partition(1.0, 2)
+        lower = PiecewiseLinearBoundary.from_values(p, "lower", [-1.0, -1.0, -1.0])
+        upper = PiecewiseLinearBoundary.from_values(p, "upper", [1.0, 1.0, 1.0])
+        for pair in ((upper, lower), (lower, lower), (upper, upper)):
+            with pytest.raises(ValueError, match="in that order"):
+                PiecewiseLinearBand(*pair)
 
     def test_shared_partition_required(self):
         p1 = uniform_partition(1.0, 2)

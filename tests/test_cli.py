@@ -10,6 +10,7 @@ import warnings
 import pytest
 
 import bcp.cli
+from bcp import BcpError
 from bcp.cli import (
     EXIT_BAND,
     EXIT_NUMERIC,
@@ -19,6 +20,7 @@ from bcp.cli import (
     _EXPR_FLAGS,
     _FAMILIES,
     build_parser,
+    emit,
     run,
     run_request,
 )
@@ -108,6 +110,11 @@ class TestJsonOutput:
         assert code == EXIT_USAGE and out == ""
         assert err.startswith("bcp: cannot write output: ")
         assert not target.exists()
+
+    def test_unknown_format(self):
+        report = run_request(build_parser().parse_args(["bm", "--upper", "1", "--T", "1"] + FAST))
+        with pytest.raises(ValueError, match="unknown output format 'xml'"):
+            emit(report, "xml")
 
 
 class TestCsvOutput:
@@ -298,6 +305,36 @@ class TestExitCodes:
             code, _, err = run_capture(argv + ["--T", "1"] + FAST, capsys)
         assert code == EXIT_BAND
         assert "identically 0" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["gbm", "--sigma", "0.1", "--rate", "0.1", "--x0", "10", "--lower", "-1",
+          "--upper", "12"],
+         ["growth", "--alpha", "0.5", "--beta", "0.5", "--sigma", "1", "--x0", "1",
+          "--lower=-0.5", "--upper", "exp(1)"]],
+        ids=["gbm", "growth"],
+    )
+    def test_negative_lower_side(self, argv, capsys):
+        # The log map needs a lower side of at least 0.
+        code, _, err = run_capture(argv + ["--T", "1"] + FAST, capsys)
+        assert code == EXIT_BAND
+        assert "lower boundary cannot be negative" in err
+
+    def test_rate_beyond_chebyshev_piece_limit(self, capsys):
+        argv = ["gbm", "--sigma", "0.1", "--rate", "sin(100000*t)", "--x0", "10",
+                "--upper", "12", "--T", "1", "--paths", "512", "--seed", "1"]
+        code, _, err = run_capture(argv, capsys)
+        assert code == EXIT_NUMERIC
+        assert "the rate needs more than 1024 Chebyshev pieces" in err
+
+    def test_other_domain_error(self, monkeypatch, capsys):
+        def fail(args):
+            raise BcpError("no such thing")
+
+        monkeypatch.setattr(bcp.cli, "run_request", fail)
+        code, _, err = run_capture(["bm", "--upper", "1", "--T", "1"] + FAST, capsys)
+        assert code == EXIT_BAND
+        assert err == "bcp: error: no such thing\n"
 
     def test_bcp_threads_not_an_integer(self, monkeypatch, capsys):
         monkeypatch.setenv("BCP_THREADS", "abc")

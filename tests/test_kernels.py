@@ -78,6 +78,13 @@ class TestOneSided:
         with pytest.raises(ValueError):
             g_one_sided(SYMMETRIC, [0.0, 0.0])
 
+    def test_requires_finite_upper(self):
+        p = uniform_partition(1.0, 1)
+        band = PiecewiseLinearBand(PiecewiseLinearBoundary.infinite(p, "lower"),
+                                   PiecewiseLinearBoundary.infinite(p, "upper"))
+        with pytest.raises(InvalidBoundariesError, match="upper boundary must be finite"):
+            g_one_sided(band, [0.0])
+
     def test_start_outside(self):
         with pytest.raises(StartOutsideBandError):
             band = one_sided_band(-0.5, n=1)
@@ -153,6 +160,17 @@ class TestNoSide:
 
 
 class TestTwoSided:
+    @pytest.mark.parametrize("infinite", ["lower", "upper"])
+    def test_requires_finite_sides(self, infinite):
+        p = uniform_partition(1.0, 1)
+        finite = "upper" if infinite == "lower" else "lower"
+        sides = {infinite: PiecewiseLinearBoundary.infinite(p, infinite),
+                 finite: PiecewiseLinearBoundary.from_values(
+                     p, finite, [1.0, 1.0] if finite == "upper" else [-1.0, -1.0])}
+        band = PiecewiseLinearBand(sides["lower"], sides["upper"])
+        with pytest.raises(InvalidBoundariesError, match="requires finite boundaries"):
+            g_two_sided(band, [0.0])
+
     def test_distant_lower_matches_one_sided(self):
         upper = np.array([1.0, 0.9, 1.1])
         band2 = two_sided_band(np.full(3, -1e6), upper)
@@ -465,6 +483,16 @@ class TestLinearClosedForm:
             direct = normal_cdf((c + d * 0.7) / rt) - math.exp(-2.0 * c * d) * normal_cdf(
                 (d * 0.7 - c) / rt)
             assert bcp_linear_one_sided(c, d, 0.7) == min(1.0, max(0.0, direct))
+
+    @pytest.mark.parametrize(
+        "T, need",
+        [(math.inf, "positive and finite"), (math.nan, "positive"), (0.0, "positive"),
+         (-1.0, "positive")],
+    )
+    def test_horizon_must_be_positive_and_finite(self, T, need):
+        # T = inf once returned 0.0; the true value is 1 - exp(-1).
+        with pytest.raises(ValueError, match=f"horizon must be {need}, got {T}"):
+            bcp_linear_one_sided(1.0, 0.5, T)
 
     def test_start_outside(self):
         with pytest.raises(StartOutsideBandError):

@@ -380,6 +380,11 @@ class TestValidation:
         with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
             McConfig(seed=seed)
 
+    def test_single_path_has_zero_standard_error(self):
+        est = estimate_bcp(upper_band(np.array([1.0, 1.0])), McConfig(paths=1, seed=0))
+        assert est.paths == 1 and est.std_error == 0.0
+        assert 0.0 < est.mean <= 1.0 and est.bracket == (est.mean, est.mean)
+
     def test_bracket_defaults_to_mean(self):
         est = BcpEstimate(mean=0.5, std_error=0.0, paths=1)
         assert est.bracket == (0.5, 0.5)

@@ -643,6 +643,20 @@ class TestCatalogTable:
                 with pytest.raises(TypeError, match=name):
                     fn(case, **{k: v for k, v in params.items() if k != name})
 
+    @pytest.mark.parametrize(
+        "case, params",
+        [("ou_exp_up", dict(kappa=400.0, alpha=0.0, sigma=1.0, x0=0.0, h=1.0, T=1.0)),
+         ("ou_exp_down", dict(kappa=400.0, alpha=0.0, sigma=1.0, x0=0.0, h=1.0, T=1.0)),
+         ("growth_exp_up", dict(alpha=0.5, beta=400.0, sigma=1.0, x0=1.0, h=1.0, T=1.0)),
+         ("growth_exp_down", dict(alpha=0.5, beta=400.0, sigma=1.0, x0=1.0, h=1.0, T=1.0))],
+    )
+    def test_overflowing_time_change(self, case, params):
+        # expm1(800) overflows; it once escaped as OverflowError, where
+        # `reduce` of the same problem raises NumericFailureError.
+        for fn in (closed_form_bcp, catalog_problem):
+            with pytest.raises(NumericFailureError, match=r"S\(T\) = inf is not finite"):
+                fn(case, **params)
+
     def test_gbm_exp_drift_takes_a_rate(self):
         params = dict(sigma=0.4, x0=1.0, p=0.3, q=1.0, T=1.0)
         spec, _, upper, _ = catalog_problem("gbm_exp_drift", **params, rate=0.1)

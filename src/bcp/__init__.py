@@ -5,16 +5,17 @@ The pipeline: reduce a diffusion crossing problem to Brownian motion
 piecewise-linear envelopes (`boundary`), and average the exact
 non-crossing kernel over sampled Brownian node vectors (`kernels`,
 `mc`) to obtain a bracketed probability estimate.
+
+This package exports what the pipeline's callers use; every other name
+is imported from its module, for example `bcp.boundary.Partition`.
 """
 
 __version__ = "0.1.0"
 
 from .boundary import (
     GeneralBoundary,
-    Partition,
     PiecewiseLinearBand,
     PiecewiseLinearBoundary,
-    chord_boundary,
     envelopes,
     uniform_partition,
 )
@@ -27,43 +28,26 @@ from .errors import (
     NumericFailureError,
     StartOutsideBandError,
 )
-from .expr import BoundaryExpr, parse_boundary
-from .kernels import (
-    SeriesConfig,
-    band_kernel,
-    bcp_linear_one_sided,
-    g_one_sided,
-    g_two_sided,
-)
-from .mc import (
-    BcpEstimate,
-    McConfig,
-    estimate_bcp,
-    estimate_bcp_bracketed,
-    sample_nodes,
-)
+from .expr import parse_boundary
+from .kernels import band_kernel, bcp_linear_one_sided, g_one_sided, g_two_sided
+from .mc import BcpEstimate, McConfig, estimate_bcp, estimate_bcp_bracketed
 from .transforms import (
     GBMSpec,
     GrowthSpec,
     OUSpec,
-    ReducedProblem,
-    ReducibilityReport,
     TimeVaryingOUSpec,
     catalog_problem,
     check_reducibility,
     closed_form_bcp,
     reduce,
-    reduce_gbm,
     reduce_growth,
     reduce_ou,
-    reduce_ou_td,
 )
 
 __all__ = [
     "__version__",
     "BcpError",
     "BcpEstimate",
-    "BoundaryExpr",
     "EvaluationError",
     "ExprSyntaxError",
     "GBMSpec",
@@ -74,19 +58,14 @@ __all__ = [
     "McConfig",
     "NumericFailureError",
     "OUSpec",
-    "Partition",
     "PiecewiseLinearBand",
     "PiecewiseLinearBoundary",
-    "ReducedProblem",
-    "ReducibilityReport",
-    "SeriesConfig",
     "StartOutsideBandError",
     "TimeVaryingOUSpec",
     "band_kernel",
     "bcp_linear_one_sided",
     "catalog_problem",
     "check_reducibility",
-    "chord_boundary",
     "closed_form_bcp",
     "envelopes",
     "estimate_bcp",
@@ -95,10 +74,7 @@ __all__ = [
     "g_two_sided",
     "parse_boundary",
     "reduce",
-    "reduce_gbm",
     "reduce_growth",
     "reduce_ou",
-    "reduce_ou_td",
-    "sample_nodes",
     "uniform_partition",
 ]

@@ -11,16 +11,19 @@ widths d0, d1 at the interval's ends, q = d0*d1/dt and a path inside the
 band, every series term of index j >= 2 is at most exp(-2(j-1)^2 q), so
 stopping after index J omits at most 4 exp(-2 J^2 q) / (1 - exp(-4 J q)).
 Each interval uses the smallest J (at least the configured floor) that
-brings this below 2^-64.  Since the factors lie in [0, 1], the summed
-per-interval bounds also bound the truncation error of g.  They do not
+brings this below 2^-64; an interval that would need more than
+MAX_TERMS, or has q = 0, raises NumericFailureError.  Since the factors
+lie in [0, 1], the summed per-interval bounds also bound the truncation
+error of g.  They do not
 cover rounding in the alternating sum, which can be far larger: at x = 0
 on the band (-0.01, 0.01) over one interval of length 10, rounding
 leaves 1.7e-14 against a returned bound of 5.3e-20.  Factors are
 clamped to [0, 1] so the result stays a probability under rounding.
 
 `band_kernel` evaluates only the rows that stay inside the band at every
-node (g = 0 for the others), in blocks of BLOCK_SIZE entries: 1024 rows
-at n = 128, where one float64 buffer is 1 MB.  A block works in reused
+node (g = 0 for the others; a block with none is skipped), in blocks
+of BLOCK_SIZE entries: 1024 rows at n = 128, where one float64 buffer is
+1 MB.  A block works in reused
 buffers, two for a one-sided band and seven for a two-sided one; the
 per-interval constants enter as length-n vectors.  The block is sized for
 two worker threads, not for a cache: on 2 CPUs, two threads each running
@@ -46,10 +49,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundary import PiecewiseLinearBand, check_horizon
-from .errors import InvalidBoundariesError, StartOutsideBandError
+from .errors import InvalidBoundariesError, NumericFailureError, StartOutsideBandError
 
 #: Per-interval bound on the omitted series tail.
 TAIL_BOUND = 2.0**-64
+
+#: Largest series index J; from 2^53 on, J + 1 == J in float64.
+MAX_TERMS = 2.0**53 - 1
 
 #: Entries of the (paths, n) matrix evaluated together: 1024 rows of
 #: 128 nodes make one 1 MB float64 buffer.
@@ -88,13 +94,28 @@ def _tail(q: np.ndarray, terms: np.ndarray) -> np.ndarray:
 
 
 def _term_counts(band: PiecewiseLinearBand, min_terms: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-interval term counts J of a two-sided band and their tail bounds."""
+    """Per-interval term counts J of a two-sided band and their tail bounds.
+
+    The tail bound falls as J grows, so J is found by steps of 1, 2, 4, ...
+    up from a lower estimate, then by bisection back to the smallest J.
+    """
     width = band.upper.right - band.lower.right
     q = width[:-1] * (band.upper.left - band.lower.left)[1:] / band.partition.dt
+    # q = 0 where the widths' product underflows.
+    if not (q.min() > 0.0 and _tail(q, MAX_TERMS).max() < TAIL_BOUND):
+        raise NumericFailureError(
+            f"a two-sided band this narrow needs more than {MAX_TERMS:.0f} series terms")
     # 4 exp(-2 J^2 q) alone must fall below the bound, so this J is never too large.
     terms = np.maximum(min_terms, np.floor(np.sqrt(-math.log(TAIL_BOUND / 4.0) / (2.0 * q))))
+    lo, step = terms - 1.0, 1.0  # J lies in (lo, terms] once the bound holds at terms
     while np.any(short := _tail(q, terms) >= TAIL_BOUND):
-        terms[short] += 1
+        lo[short] = terms[short]
+        terms[short] = np.minimum(terms[short] + step, MAX_TERMS)
+        step *= 2.0
+    while np.any(terms - lo > 1.0):
+        mid = lo + np.ceil((terms - lo) / 2.0)  # terms itself once terms - lo = 1
+        ok = _tail(q, mid) < TAIL_BOUND
+        terms, lo = np.where(ok, mid, terms), np.where(ok, lo, mid)
     return terms.astype(np.int64), _tail(q, terms)
 
 
@@ -231,6 +252,8 @@ def band_kernel(
             if not ok.all():
                 xb = xb[ok]
             k = xb.shape[0]
+            if k == 0:
+                continue
             if terms is None:
                 s = _reflection_sum(xb, bufs[:, :k], sides, dt)
             else:

@@ -548,8 +548,9 @@ def _ou_exp(sign: float) -> Callable:
     def entry(kappa, alpha, sigma, x0, h, T):
         spec = OUSpec(x0=x0, kappa=kappa, alpha=alpha, sigma=sigma)
         upper = GeneralBoundary(lambda t: alpha + h * np.exp(sign * kappa * t), "upper", T)
-        d = 2.0 * kappa * h / sigma**2 if sign > 0 else 0.0
         S = sigma**2 * _expm1(2.0 * kappa * T) / (2.0 * kappa)
+        # sigma^2 underflows to 0 only where S(T) does, which _catalog_entry rejects.
+        d = 2.0 * kappa * h / sigma**2 if sign > 0 and sigma**2 > 0 else 0.0
         return (spec, None, upper, T), (h + alpha - x0, d, S)
 
     return entry

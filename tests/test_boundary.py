@@ -7,16 +7,14 @@ from bcp import (
     EvaluationError,
     GeneralBoundary,
     InvalidBoundariesError,
-    Partition,
     PiecewiseLinearBand,
     PiecewiseLinearBoundary,
     StartOutsideBandError,
-    chord_boundary,
     envelopes,
     parse_boundary,
     uniform_partition,
 )
-from bcp.boundary import evaluate
+from bcp.boundary import Partition, chord_boundary, evaluate
 
 
 DANIELS = "0.5 - t*log(0.25+0.25*sqrt(1+8*exp(-1/t)))"

@@ -169,6 +169,22 @@ class TestExitCodes:
         assert code == EXIT_BAND
         assert "infinite" in err
 
+    @pytest.mark.parametrize("h, expected", [("1e-6", EXIT_OK), ("1e-8", EXIT_OK),
+                                             ("1e-300", EXIT_NUMERIC)])
+    def test_narrow_two_sided_band(self, h, expected, capsys):
+        # +-1e-6 once ran a million series terms over blocks with no path
+        # inside; at +-1e-300 the term count is not a float64 integer.
+        argv = ["bm", f"--lower=-{h}", "--upper", h, "--T", "1", "--n", "4",
+                "--paths", "2000", "--seed", "1"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_capture(argv, capsys)
+        assert code == expected
+        if expected == EXIT_OK:
+            assert json.loads(out)["results"]["mean"] == 0.0
+        else:
+            assert "series terms" in err
+
     def test_upper_inf_literal(self, capsys):
         code, _, _ = run_capture(["bm", "--upper", "inf", "--T", "1"] + FAST, capsys)
         assert code == EXIT_BAND

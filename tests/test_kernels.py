@@ -1,16 +1,18 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bcp.kernels
 from bcp import (
     GeneralBoundary,
     InvalidBoundariesError,
+    NumericFailureError,
     PiecewiseLinearBand,
     PiecewiseLinearBoundary,
-    SeriesConfig,
     StartOutsideBandError,
     band_kernel,
     bcp_linear_one_sided,
@@ -20,7 +22,7 @@ from bcp import (
     parse_boundary,
     uniform_partition,
 )
-from bcp.kernels import TAIL_BOUND, _term_counts, normal_cdf
+from bcp.kernels import TAIL_BOUND, SeriesConfig, _term_counts, normal_cdf
 from bcp.mc import _chunk_stream
 from oracles import (
     band_kernel_unfused,
@@ -262,6 +264,42 @@ class TestTwoSided:
     def test_term_floor_validated(self):
         with pytest.raises(ValueError):
             SeriesConfig(min_terms=0)
+
+
+class TestNarrowBands:
+    """Bands so narrow that J runs into the millions, or past 2^53."""
+
+    @pytest.mark.parametrize("h", [1e-6, 1e-8])
+    def test_smallest_term_count(self, h):
+        # The term count once rose one step per pass: minutes at +-1e-8.
+        band = two_sided_band(np.full(5, -h), np.full(5, h))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            terms, tails = _term_counts(band, 1)
+        q = (2 * h) ** 2 / 0.25
+        assert terms.min() > 10**6
+        assert np.all(tails < TAIL_BOUND)
+        assert np.all(4 * np.exp(-2 * (terms - 1.0) ** 2 * q)
+                      / -np.expm1(-4 * (terms - 1.0) * q) >= TAIL_BOUND)
+
+    def test_block_with_no_row_inside_skipped(self, monkeypatch):
+        # J = 1.3e6 here; a block with no path inside the band runs no term.
+        def refuse(*args):
+            raise AssertionError("series summed over a block with no row inside")
+
+        monkeypatch.setattr(bcp.kernels, "_series_sum", refuse)
+        band = two_sided_band(np.full(5, -1e-6), np.full(5, 1e-6))
+        x = np.cumsum(_chunk_stream(3, 0).standard_normal((2000, 4)) * 0.5, axis=1)
+        g, tail = band_kernel(band, x)
+        assert np.all(g == 0.0) and 0.0 < tail < 4 * TAIL_BOUND
+
+    @pytest.mark.parametrize("h", [1e-150, 1e-300], ids=["past_2_53", "q_zero"])
+    def test_unrepresentable_term_count(self, h):
+        band = two_sided_band(np.full(5, -h), np.full(5, h))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericFailureError, match="more than 9007199254740991 series"):
+                band_kernel(band, np.zeros((3, 4)))
 
 
 DANIELS = "0.5 - t*log(0.25+0.25*sqrt(1+8*exp(-1/t)))"

@@ -11,7 +11,6 @@ from bcp import (
     GeneralBoundary,
     McConfig,
     OUSpec,
-    Partition,
     PiecewiseLinearBand,
     PiecewiseLinearBoundary,
     StartOutsideBandError,
@@ -21,10 +20,10 @@ from bcp import (
     envelopes,
     parse_boundary,
     reduce,
-    sample_nodes,
     uniform_partition,
 )
-from bcp.mc import _chunk_stream, _worker_lanes
+from bcp.boundary import Partition
+from bcp.mc import _chunk_stream, _worker_lanes, sample_nodes
 from oracles import quad_one_sided_n1, reflection_one_sided
 
 
@@ -49,8 +48,6 @@ class TestSampling:
         assert np.max(np.abs(draws.mean(axis=0))) < 0.02
 
     def test_increment_scaling_nonuniform(self):
-        from bcp import Partition
-
         p = Partition(np.array([0.0, 0.1, 1.0]))
         stream = _chunk_stream(7, 0)
         draws = np.array([sample_nodes(p, stream) for _ in range(50_000)])

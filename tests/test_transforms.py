@@ -22,14 +22,12 @@ from bcp import (
     estimate_bcp_bracketed,
     parse_boundary,
     reduce,
-    reduce_gbm,
     reduce_growth,
     reduce_ou,
-    reduce_ou_td,
     uniform_partition,
 )
 from bcp import transforms
-from bcp.transforms import _rate_integral
+from bcp.transforms import _rate_integral, reduce_gbm, reduce_ou_td
 from oracles import (
     CLOSED_FORMS,
     LOG_SPACE_FORMS,
@@ -648,13 +646,16 @@ class TestCatalogTable:
         [("ou_exp_up", dict(kappa=400.0, alpha=0.0, sigma=1.0, x0=0.0, h=1.0, T=1.0)),
          ("ou_exp_down", dict(kappa=400.0, alpha=0.0, sigma=1.0, x0=0.0, h=1.0, T=1.0)),
          ("growth_exp_up", dict(alpha=0.5, beta=400.0, sigma=1.0, x0=1.0, h=1.0, T=1.0)),
-         ("growth_exp_down", dict(alpha=0.5, beta=400.0, sigma=1.0, x0=1.0, h=1.0, T=1.0))],
+         ("growth_exp_down", dict(alpha=0.5, beta=400.0, sigma=1.0, x0=1.0, h=1.0, T=1.0)),
+         ("ou_exp_up", dict(kappa=1.0, alpha=0.0, sigma=1e-200, x0=0.0, h=1.0, T=1.0))],
     )
     def test_overflowing_time_change(self, case, params):
         # expm1(800) overflows; it once escaped as OverflowError, where
-        # `reduce` of the same problem raises NumericFailureError.
+        # `reduce` of the same problem raises NumericFailureError.  sigma^2
+        # = 1e-400 underflows to S(T) = 0; ou_exp_up once divided by it.
+        value = "0" if params["sigma"] ** 2 == 0.0 else "inf"
         for fn in (closed_form_bcp, catalog_problem):
-            with pytest.raises(NumericFailureError, match=r"S\(T\) = inf is not finite"):
+            with pytest.raises(NumericFailureError, match=rf"S\(T\) = {value} is not finite"):
                 fn(case, **params)
 
     def test_gbm_exp_drift_takes_a_rate(self):

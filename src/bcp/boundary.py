@@ -261,6 +261,25 @@ def chord_boundary(gb: GeneralBoundary, p: Partition) -> PiecewiseLinearBoundary
 _EXACT_ULPS = 16
 
 
+def _rounding(us: np.ndarray, u_nodes: np.ndarray, nodes: np.ndarray, reduced: bool):
+    """The shift taken as rounding on each interval between nodes, for a side
+    sampled as us (a row per interval) with node values u_nodes; 0 if reduced."""
+    # On a line a + b*t, rounding scales with |a| + |b*t|, not with |a + b*t|.
+    return 0.0 if reduced else _EXACT_ULPS * np.finfo(float).eps * (
+        np.max(np.abs(us), axis=-1) + np.abs(np.diff(u_nodes)) / np.diff(nodes) * nodes[1:])
+
+
+def is_straight(side: PiecewiseLinearBoundary, reduced: bool) -> bool:
+    """Whether side is absent, or continuous with every node value on its
+    chord over [0, T] up to `envelopes`' rounding for that one interval."""
+    if side.is_infinite:
+        return True
+    v, w = side.right, side.partition.nodes / side.partition.T
+    gap = np.max(np.abs((1 - w) * v[0] + w * v[-1] - v))
+    return bool(np.array_equal(v, side.left)
+                and gap <= _rounding(v, v[[0, -1]], w[[0, -1]], reduced))
+
+
 def envelopes(
     gb: GeneralBoundary, p: Partition, m: int = 50
 ) -> tuple[PiecewiseLinearBoundary, PiecewiseLinearBoundary]:
@@ -297,10 +316,7 @@ def envelopes(
     pad = np.max(np.abs(np.diff(us, n=2, axis=1)), axis=1) / 8.0 if m > 2 else 0.0
     shift_in = np.maximum(0.0, np.max(chord - us, axis=1)) + pad  # chord above boundary
     shift_out = np.maximum(0.0, np.max(us - chord, axis=1)) + pad  # boundary above chord
-    # On a line a + b*t, rounding scales with |a| + |b*t|, not with |a + b*t|.
-    tol = 0.0 if gb.reduced else _EXACT_ULPS * np.finfo(float).eps * (
-        np.max(np.abs(us), axis=1) + np.abs(np.diff(u_nodes)) / np.diff(p.nodes) * p.nodes[1:])
-    if np.all(np.maximum(shift_in, shift_out) <= tol):
+    if np.all(np.maximum(shift_in, shift_out) <= _rounding(us, u_nodes, p.nodes, gb.reduced)):
         exact = PiecewiseLinearBoundary.from_values(p, gb.side, sign * u_nodes)
         return exact, exact
 

@@ -26,9 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import GeneralBoundary, Partition, PiecewiseLinearBand, envelopes
+from .boundary import (GeneralBoundary, Partition, PiecewiseLinearBand,
+                       PiecewiseLinearBoundary, envelopes, is_straight)
 from .errors import InvalidBoundariesError
-from .kernels import BLOCK_SIZE, band_kernel
+from .kernels import BLOCK_SIZE, _term_counts, band_kernel
 
 
 @dataclass(frozen=True)
@@ -167,6 +168,20 @@ def estimate_bcp(band: PiecewiseLinearBand, cfg: McConfig) -> BcpEstimate:
     return _estimate(band, band, cfg)
 
 
+def _coarsest(band: PiecewiseLinearBand) -> PiecewiseLinearBand:
+    """band on every k-th node, for the largest k dividing n whose intervals
+    need no more series terms than band's largest J; one-sided, k = n."""
+    p, sides = band.partition, (band.lower, band.upper)
+    most = 0 if any(s.is_infinite for s in sides) else _term_counts(band, 1)[0].max()
+    for k in filter(lambda k: p.n % k == 0, range(p.n, 1, -1)):
+        q = Partition(p.nodes[::k])
+        coarse = PiecewiseLinearBand(
+            *(PiecewiseLinearBoundary.from_values(q, s.side, s.right[::k]) for s in sides))
+        if not most or _term_counts(coarse, 1)[0].max() <= most:
+            return coarse
+    return band
+
+
 def estimate_bcp_bracketed(
     gb_lower: GeneralBoundary | None,
     gb_upper: GeneralBoundary | None,
@@ -181,11 +196,19 @@ def estimate_bcp_bracketed(
     point estimate; the standard error is the outer band's.  Exact sides
     give one band, evaluated once.  An inner band that excludes the start
     or closes has probability 0, and 0 is then the lower end.
+
+    p is the finest partition.  A band of straight sides (`is_straight`)
+    runs on the coarsest sub-partition of p that needs no more series
+    terms (`_coarsest`): the bracket stays (mean, mean), and the variance
+    cannot rise.  Narrow bands such as (-0.1, 0.1) at n = 4 keep p.
     """
-    lo_in, lo_out = envelopes(gb_lower or GeneralBoundary.infinite("lower", p.T), p, m)
-    hi_in, hi_out = envelopes(gb_upper or GeneralBoundary.infinite("upper", p.T), p, m)
+    gbs = (gb_lower or GeneralBoundary.infinite("lower", p.T),
+           gb_upper or GeneralBoundary.infinite("upper", p.T))
+    (lo_in, lo_out), (hi_in, hi_out) = (envelopes(gb, p, m) for gb in gbs)
     outer = PiecewiseLinearBand(lo_out, hi_out)
     if lo_in is lo_out and hi_in is hi_out:
+        if all(is_straight(s, gb.reduced) for s, gb in zip((lo_out, hi_out), gbs)):
+            outer = _coarsest(outer)
         return _estimate(outer, outer, cfg)
     try:
         inner = PiecewiseLinearBand(lo_in, hi_in)

@@ -14,7 +14,7 @@ from bcp import (
     parse_boundary,
     uniform_partition,
 )
-from bcp.boundary import Partition, chord_boundary, evaluate
+from bcp.boundary import Partition, chord_boundary, evaluate, is_straight
 
 
 DANIELS = "0.5 - t*log(0.25+0.25*sqrt(1+8*exp(-1/t)))"
@@ -359,6 +359,48 @@ class TestEnvelopes:
         b = chord_boundary(gb, uniform_partition(1.0, 8))
         ts = np.linspace(0.0, 1.0, 257)
         assert np.allclose(b(ts), 2.0 - 3.0 * ts, atol=1e-14)
+
+
+class TestIsStraight:
+    @pytest.mark.parametrize("text", ["1", "1+0.5*t", "-0.5-t", "2-3*t", "1e6+1e3*t"])
+    @pytest.mark.parametrize("side", ["upper", "lower"])
+    @pytest.mark.parametrize("n", [16, 128])
+    def test_exact_straight_side(self, text, side, n):
+        gb = GeneralBoundary(parse_boundary(text), side, 1.0)
+        exact, _ = envelopes(gb, uniform_partition(1.0, n), 50)
+        assert is_straight(exact, reduced=False)
+
+    def test_absent_side(self):
+        p = uniform_partition(1.0, 4)
+        assert is_straight(PiecewiseLinearBoundary.infinite(p, "lower"), reduced=True)
+
+    def test_kink_at_node(self):
+        # Exact on every interval, but two lines over [0, 1].
+        p = uniform_partition(1.0, 16)
+        gb = GeneralBoundary(parse_boundary("1+0.5*abs(t-0.5)"), "upper", 1.0)
+        inner, outer = envelopes(gb, p)
+        assert inner is outer and not is_straight(outer, reduced=False)
+
+    def test_jump(self):
+        p = uniform_partition(1.0, 2)
+        side = PiecewiseLinearBoundary(p, "upper", [1.0, 1.0, 1.0], [1.0, 2.0, 1.0])
+        assert not is_straight(side, reduced=False)
+
+    def test_reduced_side_off_chord_by_ulps(self):
+        # Within rounding as written; a reduced side must lie on its chord exactly.
+        p = uniform_partition(1.0, 8)
+        v = 1.0 + 0.5 * p.nodes
+        v[3] = np.nextafter(v[3], 2.0)
+        side = PiecewiseLinearBoundary.from_values(p, "upper", v)
+        assert is_straight(side, reduced=False) and not is_straight(side, reduced=True)
+        line = PiecewiseLinearBoundary.from_values(p, "upper", 1.0 + 0.5 * p.nodes)
+        assert is_straight(line, reduced=True)
+
+    def test_off_chord_beyond_rounding(self):
+        p = uniform_partition(1.0, 8)
+        v = 1.0 + 0.5 * p.nodes
+        v[3] += 1e-12
+        assert not is_straight(PiecewiseLinearBoundary.from_values(p, "upper", v), reduced=False)
 
 
 class TestBandConstruction:

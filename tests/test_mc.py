@@ -23,6 +23,7 @@ from bcp import (
     uniform_partition,
 )
 from bcp.boundary import Partition
+from bcp.cli import build_parser, run_request
 from bcp.mc import _chunk_stream, _worker_lanes, sample_nodes
 from oracles import quad_one_sided_n1, reflection_one_sided
 
@@ -266,21 +267,22 @@ class TestBracketing:
         return calls
 
     def test_exact_band_evaluated_once(self, monkeypatch):
-        # Two chunks of 4096 rows, each four blocks of 1024 rows at n = 128:
-        # one kernel call per block, not one per block and envelope.
-        p = uniform_partition(1.0, 128)
+        # (-1, 1) requested at n = 128 runs on 8 intervals: two chunks of
+        # 4096 rows, each one block, so one kernel call per chunk, not one
+        # per chunk and envelope.
+        p = uniform_partition(1.0, 8)
         cfg = McConfig(paths=8192, seed=1)
         band = PiecewiseLinearBand(
-            PiecewiseLinearBoundary.from_values(p, "lower", np.full(129, -1.0)),
-            PiecewiseLinearBoundary.from_values(p, "upper", np.full(129, 1.0)),
+            PiecewiseLinearBoundary.from_values(p, "lower", np.full(9, -1.0)),
+            PiecewiseLinearBoundary.from_values(p, "upper", np.full(9, 1.0)),
         )
         plain = estimate_bcp(band, cfg)
         calls = self._count_kernel_calls(monkeypatch)
         est = estimate_bcp_bracketed(
             GeneralBoundary.constant(-1.0, "lower", 1.0),
-            GeneralBoundary.constant(1.0, "upper", 1.0), p, 50, cfg,
+            GeneralBoundary.constant(1.0, "upper", 1.0), uniform_partition(1.0, 128), 50, cfg,
         )
-        assert calls == [1024] * 8
+        assert calls == [4096] * 2
         assert est == plain and est.bracket == (plain.mean, plain.mean)
 
     def test_empty_inner_band_gives_zero_lower_end(self, monkeypatch):
@@ -322,8 +324,9 @@ class TestBracketing:
 
     @pytest.mark.parametrize("upper", ["1", "1+0.5*t"])
     def test_straight_side_evaluated_once(self, upper, monkeypatch):
-        # A straight side is exact, like a constant one: 8 kernel calls for
-        # 8192 paths at n = 128, where its two envelopes made 16.
+        # A straight side is exact, like a constant one, and the straight
+        # band runs on 8 intervals: 2 kernel calls for 8192 paths requested
+        # at n = 128, where its two envelopes on 128 intervals made 16.
         p = uniform_partition(1.0, 128)
         calls = self._count_kernel_calls(monkeypatch)
         est = estimate_bcp_bracketed(
@@ -331,7 +334,7 @@ class TestBracketing:
             GeneralBoundary(parse_boundary(upper), "upper", 1.0), p, 50,
             McConfig(paths=8192, seed=3),
         )
-        assert calls == [1024] * 8 and est.bracket_width == 0.0
+        assert calls == [4096] * 2 and est.bracket_width == 0.0
 
     def test_no_side_gives_one(self):
         p = uniform_partition(1.0, 8)
@@ -345,6 +348,91 @@ class TestBracketing:
         est = estimate_bcp_bracketed(lo, hi, p, m=30, cfg=McConfig(paths=40_000, seed=6))
         assert 0.0 < est.mean < 1.0
         assert est.bracket[0] <= est.bracket[1]
+
+
+class TestStraightBands:
+    """A band whose sides are absent or straight over [0, T] runs on the
+    coarsest sub-partition whose intervals need no more series terms."""
+
+    @staticmethod
+    def _run(argv, monkeypatch):
+        """The CLI results of argv at T = 1, and the n of each band passed to _estimate."""
+        ns = []
+
+        def spied(inner, outer, cfg):
+            ns.append(outer.partition.n)
+            return estimate(inner, outer, cfg)
+
+        estimate = bcp.mc._estimate
+        monkeypatch.setattr(bcp.mc, "_estimate", spied)
+        args = build_parser().parse_args(argv + ["--T", "1"])
+        return run_request(args).results, ns
+
+    @pytest.mark.parametrize("argv, n", [
+        (["bm", "--lower=-1", "--upper", "1", "--n", "128"], 8),
+        (["bm", "--lower=-1", "--upper", "1", "--n", "16"], 8),
+        (["bm", "--upper", "1"], 1),
+        (["bm", "--upper", "1+0.5*t"], 1),
+        (["bm", "--lower=-1", "--upper", "1+0.5*abs(t-0.5)", "--n", "16"], 16),
+        (["ou-td", "--kappa-fn", "0.5", "--alpha-fn", "0", "--sigma-fn", "1", "--x0", "0",
+          "--upper", "exp(0.5*t)", "--n", "16"], 16),
+    ], ids=["pm1_n128", "pm1_n16", "upper1", "upper_sloped", "kink_at_node", "ou_td_const"])
+    def test_partition_run(self, argv, n, monkeypatch):
+        # A side with a kink at a node is exact but not one line, and the
+        # reduced ou_td_const side is straight only to within ulps.
+        _, ns = self._run(argv + ["--paths", "4096", "--seed", "3"], monkeypatch)
+        assert ns == [n]
+
+    def test_kinked_side_keeps_value(self, monkeypatch):
+        argv = ["bm", "--lower=-1", "--upper", "1+0.5*abs(t-0.5)", "--n", "16",
+                "--paths", "4096", "--seed", "3"]
+        r, _ = self._run(argv, monkeypatch)
+        assert (r["mean"], r["std_error"], r["lower"], r["upper"]) == (
+            0.43010436192954415, 0.007240004642360409, 0.43010436192954415,
+            0.43010436192954415)
+
+    @pytest.mark.parametrize("bound, mean, se", [
+        ("1e-4", 0.0, 0.0), ("0.1", 2.8495944756285945e-54, 2.1940039826216618e-54)])
+    def test_narrow_band_keeps_partition(self, bound, mean, se, monkeypatch):
+        # On longer intervals these bands need more series terms: at n = 1,
+        # +-1e-4 needs about 2e4 per interval, and +-0.1 loses its 3e-54 to
+        # rounding in the alternating sum.
+        argv = ["bm", f"--lower=-{bound}", "--upper", bound, "--n", "4",
+                "--paths", "8192", "--seed", "1"]
+        r, ns = self._run(argv, monkeypatch)
+        assert ns == [4] and (r["mean"], r["std_error"]) == (mean, se)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("antithetic", [False, True])
+    def test_equals_plain_estimate_on_coarse_band(self, threads, antithetic, monkeypatch):
+        monkeypatch.setenv("BCP_THREADS", threads)
+        cfg = McConfig(paths=16384, seed=5, antithetic=antithetic)
+        p = uniform_partition(1.0, 8)
+        coarse = PiecewiseLinearBand(
+            PiecewiseLinearBoundary.from_values(p, "lower", np.full(9, -1.0)),
+            PiecewiseLinearBoundary.from_values(p, "upper", 1.0 + 0.5 * p.nodes),
+        )
+        est = estimate_bcp_bracketed(
+            GeneralBoundary.constant(-1.0, "lower", 1.0),
+            GeneralBoundary(parse_boundary("1+0.5*t"), "upper", 1.0),
+            uniform_partition(1.0, 128), 50, cfg,
+        )
+        assert est == estimate_bcp(coarse, cfg)
+
+    def test_standard_error_falls(self):
+        # The kernel on merged intervals is the conditional expectation of
+        # the product of theirs, so the variance cannot rise.
+        cfg = McConfig(paths=16384, seed=1)
+        p = uniform_partition(1.0, 128)
+        fine = PiecewiseLinearBand(
+            PiecewiseLinearBoundary.from_values(p, "lower", np.full(129, -1.0)),
+            PiecewiseLinearBoundary.from_values(p, "upper", np.full(129, 1.0)),
+        )
+        est = estimate_bcp_bracketed(
+            GeneralBoundary.constant(-1.0, "lower", 1.0),
+            GeneralBoundary.constant(1.0, "upper", 1.0), p, 50, cfg,
+        )
+        assert est.std_error < estimate_bcp(fine, cfg).std_error
 
 
 class TestValidation:

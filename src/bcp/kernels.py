@@ -39,6 +39,11 @@ by at most exp(-700) ~ 1e-304.  A sum of magnitude above ~1e-288 absorbs
 such a change in its rounding, and 1 - S rounds to 1 for every smaller
 S, so no factor 1 - S can change.  The values are bit-identical to the
 unblocked, unclamped whole-array expressions.
+
+On a band wider than about 1e154 the widths' product overflows: q is inf,
+one term, and an exponent such as c2 (j dprev dcur + dprev ac - dcur ap)
+is inf - inf = NaN.  Its limit is -inf, so the clamp takes a NaN exponent
+to EXP_FLOOR as well (np.fmax), and the band's g is 1 on every path inside.
 """
 
 from __future__ import annotations
@@ -93,16 +98,23 @@ def _tail(q: np.ndarray, terms: np.ndarray) -> np.ndarray:
     return 4.0 * np.exp(-2.0 * terms**2 * q) / -np.expm1(-4.0 * terms * q)
 
 
+def _q(band: PiecewiseLinearBand) -> np.ndarray:
+    """q = d0*d1/dt of each interval of a two-sided band: 0 where the widths'
+    product underflows, inf where it overflows.  Callers ignore overflow."""
+    width = band.upper.right - band.lower.right
+    return width[:-1] * (band.upper.left - band.lower.left)[1:] / band.partition.dt
+
+
 def _term_counts(band: PiecewiseLinearBand, min_terms: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-interval term counts J of a two-sided band and their tail bounds.
 
     The tail bound falls as J grows, so J is found by steps of 1, 2, 4, ...
-    up from a lower estimate, then by bisection back to the smallest J.
+    up from a lower estimate, then by bisection back to the smallest J.  It
+    also falls as q grows, so the cap is checked at the smallest q alone, in
+    Python floats, where an overflow is inf and warns nothing.
     """
-    width = band.upper.right - band.lower.right
-    q = width[:-1] * (band.upper.left - band.lower.left)[1:] / band.partition.dt
-    # q = 0 where the widths' product underflows.
-    if not (q.min() > 0.0 and _tail(q, MAX_TERMS).max() < TAIL_BOUND):
+    q = _q(band)
+    if not ((q_min := float(q.min())) > 0.0 and _tail(q_min, MAX_TERMS) < TAIL_BOUND):
         raise NumericFailureError(
             f"a two-sided band this narrow needs more than {MAX_TERMS:.0f} series terms")
     # 4 exp(-2 J^2 q) alone must fall below the bound, so this J is never too large.
@@ -120,8 +132,8 @@ def _term_counts(band: PiecewiseLinearBand, min_terms: int) -> tuple[np.ndarray,
 
 
 def _exp(u: np.ndarray) -> np.ndarray:
-    """exp in place, with the argument clamped below at EXP_FLOOR."""
-    np.maximum(u, EXP_FLOOR, out=u)
+    """exp in place, with the argument clamped below at EXP_FLOOR; NaN too."""
+    np.fmax(u, EXP_FLOOR, out=u)
     return np.exp(u, out=u)
 
 
@@ -233,19 +245,19 @@ def band_kernel(
         return (g[0] if single else g), tail
     block = max(1, min(rows, BLOCK_SIZE // n))
     dt = band.partition.dt
-    if lo.is_infinite or hi.is_infinite:
-        b = hi if lo.is_infinite else lo
-        terms = None
-        sides = (b.right[:-1], b.left[1:])
-    else:
-        terms, tails = _term_counts(band, cfg.min_terms)
-        tail = float(np.sum(tails))
-        sides = (lo.right[:-1], lo.left[1:], hi.right[:-1], hi.left[1:])
-    bufs = np.empty((2 if terms is None else 7, block, n))
-    g = np.zeros(rows)
     # Only rows inside the band are evaluated, where every exponent is
-    # non-positive; the others keep g = 0.
-    with np.errstate(over="ignore", under="ignore"):
+    # non-positive or NaN (see the module docstring); the others keep g = 0.
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        if lo.is_infinite or hi.is_infinite:
+            b = hi if lo.is_infinite else lo
+            terms = None
+            sides = (b.right[:-1], b.left[1:])
+        else:
+            terms, tails = _term_counts(band, cfg.min_terms)
+            tail = float(np.sum(tails))
+            sides = (lo.right[:-1], lo.left[1:], hi.right[:-1], hi.left[1:])
+        bufs = np.empty((2 if terms is None else 7, block, n))
+        g = np.zeros(rows)
         for r0 in range(0, rows, block):
             xb = x[r0:r0 + block]
             ok = _inside(band, xb)
@@ -290,8 +302,12 @@ def normal_cdf(x: float) -> float:
 
 
 def bcp_linear_one_sided(intercept: float, slope: float, T: float) -> float:
-    """P(W_t < intercept + slope*t for all t <= T), intercept > 0."""
+    """P(W_t < intercept + slope*t for all t <= T), intercept > 0.  A NaN
+    intercept or slope raises ValueError naming it; +-inf is a limit."""
     check_horizon(T)
+    for name, v in (("intercept", intercept), ("slope", slope)):
+        if math.isnan(v):
+            raise ValueError(f"{name} must not be NaN")
     if not intercept > 0:
         raise StartOutsideBandError("start point must lie strictly below the boundary")
     if math.isinf(slope):

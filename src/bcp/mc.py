@@ -29,7 +29,7 @@ import numpy as np
 from .boundary import (GeneralBoundary, Partition, PiecewiseLinearBand,
                        PiecewiseLinearBoundary, envelopes, is_straight)
 from .errors import InvalidBoundariesError
-from .kernels import BLOCK_SIZE, _term_counts, band_kernel
+from .kernels import BLOCK_SIZE, TAIL_BOUND, _q, _tail, _term_counts, band_kernel
 
 
 @dataclass(frozen=True)
@@ -170,15 +170,17 @@ def estimate_bcp(band: PiecewiseLinearBand, cfg: McConfig) -> BcpEstimate:
 
 def _coarsest(band: PiecewiseLinearBand) -> PiecewiseLinearBand:
     """band on every k-th node, for the largest k dividing n whose intervals
-    need no more series terms than band's largest J; one-sided, k = n."""
+    need no more series terms than band's largest J: whose series tails at
+    that J are below TAIL_BOUND.  One-sided, k = n."""
     p, sides = band.partition, (band.lower, band.upper)
-    most = 0 if any(s.is_infinite for s in sides) else _term_counts(band, 1)[0].max()
-    for k in filter(lambda k: p.n % k == 0, range(p.n, 1, -1)):
-        q = Partition(p.nodes[::k])
-        coarse = PiecewiseLinearBand(
-            *(PiecewiseLinearBoundary.from_values(q, s.side, s.right[::k]) for s in sides))
-        if not most or _term_counts(coarse, 1)[0].max() <= most:
-            return coarse
+    with np.errstate(over="ignore"):
+        most = 0 if any(s.is_infinite for s in sides) else float(_term_counts(band, 1)[0].max())
+        for k in filter(lambda k: p.n % k == 0, range(p.n, 1, -1)):
+            q = Partition(p.nodes[::k])
+            coarse = PiecewiseLinearBand(
+                *(PiecewiseLinearBoundary.from_values(q, s.side, s.right[::k]) for s in sides))
+            if not most or _tail(_q(coarse), most).max() < TAIL_BOUND:
+                return coarse
     return band
 
 

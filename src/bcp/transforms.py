@@ -135,31 +135,36 @@ def _check_time_change(S: float) -> None:
         raise NumericFailureError(f"the time change S(T) = {S:g} is not finite and positive")
 
 
-def _log_domain(a: GeneralBoundary | None, b: GeneralBoundary | None,
-                T: float) -> GeneralBoundary | None:
-    """Check the log map's domain on _PROBES points of [0, T]; return the lower side to map.
+def _log_sides(a: GeneralBoundary | None, b: GeneralBoundary | None, T: float, x0: float,
+               scale: float = 1.0) -> tuple[GeneralBoundary | None, GeneralBoundary | None]:
+    """The sides log(v/x0)/scale of growth and gbm, None for an absent one.
 
-    The upper side must be positive and the lower one not negative.  A
-    lower side that is 0 at every probe maps to -inf and leaves the band
-    one-sided, so None is returned.  One that is 0 at some probes but not
-    all would map to -inf at isolated times, which no envelope can follow.
+    On _PROBES points of [0, T] the upper side must be positive and the lower
+    one not negative.  A lower side that is 0 at every probe maps to -inf and
+    comes back None; one that is 0 at only some would map to -inf at isolated
+    times, which no envelope can follow.
     """
     ts = uniform_partition(T, _PROBES - 1).nodes  # ValueError for T <= 0
     if b is not None and b.finite and np.any(b(ts) <= 0):
         raise InvalidBoundariesError("upper boundary must be positive")
-    if a is None or not a.finite:
-        return None
-    av = a(ts)
-    if np.any(av < 0):
-        raise InvalidBoundariesError("lower boundary cannot be negative")
-    zero = av == 0.0
-    if zero.all():
-        return None
-    if zero.any():
-        raise InvalidBoundariesError(
-            "lower boundary must be identically 0 or positive on [0, T]"
-        )
-    return a
+    if a is not None and a.finite:
+        av = a(ts)
+        if np.any(av < 0):
+            raise InvalidBoundariesError("lower boundary cannot be negative")
+        zero = av == 0.0
+        if zero.any() and not zero.all():
+            raise InvalidBoundariesError(
+                "lower boundary must be identically 0 or positive on [0, T]")
+        a = None if zero.all() else a
+
+    def log_side(gb):
+        def y(t):  # between probes, v <= 0 maps to -inf
+            with np.errstate(divide="ignore"):
+                return np.log(np.maximum(gb(t), 0.0) / x0) / scale
+
+        return GeneralBoundary(y, gb.side, T) if gb is not None and gb.finite else None
+
+    return log_side(a), log_side(b)
 
 
 def _identity(s):
@@ -351,11 +356,9 @@ def _rate_integral(rate: Callable[[float], float] | float, T: float) -> Callable
 # Family reductions
 
 
-def reduce_ou(
-    spec: OUSpec, a: GeneralBoundary | None, b: GeneralBoundary | None, T: float
-) -> ReducedProblem:
-    """Constant-coefficient mean-reverting reduction (closed forms)."""
-    k, al, s2, x0 = spec.kappa, spec.alpha, spec.sigma**2, spec.x0
+def _ou_reduced(family: str, spec: DiffusionSpec, k: float, al: float, s2: float, x0: float,
+                a: GeneralBoundary | None, b: GeneralBoundary | None, T: float) -> ReducedProblem:
+    """The closed-form reduction of dX = k*(al - X) dt + sqrt(s2) dW from x0, as `family`."""
     S = s2 * _expm1(2.0 * k * T) / (2.0 * k)
 
     def t_of_s(s):
@@ -364,7 +367,13 @@ def reduce_ou(
     def space(s, gb):
         return al - x0 + (gb(t_of_s(s)) - al) * np.sqrt(1.0 + 2.0 * k * s / s2)
 
-    return _reduced("ou", spec, a, b, T, S, t_of_s, space)
+    return _reduced(family, spec, a, b, T, S, t_of_s, space)
+
+
+def reduce_ou(spec: OUSpec, a: GeneralBoundary | None, b: GeneralBoundary | None,
+              T: float) -> ReducedProblem:
+    """Constant-coefficient mean-reverting reduction (closed forms)."""
+    return _ou_reduced("ou", spec, spec.kappa, spec.alpha, spec.sigma**2, spec.x0, a, b, T)
 
 
 def reduce_ou_td(
@@ -465,43 +474,32 @@ def reduce_ou_td(
     return _reduced("ou_td", spec, a, b, T, S, t_of_s, space)
 
 
-def reduce_growth(
-    spec: GrowthSpec, a: GeneralBoundary | None, b: GeneralBoundary | None, T: float
-) -> ReducedProblem:
-    """Gompertz-growth reduction; a zero lower boundary maps to -inf."""
-    a = _log_domain(a, b, T)
-    al, be, sg, x0 = spec.alpha, spec.beta, spec.sigma, spec.x0
-    shift = (sg * sg - 2.0 * al) / (2.0 * be)
-    base = (math.log(x0) + shift) / sg
-    S = _expm1(2.0 * be * T) / (2.0 * be)
-
-    def t_of_s(s):
-        return np.log1p(2.0 * be * s) / (2.0 * be)
-
-    def space(s, gb):
-        v = gb(t_of_s(s))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            u = np.sqrt(1.0 + 2.0 * be * s) * (np.log(v) + shift) / sg - base
-        return np.where(v <= 0.0, -math.inf, u)
-
-    return _reduced("growth", spec, a, b, T, S, t_of_s, space)
+def _growth_ou(spec: GrowthSpec) -> tuple:
+    """(kappa, alpha, sigma, x0) of the mean-reverting process log(X/x0)/sigma of
+    growth: kappa = beta, alpha = ((alpha - sigma^2/2)/beta - log x0)/sigma,
+    sigma = sigma^2 = 1 and x0 = 0."""
+    al, be, sg = spec.alpha, spec.beta, spec.sigma
+    return be, ((al - 0.5 * sg**2) / be - math.log(spec.x0)) / sg, 1.0, 0.0
 
 
-def reduce_gbm(
-    spec: GBMSpec, a: GeneralBoundary | None, b: GeneralBoundary | None, T: float
-) -> ReducedProblem:
-    """Geometric-BM reduction; identity time change; a zero lower boundary maps to -inf."""
-    a = _log_domain(a, b, T)
-    sg, x0 = spec.sigma, spec.x0
-    big_r = _rate_integral(spec.rate, T)
+def reduce_growth(spec: GrowthSpec, a: GeneralBoundary | None, b: GeneralBoundary | None,
+                  T: float) -> ReducedProblem:
+    """Gompertz growth: the closed-form mean-reverting reduction (`reduce_ou`) of
+    log(X/x0)/sigma (`_growth_ou`), on the sides log(v/x0)/sigma.  The horizon is
+    expm1(2 beta T)/(2 beta); a zero lower boundary maps to -inf."""
+    a, b = _log_sides(a, b, T, spec.x0, spec.sigma)
+    return _ou_reduced("growth", spec, *_growth_ou(spec), a, b, T)
 
-    def space(t, gb):
-        v = gb(t)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            u = (np.log(v / x0) + 0.5 * sg * sg * t - big_r(t)) / sg
-        return np.where(v <= 0.0, -math.inf, u)
 
-    return _reduced("gbm", spec, a, b, T, T, _identity, space)
+def reduce_gbm(spec: GBMSpec, a: GeneralBoundary | None, b: GeneralBoundary | None,
+               T: float) -> ReducedProblem:
+    """Geometric BM: with y = log(X/x0) and R the integrated rate,
+    (y + sigma^2 t/2 - R(t))/sigma is Brownian motion on the identity time map.
+    The sides are log(v/x0); a zero lower boundary maps to -inf."""
+    a, b = _log_sides(a, b, T, spec.x0)
+    big_r, sg = _rate_integral(spec.rate, T), spec.sigma
+    return _reduced("gbm", spec, a, b, T, T, _identity,
+                    lambda t, y: (y(t) + 0.5 * sg * sg * t - big_r(t)) / sg)
 
 
 def reduce(
@@ -557,18 +555,15 @@ def _ou_exp(sign: float) -> Callable:
 
 
 def _growth_exp(sign: float) -> Callable:
-    """exp(h*exp(sign*beta*t) - shift) with shift = (sigma^2 - 2*alpha)/(2*beta).
-    As exp(beta*t) = sqrt(1 + 2*beta*s), it reduces to
-    (h - log x0 - shift)/sigma, plus 2*beta*h*s/sigma for sign > 0."""
+    """exp(h*exp(sign*beta*t) - shift) with shift = (sigma^2 - 2*alpha)/(2*beta): its
+    log map is the `_ou_exp` barrier at h/sigma of log(X/x0)/sigma (`_growth_ou`)."""
 
     def entry(alpha, beta, sigma, x0, h, T):
         spec = GrowthSpec(x0=x0, alpha=alpha, beta=beta, sigma=sigma)
         shift = (sigma**2 - 2.0 * alpha) / (2.0 * beta)
         upper = GeneralBoundary(lambda t: np.exp(h * np.exp(sign * beta * t) - shift),
                                 "upper", T)
-        d = 2.0 * beta * h / sigma if sign > 0 else 0.0
-        S = _expm1(2.0 * beta * T) / (2.0 * beta)
-        return (spec, None, upper, T), ((h - math.log(x0) - shift) / sigma, d, S)
+        return (spec, None, upper, T), _ou_exp(sign)(*_growth_ou(spec), h / sigma, T)[1]
 
     return entry
 
@@ -607,12 +602,16 @@ _CATALOG = {
 
 
 def _catalog_entry(case: str, params: dict) -> tuple[tuple, tuple]:
-    """(problem, line) of a case; TypeError for a missing or unknown parameter.
-    T and the time change S(T) are checked as in `reduce`."""
+    """(problem, line) of a case; TypeError for a missing or unknown parameter,
+    and ValueError naming a NaN one (an infinite one may be a limit).  T and
+    the time change S(T) are checked as in `reduce`."""
     try:
         entry = _CATALOG[case]
     except KeyError:
         raise ValueError(f"unknown catalog case {case!r}; known: {sorted(_CATALOG)}") from None
+    for name, v in params.items():
+        if isinstance(v, float) and math.isnan(v):
+            raise ValueError(f"{name} must not be NaN")
     problem, line = entry(**params)
     check_horizon(problem[3])
     _check_time_change(line[2])

@@ -185,6 +185,19 @@ class TestExitCodes:
         else:
             assert "series terms" in err
 
+    @pytest.mark.parametrize("h", ["1e140", "1e160", "1e300"])
+    def test_very_wide_two_sided_band(self, h, capsys):
+        # From about +-1e137 the term cap check overflowed (a RuntimeWarning),
+        # and from about +-1e154 the widths' product was inf and a series
+        # term NaN, so the mean was not a probability (exit 2).
+        argv = ["bm", f"--lower=-{h}", "--upper", h, "--T", "1",
+                "--paths", "2000", "--seed", "1"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_capture(argv, capsys)
+        assert (code, err) == (EXIT_OK, "")
+        assert json.loads(out)["results"]["mean"] == 1.0
+
     def test_upper_inf_literal(self, capsys):
         code, _, _ = run_capture(["bm", "--upper", "inf", "--T", "1"] + FAST, capsys)
         assert code == EXIT_BAND
@@ -560,6 +573,13 @@ FAMILY_PINS = [
     (["ou-td", "--kappa-fn", "0.5+0.25*sin(t)", "--alpha-fn", "0.1*t",
       "--sigma-fn", "1+0.2*t", "--x0", "0", "--upper", "1+0.5*t"],
      (0.8303097069733505, 0.005487691327381725, 0.8302137625595862, 0.8304056513871149)),
+    # growth and gbm through the log map, off x0 = 1 and sigma = 1, with a lower side.
+    (["growth", "--alpha", "0.3", "--beta", "0.8", "--sigma", "0.6", "--x0", "2",
+      "--lower", "0.5", "--upper", "5+t"],
+     (0.9806481062862562, 0.0019653403868211987, 0.9806313470353987, 0.9806648655371139)),
+    (["gbm", "--sigma", "0.3", "--rate", "0.02", "--x0", "2", "--lower", "0",
+      "--upper", "3*exp(0.1*t)"],
+     (0.9075257229478704, 0.004320931366631696, 0.9075257229478702, 0.9075257229478706)),
 ]
 
 
@@ -568,7 +588,7 @@ class TestFamilyPins:
     @pytest.mark.parametrize(
         "argv, pinned", FAMILY_PINS,
         ids=["bm_daniels", "bm_pm1", "bm_antithetic", "ou", "growth", "gbm_lower",
-             "ou_td_const", "ou_td_varying"],
+             "ou_td_const", "ou_td_varying", "growth_lower", "gbm_zero_lower"],
     )
     def test_results_bit_identical(self, argv, pinned, threads, monkeypatch):
         monkeypatch.setenv("BCP_THREADS", threads)

@@ -265,6 +265,17 @@ class TestTwoSided:
         with pytest.raises(ValueError):
             SeriesConfig(min_terms=0)
 
+    @pytest.mark.parametrize("h", [1e140, 1e160, 1e300])
+    def test_very_wide_band(self, h):
+        # From about 1e137 the cap check overflowed; from about 1e154 the
+        # widths' product is inf and a series exponent inf - inf = NaN.
+        band = two_sided_band(np.full(129, -h), np.full(129, h), T=1.0)
+        x = np.cumsum(_chunk_stream(3, 0).standard_normal((100, 128)) / np.sqrt(128), axis=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g, tail = band_kernel(band, x)
+        assert np.all(g == 1.0) and tail == 0.0
+
 
 class TestNarrowBands:
     """Bands so narrow that J runs into the millions, or past 2^53."""
@@ -531,6 +542,13 @@ class TestLinearClosedForm:
         # T = inf once returned 0.0; the true value is 1 - exp(-1).
         with pytest.raises(ValueError, match=f"horizon must be {need}, got {T}"):
             bcp_linear_one_sided(1.0, 0.5, T)
+
+    @pytest.mark.parametrize("name", ["intercept", "slope"])
+    def test_nan_parameter_named(self, name):
+        # A NaN slope once returned 0.0, and a NaN intercept raised
+        # StartOutsideBandError.
+        with pytest.raises(ValueError, match=f"^{name} must not be NaN"):
+            bcp_linear_one_sided(**{"intercept": 1.0, "slope": 0.5, name: math.nan}, T=1.0)
 
     def test_start_outside(self):
         with pytest.raises(StartOutsideBandError):

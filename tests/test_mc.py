@@ -402,6 +402,15 @@ class TestStraightBands:
         r, ns = self._run(argv, monkeypatch)
         assert ns == [4] and (r["mean"], r["std_error"]) == (mean, se)
 
+    @pytest.mark.parametrize("bound, n", [("1e-16", "128"), ("3e-16", "4")])
+    def test_band_past_the_term_cap_when_merged_keeps_partition(self, bound, n, monkeypatch):
+        # Every merged partition of these bands needs more than 2^53 terms
+        # per interval; it is skipped, where it once raised (exit 3).
+        argv = ["bm", f"--lower=-{bound}", "--upper", bound, "--n", n,
+                "--paths", "2000", "--seed", "1"]
+        r, ns = self._run(argv, monkeypatch)
+        assert ns == [int(n)] and r["mean"] == 0.0
+
     @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize("antithetic", [False, True])
     def test_equals_plain_estimate_on_coarse_band(self, threads, antithetic, monkeypatch):

@@ -240,6 +240,24 @@ class TestReduceGrowth:
         assert red.upper(s) == pytest.approx(expect, rel=1e-12)
         assert red.time_map(s) == pytest.approx(t, rel=1e-12)
 
+    def test_is_ou_reduction_of_scaled_log(self):
+        # log(X/x0)/sigma is a mean-reverting process with kappa = beta,
+        # unit sigma and x0 = 0; its sides are log(v/x0)/sigma.
+        al, be, sg, x0, T = 0.3, 0.8, 0.6, 2.0, 1.0
+        sides = [GeneralBoundary(parse_boundary(text), side, T)
+                 for text, side in (("0.5", "lower"), ("5+t", "upper"))]
+        red = reduce_growth(GrowthSpec(x0=x0, alpha=al, beta=be, sigma=sg), *sides, T)
+        ou = OUSpec(x0=0.0, kappa=be, alpha=((al - sg**2 / 2) / be - math.log(x0)) / sg,
+                    sigma=1.0)
+        logs = [GeneralBoundary(lambda t, gb=gb: np.log(gb(t) / x0) / sg, gb.side, T)
+                for gb in sides]
+        want = reduce_ou(ou, *logs, T)
+        s = np.linspace(0.0, red.horizon, 33)
+        assert red.horizon == want.horizon
+        np.testing.assert_array_equal(red.time_map(s), want.time_map(s))
+        np.testing.assert_array_equal(red.lower(s), want.lower(s))
+        np.testing.assert_array_equal(red.upper(s), want.upper(s))
+
     def test_negative_boundary_rejected(self):
         with pytest.raises(InvalidBoundariesError):
             reduce_growth(self.SPEC, None, const_upper(-1.0, 1.0), 1.0)
@@ -619,6 +637,16 @@ class TestCatalogTable:
         assert isinstance(got, np.ndarray) and got.shape == t.shape
         np.testing.assert_allclose(got, [[upper(float(x)) for x in row] for row in t],
                                    rtol=1e-15)
+
+    @pytest.mark.parametrize("case, name",
+                             [(case, name) for case, params in CASES.items() for name in params])
+    def test_nan_parameter_named(self, case, name):
+        # bm_linear's slope and gbm_exp_drift's p once gave 0.0, and a NaN
+        # intercept, h or q raised StartOutsideBandError.
+        params = {**self.CASES[case], name: math.nan}
+        for fn in (closed_form_bcp, catalog_problem):
+            with pytest.raises(ValueError, match=f"^{name} must not be NaN$"):
+                fn(case, **params)
 
     def test_independent_of_reduce(self, monkeypatch):
         def refuse(*args, **kwargs):

@@ -5,7 +5,9 @@ same sqrt(1+s) Brownian problem, a geometric BM barrier with a
 time-varying rate, and a classical curved barrier whose exact crossing
 probability is known analytically.  The full-accuracy run (1e6 paths,
 n=128) is what `bcp reproduce paper7` and the acceptance tests execute;
-this demo uses 100k paths so it finishes in under a minute.
+this demo uses 100k paths so it finishes in under a minute.  The
+standard error `se` is that of g - g_c, the kernel less its straight-
+chord control variate (see bcp.mc): about a quarter of the kernel's own.
 
 Run: python3 demos/04_benchmarks.py
 """

@@ -17,15 +17,21 @@ lie in [0, 1], the summed per-interval bounds also bound the truncation
 error of g.  They do not
 cover rounding in the alternating sum, which can be far larger: at x = 0
 on the band (-0.01, 0.01) over one interval of length 10, rounding
-leaves 1.7e-14 against a returned bound of 5.3e-20.  Factors are
-clamped to [0, 1] so the result stays a probability under rounding.
+leaves 1.7e-14 against a returned bound of 5.3e-20.  Two-sided factors
+are clamped to [0, 1] so the result stays a probability under rounding;
+a one-sided factor 1 - e^u with u <= 0 lies in [0, 1) already.
 
 `band_kernel` evaluates only the rows that stay inside the band at every
 node (g = 0 for the others; a block with none is skipped), in blocks
 of BLOCK_SIZE entries: 1024 rows at n = 128, where one float64 buffer is
-1 MB.  A block works in reused
-buffers, two for a one-sided band and seven for a two-sided one; the
-per-interval constants enter as length-n vectors.  The block is sized for
+1 MB.  A block works in buffers of a `workspace`, two for a one-sided
+band and seven for a two-sided one; the per-interval constants enter as
+length-n vectors.  What depends on the band alone, its side values and
+term counts, is its `kernel_plan`.  The Monte Carlo engine makes the
+plan once per band and estimate, gives each worker thread one workspace,
+and calls `band_kernel` once per block of samples it drew itself, which
+are not checked again; called alone, `band_kernel` checks x and makes
+both.  The block is sized for
 two worker threads, not for a cache: on 2 CPUs, two threads each running
 the two-sided kernel on 4096-row chunks were no faster than one thread
 with 256-row blocks (speed-up 0.91-0.98), and 1.42-1.70x faster with
@@ -225,8 +231,33 @@ def _series_sum(x, bufs, sides, dt, terms) -> np.ndarray:
     return s
 
 
+def kernel_plan(band: PiecewiseLinearBand, cfg: SeriesConfig | None = None) -> tuple:
+    """What `band_kernel` needs of a band before it sees a path: (sides,
+    terms, tail).  sides holds each finite side's values at the two ends of
+    every interval (None when no side is finite); terms is J per interval
+    and tail their summed bound for a two-sided band, and None and 0.0 for
+    a one-sided one."""
+    lo, hi = band.lower, band.upper
+    if lo.is_infinite and hi.is_infinite:
+        return None, None, 0.0
+    if lo.is_infinite or hi.is_infinite:
+        b = hi if lo.is_infinite else lo
+        return (b.right[:-1], b.left[1:]), None, 0.0
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        terms, tails = _term_counts(band, (cfg or SeriesConfig()).min_terms)
+    return (lo.right[:-1], lo.left[1:], hi.right[:-1], hi.left[1:]), terms, float(np.sum(tails))
+
+
+def workspace(plans, n: int) -> np.ndarray:
+    """Working memory for `band_kernel` on the bands of these `kernel_plan`s,
+    of at most n intervals: one block for each of two buffers, or of seven
+    when a band is two-sided."""
+    return np.empty(max(2 if terms is None else 7 for _, terms, _ in plans) * max(BLOCK_SIZE, n))
+
+
 def band_kernel(
-    band: PiecewiseLinearBand, x, cfg: SeriesConfig | None = None
+    band: PiecewiseLinearBand, x, cfg: SeriesConfig | None = None, *,
+    plan: tuple | None = None, work: np.ndarray | None = None,
 ) -> tuple[np.ndarray, float]:
     """Evaluate g for every path in x.
 
@@ -234,30 +265,29 @@ def band_kernel(
     Returns the kernel values and a bound on their truncation error:
     the sum of the per-interval tail bounds, 0 for a one-sided band.
     Rounding error is not included in the bound.
+
+    The Monte Carlo engine passes the band's `kernel_plan`, made once per
+    estimate, and its thread's `workspace`: x is then a finite (paths, n)
+    matrix that it drew itself, and is not checked again.
     """
-    cfg = cfg or SeriesConfig()
-    x, single = _as_paths(x, band.partition.n)
-    lo, hi = band.lower, band.upper
+    if plan is None:
+        x, single = _as_paths(x, band.partition.n)
+        plan = kernel_plan(band, cfg)
+    else:
+        single = False
+    sides, terms, tail = plan
     rows, n = x.shape
-    tail = 0.0
-    if lo.is_infinite and hi.is_infinite:
+    if sides is None:
         g = np.ones(rows)
         return (g[0] if single else g), tail
     block = max(1, min(rows, BLOCK_SIZE // n))
+    shape = (2 if terms is None else 7, block, n)
+    bufs = np.empty(shape) if work is None else work[:math.prod(shape)].reshape(shape)
     dt = band.partition.dt
+    g = np.zeros(rows)
     # Only rows inside the band are evaluated, where every exponent is
     # non-positive or NaN (see the module docstring); the others keep g = 0.
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        if lo.is_infinite or hi.is_infinite:
-            b = hi if lo.is_infinite else lo
-            terms = None
-            sides = (b.right[:-1], b.left[1:])
-        else:
-            terms, tails = _term_counts(band, cfg.min_terms)
-            tail = float(np.sum(tails))
-            sides = (lo.right[:-1], lo.left[1:], hi.right[:-1], hi.left[1:])
-        bufs = np.empty((2 if terms is None else 7, block, n))
-        g = np.zeros(rows)
         for r0 in range(0, rows, block):
             xb = x[r0:r0 + block]
             ok = _inside(band, xb)
@@ -268,10 +298,11 @@ def band_kernel(
                 continue
             if terms is None:
                 s = _reflection_sum(xb, bufs[:, :k], sides, dt)
+                np.subtract(1.0, s, out=s)  # 1 - e^u with u <= 0: in [0, 1) already
             else:
                 s = _series_sum(xb, bufs[:, :k], sides, dt, terms)
-            np.subtract(1.0, s, out=s)
-            np.clip(s, 0.0, 1.0, out=s)
+                np.subtract(1.0, s, out=s)
+                np.clip(s, 0.0, 1.0, out=s)
             g[r0:r0 + block][ok] = np.prod(s, axis=1)
     return (g[0] if single else g), tail
 

@@ -142,13 +142,17 @@ def _log_sides(a: GeneralBoundary | None, b: GeneralBoundary | None, T: float, x
     On _PROBES points of [0, T] the upper side must be positive and the lower
     one not negative.  A lower side that is 0 at every probe maps to -inf and
     comes back None; one that is 0 at only some would map to -inf at isolated
-    times, which no envelope can follow.
+    times, which no envelope can follow.  A mapped side that is not finite
+    at a probe, as when a subnormal sigma divides it, raises
+    NumericFailureError.
     """
     ts = uniform_partition(T, _PROBES - 1).nodes  # ValueError for T <= 0
-    if b is not None and b.finite and np.any(b(ts) <= 0):
+    a, b = (gb if gb is not None and gb.finite else None for gb in (a, b))
+    bv = None if b is None else b(ts)
+    if bv is not None and np.any(bv <= 0):
         raise InvalidBoundariesError("upper boundary must be positive")
-    if a is not None and a.finite:
-        av = a(ts)
+    av = None if a is None else a(ts)
+    if av is not None:
         if np.any(av < 0):
             raise InvalidBoundariesError("lower boundary cannot be negative")
         zero = av == 0.0
@@ -157,14 +161,22 @@ def _log_sides(a: GeneralBoundary | None, b: GeneralBoundary | None, T: float, x
                 "lower boundary must be identically 0 or positive on [0, T]")
         a = None if zero.all() else a
 
-    def log_side(gb):
+    def log_side(gb, v):
+        if gb is None:
+            return None
+        with np.errstate(over="ignore", divide="ignore"):
+            if not np.all(np.isfinite(np.log(v / x0) / scale)):
+                raise NumericFailureError(f"the {gb.side} boundary's log(v/x0)" + (
+                    " is not finite" if scale == 1.0
+                    else f"/sigma is not finite at sigma = {scale!r}"))
+
         def y(t):  # between probes, v <= 0 maps to -inf
             with np.errstate(divide="ignore"):
                 return np.log(np.maximum(gb(t), 0.0) / x0) / scale
 
-        return GeneralBoundary(y, gb.side, T) if gb is not None and gb.finite else None
+        return GeneralBoundary(y, gb.side, T)
 
-    return log_side(a), log_side(b)
+    return log_side(a, av), log_side(b, bv)
 
 
 def _identity(s):
@@ -477,9 +489,14 @@ def reduce_ou_td(
 def _growth_ou(spec: GrowthSpec) -> tuple:
     """(kappa, alpha, sigma, x0) of the mean-reverting process log(X/x0)/sigma of
     growth: kappa = beta, alpha = ((alpha - sigma^2/2)/beta - log x0)/sigma,
-    sigma = sigma^2 = 1 and x0 = 0."""
+    sigma = sigma^2 = 1 and x0 = 0.  NumericFailureError if that alpha, the
+    log mean, overflows."""
     al, be, sg = spec.alpha, spec.beta, spec.sigma
-    return be, ((al - 0.5 * sg**2) / be - math.log(spec.x0)) / sg, 1.0, 0.0
+    mean = ((al - 0.5 * sg**2) / be - math.log(spec.x0)) / sg
+    if not math.isfinite(mean):
+        raise NumericFailureError(
+            f"the log mean ((alpha - sigma^2/2)/beta - log x0)/sigma = {mean:g} is not finite")
+    return be, mean, 1.0, 0.0
 
 
 def reduce_growth(spec: GrowthSpec, a: GeneralBoundary | None, b: GeneralBoundary | None,

@@ -413,6 +413,18 @@ class TestSubcommands:
         assert "sigma must be finite and positive on [0, T]" in err
         assert where in err
 
+    @pytest.mark.parametrize("alpha, beta, sigma, message", [
+        ("0.5", "0.6", "1e-310", "log(v/x0)/sigma is not finite at sigma = 1e-310"),
+        ("1e10", "1e-300", "1", "the log mean ((alpha - sigma^2/2)/beta - log x0)/sigma = inf")],
+        ids=["subnormal_sigma", "log_mean"])
+    def test_growth_overflow_exits_3(self, alpha, beta, sigma, message, capsys):
+        # log(3/2)/sigma and alpha/beta overflow; both once exited 4 with
+        # "boundary evaluated to NaN at t=0.0", naming neither.
+        argv = ["growth", "--alpha", alpha, "--beta", beta, "--sigma", sigma, "--x0", "2",
+                "--upper", "3", "--T", "1", "--paths", "500", "--seed", "1"]
+        code, _, err = run_capture(argv, capsys)
+        assert code == EXIT_NUMERIC and message in err
+
     def test_growth(self, capsys):
         argv = ["growth", "--alpha", "0.5", "--beta", "0.5", "--sigma", "1",
                 "--x0", "1", "--upper", "exp(1)", "--T", "1"] + FAST
@@ -531,10 +543,10 @@ class TestEmptyInnerBand:
     # exited 4.  The inner band's probability is 0, the lower end.
     @pytest.mark.parametrize(
         "argv, upper",
-        [(["bm", "--upper", "0.0005+sqrt(t)"], 0.170),
+        [(["bm", "--upper", "0.0005+sqrt(t)"], 0.169),
          (["bm", "--lower=-1", "--upper", "0.0005+sqrt(t)"], 0.0696),
          (["ou", "--kappa", "0.5", "--alpha", "0", "--sigma2", "1", "--x0", "0",
-           "--upper", "0.0005+sqrt(t)"], 0.191),
+           "--upper", "0.0005+sqrt(t)"], 0.190),
          (["bm", "--lower", "sqrt(t)-0.0005", "--upper", "sqrt(t)+0.002", "--n", "16"], 0.0)],
         ids=["bm_one_sided", "bm_two_sided", "ou", "inner_band_closes"],
     )
@@ -550,36 +562,37 @@ class TestEmptyInnerBand:
 
 
 # One request per family, with (mean, std_error, lower, upper) recorded before
-# every family's reduced problem came from one constructor.
+# every family's reduced problem came from one constructor.  The rows of
+# one-sided bands were re-recorded when they gained the straight-chord control.
 FAMILY_PINS = [
     (["bm", "--upper", DANIELS],
-     (0.5289133186937611, 0.007350558771727924, 0.5287568624276512, 0.529069774959871)),
+     (0.5214937980455758, 0.0017761079645485646, 0.521337341779466, 0.5216502543116858)),
     # A straight band: it runs on 8 of the 16 intervals.
     (["bm", "--lower=-1", "--upper", "1"],
      (0.3784707409345752, 0.006788311779602325, 0.3784707409345752, 0.3784707409345752)),
     (["bm", "--upper", DANIELS, "--antithetic"],
-     (0.5249169089640056, 0.0029785528792522315, 0.5247682464484323, 0.5250655714795789)),
+     (0.5207406458974682, 0.0012858749828847976, 0.5205919833818949, 0.5208893084130415)),
     (["ou", "--kappa", "0.5", "--alpha", "0", "--sigma2", "1", "--x0", "0", "--upper", "1"],
-     (0.7311030931970011, 0.006608379829957711, 0.7310718119664055, 0.7311343744275968)),
+     (0.7205996847949474, 0.0004811646617240615, 0.7205684035643518, 0.7206309660255431)),
     (["growth", "--alpha", "0.5", "--beta", "0.5", "--sigma", "1", "--x0", "1",
       "--upper", "exp(1)"],
-     (0.7311030931970011, 0.006608379829957711, 0.7310718119664055, 0.7311343744275968)),
+     (0.7205996847949474, 0.0004811646617240615, 0.7205684035643518, 0.7206309660255431)),
     (["gbm", "--sigma", "0.1", "--rate", "0.1+0.05*exp(-t)", "--x0", "10",
       "--lower", "8", "--upper", "12"],
      (0.6133091885039019, 0.007344790893045905, 0.6132852377888046, 0.6133331392189993)),
     (["ou-td", "--kappa-fn", "0.5", "--alpha-fn", "0", "--sigma-fn", "1", "--x0", "0",
       "--upper", "exp(0.5*t)"],
-     (0.8903724404809019, 0.004541002033559919, 0.8903724404809018, 0.8903724404809021)),
+     (0.885110408906788, 9.925995094924608e-18, 0.8851104089067879, 0.8851104089067883)),
     (["ou-td", "--kappa-fn", "0.5+0.25*sin(t)", "--alpha-fn", "0.1*t",
       "--sigma-fn", "1+0.2*t", "--x0", "0", "--upper", "1+0.5*t"],
-     (0.8303097069733505, 0.005487691327381725, 0.8302137625595862, 0.8304056513871149)),
+     (0.8278726825816881, 0.0012811866370670338, 0.8277767381679237, 0.8279686269954525)),
     # growth and gbm through the log map, off x0 = 1 and sigma = 1, with a lower side.
     (["growth", "--alpha", "0.3", "--beta", "0.8", "--sigma", "0.6", "--x0", "2",
       "--lower", "0.5", "--upper", "5+t"],
      (0.9806481062862562, 0.0019653403868211987, 0.9806313470353987, 0.9806648655371139)),
     (["gbm", "--sigma", "0.3", "--rate", "0.02", "--x0", "2", "--lower", "0",
       "--upper", "3*exp(0.1*t)"],
-     (0.9075257229478704, 0.004320931366631696, 0.9075257229478702, 0.9075257229478706)),
+     (0.9047714610820947, 2.816958649964645e-18, 0.9047714610820945, 0.9047714610820949)),
 ]
 
 

@@ -22,7 +22,8 @@ from bcp import (
     parse_boundary,
     uniform_partition,
 )
-from bcp.kernels import TAIL_BOUND, SeriesConfig, _term_counts, normal_cdf
+from bcp.kernels import (BLOCK_SIZE, TAIL_BOUND, SeriesConfig, _term_counts, kernel_plan,
+                         normal_cdf, workspace)
 from bcp.mc import _chunk_stream
 from oracles import (
     band_kernel_unfused,
@@ -420,6 +421,23 @@ class TestBlockedKernel:
         expected = band_kernel_unfused(band, x, terms)
         assert np.array_equal(g, expected)
         assert 0 < np.count_nonzero(g) and g[0] > 0.0
+
+    @pytest.mark.parametrize(
+        "name", ["pm1", "daniels_inner", "daniels_outer", "lower_only", "narrow", "mixed_terms"]
+    )
+    def test_block_path_matches(self, name):
+        # The Monte Carlo engine's path: one plan per band and estimate, one
+        # reused workspace, and unchecked blocks of samples it drew itself.
+        band = _bit_identity_band(name)
+        x = self.paths(band, 2500)
+        plan = kernel_plan(band)
+        work = workspace([plan], band.partition.n)
+        block = BLOCK_SIZE // band.partition.n
+        parts = [band_kernel(band, x[r0:r0 + block], plan=plan, work=work)
+                 for r0 in range(0, x.shape[0], block)]
+        g, tail = band_kernel(band, x)
+        assert np.array_equal(np.concatenate([gb for gb, _ in parts]), g)
+        assert all(t == tail for _, t in parts)
 
     @pytest.mark.parametrize("name", ["pm1", "daniels_outer", "lower_only"])
     def test_paths_reach_clamp_and_one_step_crossing(self, name):

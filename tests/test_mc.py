@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+import bcp.kernels
 import bcp.mc
 from bcp import (
     BcpEstimate,
@@ -15,6 +16,7 @@ from bcp import (
     PiecewiseLinearBoundary,
     StartOutsideBandError,
     band_kernel,
+    bcp_linear_one_sided,
     estimate_bcp,
     estimate_bcp_bracketed,
     envelopes,
@@ -139,8 +141,9 @@ class TestReproducibility:
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_pinned_antithetic_bracket_multi_block_chunks(self, threads, monkeypatch):
-        # Recorded with whole-chunk sampling; each 2500-row chunk is drawn
-        # and evaluated as blocks of 1024 + 1024 + 452 rows.
+        # Recorded with the straight-chord control; each 2500-row chunk is
+        # drawn and evaluated as blocks of 1024 + 1024 + 452 rows, and its
+        # control once on the whole chunk.
         monkeypatch.setenv("BCP_THREADS", str(threads))
         daniels = parse_boundary("0.5 - t*log(0.25+0.25*sqrt(1+8*exp(-1/t)))")
         est = estimate_bcp_bracketed(
@@ -150,8 +153,8 @@ class TestReproducibility:
             50,
             McConfig(paths=10_000, seed=2, chunk_size=2_500, antithetic=True),
         )
-        assert est.bracket == (0.5173932713932483, 0.5173971276929256)
-        assert est.std_error == 0.002125364645240449
+        assert est.bracket == (0.5212567906165694, 0.5212606469162465)
+        assert est.std_error == 0.0012671120035541075
 
     def test_pinned_plain_estimate(self):
         # Recorded before the plain estimate became the bracketed one with
@@ -258,9 +261,9 @@ class TestBracketing:
     def _count_kernel_calls(monkeypatch):
         calls = []
 
-        def counted(band, x, *args):
+        def counted(band, x, *args, **kwargs):
             calls.append(x.shape[0])
-            return kernel(band, x, *args)
+            return kernel(band, x, *args, **kwargs)
 
         kernel = bcp.mc.band_kernel
         monkeypatch.setattr(bcp.mc, "band_kernel", counted)
@@ -287,18 +290,18 @@ class TestBracketing:
 
     def test_empty_inner_band_gives_zero_lower_end(self, monkeypatch):
         # The inner envelope of 0.0005 + sqrt(t) lies below 0 at t = 0, so
-        # the inner band excludes the start: only the outer band is evaluated.
+        # the inner band excludes the start: only the outer band is evaluated,
+        # per block, and its control once per 4096-row chunk.
         p = uniform_partition(1.0, 128)
         cfg = McConfig(paths=8192, seed=1)
         gb = GeneralBoundary(parse_boundary("0.0005+sqrt(t)"), "upper", 1.0)
         inner, outer = envelopes(gb, p, 50)
         assert inner.right[0] < 0.0 < outer.right[0]
-        upper = estimate_bcp(
-            PiecewiseLinearBand(PiecewiseLinearBoundary.infinite(p, "lower"), outer), cfg
-        )
+        band = PiecewiseLinearBand(PiecewiseLinearBoundary.infinite(p, "lower"), outer)
+        upper = bcp.mc._estimate(band, band, cfg)
         calls = self._count_kernel_calls(monkeypatch)
         est = estimate_bcp_bracketed(None, gb, p, 50, cfg)
-        assert calls == [1024] * 8
+        assert sorted(calls) == [1024] * 8 + [4096] * 2
         assert est.bracket == (0.0, upper.mean) and est.std_error == upper.std_error
         assert est.mean == 0.5 * upper.mean
 
@@ -348,6 +351,115 @@ class TestBracketing:
         est = estimate_bcp_bracketed(lo, hi, p, m=30, cfg=McConfig(paths=40_000, seed=6))
         assert 0.0 < est.mean < 1.0
         assert est.bracket[0] <= est.bracket[1]
+
+
+class TestControl:
+    """A one-sided band's control: the band below (or above) the straight
+    line through its finite side at s = 0 and s = S, on at most 16 intervals,
+    whose mean `bcp_linear_one_sided` gives exactly."""
+
+    @pytest.mark.parametrize("side, c0, c_end, n", [
+        ("upper", 1.0, 1.6, 128), ("upper", 1.0, 0.3, 128), ("lower", -0.8, -0.2, 128),
+        ("lower", -0.6, -1.4, 128), ("upper", 0.7, 1.3, 4), ("lower", -0.7, 0.1, 4)],
+        ids=["upper_rising", "upper_falling", "lower_rising", "lower_falling",
+             "upper_n4", "lower_n4"])
+    def test_mean_is_exact(self, side, c0, c_end, n):
+        p = uniform_partition(1.5, n)
+        # A curved side with these ends: the control reads only its ends.
+        bend = 0.3 * np.sin(math.pi * p.nodes / p.T) * (1.0 if side == "upper" else -1.0)
+        finite = PiecewiseLinearBoundary.from_values(
+            p, side, c0 + (c_end - c0) * p.nodes / p.T + bend)
+        other = PiecewiseLinearBoundary.infinite(p, "lower" if side == "upper" else "upper")
+        band = PiecewiseLinearBand(*((other, finite) if side == "upper" else (finite, other)))
+        control, cols, mean = bcp.mc._control(band)
+        line = control.upper if side == "upper" else control.lower
+        assert control.partition.n == min(n, 16) and cols.size == min(n, 16)
+        assert (line.right[0], line.left[-1]) == (finite.right[0], finite.left[-1])
+        g = np.concatenate([
+            band_kernel(control, sample_nodes(p, _chunk_stream(17, k), np.empty((20_000, n)))[:, cols])[0]
+            for k in range(10)])
+        assert abs(g.mean() - mean) < 4.0 * g.std(ddof=1) / math.sqrt(g.size)
+
+    @pytest.mark.parametrize("lower, upper", [
+        (np.full(9, -1.0), np.full(9, 1.0)), (None, None), (None, np.r_[1e308, np.zeros(7), -1e308])],
+        ids=["two_sided", "no_side", "chord_overflows"])
+    def test_bands_without_control(self, lower, upper):
+        # Two-sided bands keep plain Monte Carlo; so does a side whose rise
+        # c(S) - c(0) overflows.
+        p = uniform_partition(1.0, 8)
+        band = PiecewiseLinearBand(*(
+            PiecewiseLinearBoundary.infinite(p, side) if v is None
+            else PiecewiseLinearBoundary.from_values(p, side, v)
+            for side, v in (("lower", lower), ("upper", upper))))
+        assert bcp.mc._control(band) is None
+
+    @pytest.mark.parametrize("argv, line", [
+        (["bm", "--upper", "1"], (1.0, 0.0)),
+        (["bm", "--upper", "1+0.5*t"], (1.0, 0.5)),
+        (["bm", "--lower=-0.75+0.25*t"], (0.75, -0.25))], ids=["upper1", "sloped", "lower"])
+    def test_straight_band_is_its_own_control(self, argv, line):
+        # The band runs on one interval, where the control is the band itself.
+        args = build_parser().parse_args(argv + ["--T", "1", "--paths", "8192", "--seed", "3"])
+        r = run_request(args).results
+        assert r["mean"] == bcp_linear_one_sided(*line, 1.0) and r["std_error"] == 0.0
+
+    def test_large_chunk_runs_control_per_8192_rows(self, monkeypatch):
+        # One 20 000-row chunk: its control runs on 8192 + 8192 + 3616 rows,
+        # and the estimate is mu_c plus the mean of g - g_c over the chunk.
+        p = uniform_partition(1.0, 128)
+        _, outer = envelopes(GeneralBoundary(parse_boundary("1+0.3*sin(4*t)"), "upper", 1.0),
+                             p, 50)
+        band = PiecewiseLinearBand(PiecewiseLinearBoundary.infinite(p, "lower"), outer)
+        calls = TestBracketing._count_kernel_calls(monkeypatch)
+        est = bcp.mc._estimate(band, band, McConfig(paths=20_000, seed=6, chunk_size=20_000))
+        assert calls[-1] == 3616 and [c for c in calls[:-1] if c != 1024] == [8192, 8192, 544]
+        control, cols, mean = bcp.mc._control(band)
+        x = sample_nodes(p, _chunk_stream(6, 0), np.empty((20_000, p.n)))
+        d = band_kernel(band, x)[0] - band_kernel(control, x[:, cols])[0]
+        s1, s2 = float(np.sum(d)), float(np.sum(d * d))
+        assert est.mean == mean + s1 / 20_000
+        assert est.std_error == math.sqrt((s2 - s1 * s1 / 20_000) / 19_999 / 20_000)
+
+    @pytest.mark.parametrize("antithetic", [False, True])
+    def test_thread_count_does_not_change_result(self, antithetic, monkeypatch):
+        argv = ["bm", "--upper", "0.5 - t*log(0.25+0.25*sqrt(1+8*exp(-1/t)))", "--T", "1",
+                "--paths", "10000", "--seed", "4", "--chunk-size", "3000"]
+        results = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("BCP_THREADS", threads)
+            args = build_parser().parse_args(argv + (["--antithetic"] if antithetic else []))
+            results.append(run_request(args).results)
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize("side, seed, end", [
+        ("--upper=4+2*sin(3.14159*t)", "2", 1.0),
+        ("--lower=-3.5-2*sin(3.14159*t)", "12", 1.0),
+        ("--upper=0.002+0.5*t-2*sqrt(t)", "1", 0.0)], ids=["upper_one", "lower_one", "zero"])
+    def test_clipped_to_a_probability(self, side, seed, end):
+        # On these draws mu_c + mean(g - g_c) lies outside [0, 1] for the
+        # outer band, which BcpEstimate would reject unclipped.
+        args = build_parser().parse_args(
+            ["bm", side, "--T", "1", "--n", "16", "--paths", "4096", "--seed", seed])
+        r = run_request(args).results
+        assert r["upper"] == end and 0.0 <= r["lower"] <= r["mean"] <= r["upper"] <= 1.0
+
+    def test_term_counts_once_per_band(self, monkeypatch):
+        # Each band's J comes from one _term_counts call per estimate, where
+        # every 1024-row block once made its own: 16 calls for these 8192 paths.
+        calls = []
+
+        def counted(band, min_terms):
+            calls.append(band)
+            return term_counts(band, min_terms)
+
+        term_counts = bcp.kernels._term_counts
+        monkeypatch.setattr(bcp.kernels, "_term_counts", counted)
+        daniels = parse_boundary("0.5 - t*log(0.25+0.25*sqrt(1+8*exp(-1/t)))")
+        est = estimate_bcp_bracketed(
+            GeneralBoundary.constant(-1.0, "lower", 1.0), GeneralBoundary(daniels, "upper", 1.0),
+            uniform_partition(1.0, 128), 50, McConfig(paths=8192, seed=1))
+        assert len(calls) == 2 and calls[0] is not calls[1]
+        assert est.bracket[0] < est.bracket[1]
 
 
 class TestStraightBands:

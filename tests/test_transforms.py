@@ -18,7 +18,10 @@ from bcp import (
     check_reducibility,
     closed_form_bcp,
     catalog_problem,
+    PiecewiseLinearBand,
+    PiecewiseLinearBoundary,
     envelopes,
+    estimate_bcp,
     estimate_bcp_bracketed,
     parse_boundary,
     reduce,
@@ -557,6 +560,19 @@ class TestCatalogTable:
     def test_matches_explicit_formula_on_acceptance_grid(self, case, params):
         assert abs(closed_form_bcp(case, **params) - CLOSED_FORMS[case](**params)) < 1e-13
 
+    @pytest.mark.parametrize("case, params", CATALOG_GRID)
+    def test_matches_plain_monte_carlo(self, case, params):
+        # Each case reduces to a straight line, which estimate_bcp_bracketed
+        # takes as its own control; the plain average of the kernel keeps
+        # the formula checked against simulation.
+        spec, lower, upper, T = catalog_problem(case, **params)
+        red = reduce(spec, lower, upper, T)
+        p = uniform_partition(red.horizon, 8)
+        _, outer = envelopes(red.upper, p, 30)
+        band = PiecewiseLinearBand(PiecewiseLinearBoundary.infinite(p, "lower"), outer)
+        est = estimate_bcp(band, McConfig(paths=200_000, seed=7))
+        assert abs(est.mean - closed_form_bcp(case, **params)) < 4.0 * est.std_error
+
     @pytest.mark.parametrize("case", sorted(CLOSED_FORMS))
     def test_matches_explicit_formula_on_random_parameters(self, case):
         rng = np.random.default_rng(20261018)
@@ -685,6 +701,14 @@ class TestCatalogTable:
         for fn in (closed_form_bcp, catalog_problem):
             with pytest.raises(NumericFailureError, match=rf"S\(T\) = {value} is not finite"):
                 fn(case, **params)
+
+    def test_overflowing_log_mean(self):
+        # alpha/beta = 1e310: the log mean of log(X/x0)/sigma overflows.  It
+        # once escaped as ValueError naming alpha, which the caller gave as 1e10.
+        params = dict(alpha=1e10, beta=1e-300, sigma=1.0, x0=2.0, h=1.0, T=1.0)
+        for fn in (closed_form_bcp, catalog_problem):
+            with pytest.raises(NumericFailureError, match=r"the log mean .* = inf is not finite"):
+                fn("growth_exp_up", **params)
 
     def test_gbm_exp_drift_takes_a_rate(self):
         params = dict(sigma=0.4, x0=1.0, p=0.3, q=1.0, T=1.0)

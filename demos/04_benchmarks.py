@@ -7,7 +7,8 @@ probability is known analytically.  The full-accuracy run (1e6 paths,
 n=128) is what `bcp reproduce paper7` and the acceptance tests execute;
 this demo uses 100k paths so it finishes in under a minute.  The
 standard error `se` is that of g - g_c, the kernel less its straight-
-chord control variate (see bcp.mc): about a quarter of the kernel's own.
+chord control variate (see bcp.mc), at the bracket end where it is
+larger: about a quarter of the kernel's own.
 
 Run: python3 demos/04_benchmarks.py
 """

@@ -24,14 +24,15 @@ a one-sided factor 1 - e^u with u <= 0 lies in [0, 1) already.
 `band_kernel` evaluates only the rows that stay inside the band at every
 node (g = 0 for the others; a block with none is skipped), in blocks
 of BLOCK_SIZE entries: 1024 rows at n = 128, where one float64 buffer is
-1 MB.  A block works in buffers of a `workspace`, two for a one-sided
-band and seven for a two-sided one; the per-interval constants enter as
+1 MB.  A block works in one set of buffers, two for a one-sided band
+and seven for a two-sided one; the per-interval constants enter as
 length-n vectors.  What depends on the band alone, its side values and
 term counts, is its `kernel_plan`.  The Monte Carlo engine makes the
-plan once per band and estimate, gives each worker thread one workspace,
-and calls `band_kernel` once per block of samples it drew itself, which
-are not checked again; called alone, `band_kernel` checks x and makes
-both.  The block is sized for
+plan once per band and estimate and calls `band_kernel` once per block
+of samples it drew itself, which are not checked again; called alone,
+`band_kernel` checks x and makes the plan.  Rows of at most
+LOOP_COLUMNS nodes, such as the control's, are reduced by a loop over
+the columns.  The block is sized for
 two worker threads, not for a cache: on 2 CPUs, two threads each running
 the two-sided kernel on 4096-row chunks were no faster than one thread
 with 256-row blocks (speed-up 0.91-0.98), and 1.42-1.70x faster with
@@ -74,6 +75,13 @@ BLOCK_SIZE = 1024 * 128
 
 #: Lower clamp on every exponent; exp(-700) ~ 1e-304 is still a normal double.
 EXP_FLOOR = -700.0
+
+#: Most nodes per row for which the kernel loops over columns instead of
+#: reducing along rows: on 4096 x 16 blocks the loop takes 95 us against
+#: np.all's 165 us and 72 us against np.prod's 179 us (2 CPUs, numpy 2.4);
+#: at 128 nodes the reductions win.  The values are the same: np.prod also
+#: multiplies in column order.
+LOOP_COLUMNS = 16
 
 
 @dataclass(frozen=True)
@@ -193,11 +201,25 @@ def _inside(band: PiecewiseLinearBand, x: np.ndarray) -> np.ndarray:
     """
     ok = np.ones(x.shape[0], dtype=bool)
     lo, hi = band.limits
-    if not band.lower.is_infinite:
-        ok &= np.all(x > lo[1:], axis=1)
-    if not band.upper.is_infinite:
-        ok &= np.all(x < hi[1:], axis=1)
+    for side, limits, inside in ((band.lower, lo, np.greater), (band.upper, hi, np.less)):
+        if side.is_infinite:
+            continue
+        if x.shape[1] > LOOP_COLUMNS:
+            ok &= np.all(inside(x, limits[1:]), axis=1)
+        else:
+            for j in range(x.shape[1]):
+                ok &= inside(x[:, j], limits[j + 1])
     return ok
+
+
+def _row_products(s: np.ndarray) -> np.ndarray:
+    """The product of each row of s, multiplied in column order."""
+    if s.shape[1] > LOOP_COLUMNS:
+        return np.prod(s, axis=1)
+    g = s[:, 0].copy()
+    for j in range(1, s.shape[1]):
+        g *= s[:, j]
+    return g
 
 
 def _reflection_sum(x, bufs, sides, dt) -> np.ndarray:
@@ -248,16 +270,9 @@ def kernel_plan(band: PiecewiseLinearBand, cfg: SeriesConfig | None = None) -> t
     return (lo.right[:-1], lo.left[1:], hi.right[:-1], hi.left[1:]), terms, float(np.sum(tails))
 
 
-def workspace(plans, n: int) -> np.ndarray:
-    """Working memory for `band_kernel` on the bands of these `kernel_plan`s,
-    of at most n intervals: one block for each of two buffers, or of seven
-    when a band is two-sided."""
-    return np.empty(max(2 if terms is None else 7 for _, terms, _ in plans) * max(BLOCK_SIZE, n))
-
-
 def band_kernel(
     band: PiecewiseLinearBand, x, cfg: SeriesConfig | None = None, *,
-    plan: tuple | None = None, work: np.ndarray | None = None,
+    plan: tuple | None = None,
 ) -> tuple[np.ndarray, float]:
     """Evaluate g for every path in x.
 
@@ -267,8 +282,8 @@ def band_kernel(
     Rounding error is not included in the bound.
 
     The Monte Carlo engine passes the band's `kernel_plan`, made once per
-    estimate, and its thread's `workspace`: x is then a finite (paths, n)
-    matrix that it drew itself, and is not checked again.
+    estimate: x is then a finite (paths, n) matrix that it drew itself,
+    and is not checked again.
     """
     if plan is None:
         x, single = _as_paths(x, band.partition.n)
@@ -281,8 +296,7 @@ def band_kernel(
         g = np.ones(rows)
         return (g[0] if single else g), tail
     block = max(1, min(rows, BLOCK_SIZE // n))
-    shape = (2 if terms is None else 7, block, n)
-    bufs = np.empty(shape) if work is None else work[:math.prod(shape)].reshape(shape)
+    bufs = np.empty((2 if terms is None else 7, block, n))
     dt = band.partition.dt
     g = np.zeros(rows)
     # Only rows inside the band are evaluated, where every exponent is
@@ -303,7 +317,7 @@ def band_kernel(
                 s = _series_sum(xb, bufs[:, :k], sides, dt, terms)
                 np.subtract(1.0, s, out=s)
                 np.clip(s, 0.0, 1.0, out=s)
-            g[r0:r0 + block][ok] = np.prod(s, axis=1)
+            g[r0:r0 + block][ok] = _row_products(s)
     return (g[0] if single else g), tail
 
 

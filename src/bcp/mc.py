@@ -23,12 +23,15 @@ A one-sided band is estimated against a control variate (Glasserman
 through the outer band's finite side at s = 0 and s = S, on at most 16
 of its intervals, whose mean mu_c `bcp_linear_one_sided` gives exactly.
 Each bracket end is mu_c + mean(g - g_c), with coefficient 1 rather
-than the fitted optimum: it stays exactly unbiased, inner <= outer
-path by path, and a function of the seed and chunk size alone.  On the
-four paper7 cases the variance falls 8-22x.  Two-sided bands keep plain
-Monte Carlo, since their control would need the probability of a band
-between two sloped lines.  `estimate_bcp` is the plain average of the
-kernel, without a control.
+than the fitted optimum: each end stays unbiased, inner <= outer path
+by path, and the result a function of the seed and chunk size alone.
+On the four paper7 cases the variance falls 8-22x.  A side that bends
+far from its chord can make g - g_c vary more than g (2 - 1.9 sin(pi t)
+at n = 128: 0.97x), so the engine also sums g alone and keeps the
+control only where it gives the smaller standard error.  Two-sided
+bands keep plain Monte Carlo, since their control would need the
+probability of a band between two sloped lines.  `estimate_bcp` is the
+plain average of the kernel, without a control.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from .boundary import (GeneralBoundary, Partition, PiecewiseLinearBand,
                        PiecewiseLinearBoundary, envelopes, is_straight)
 from .errors import InvalidBoundariesError
 from .kernels import (BLOCK_SIZE, TAIL_BOUND, _q, _tail, _term_counts, band_kernel,
-                      bcp_linear_one_sided, kernel_plan, workspace)
+                      bcp_linear_one_sided, kernel_plan)
 
 
 @dataclass(frozen=True)
@@ -137,6 +140,8 @@ def _control(band: PiecewiseLinearBand) -> tuple | None:
     at S: (that band, the node columns it reads, its exact mean).  On the
     coarse nodes the kernel of a straight side is exact, so the control's
     mean is `bcp_linear_one_sided` of the line, mirrored for a lower side.
+    Evenly spaced columns, as when 16 divides n, are a slice: copying a
+    strided view takes about a quarter of the time of an index array.
     """
     lo, hi = band.lower, band.upper
     if lo.is_infinite == hi.is_infinite:
@@ -146,22 +151,25 @@ def _control(band: PiecewiseLinearBand) -> tuple | None:
     c0, c_end = float(side.right[0]), float(side.left[-1])
     if not math.isfinite(c_end - c0):
         return None
-    cols = np.round(np.linspace(0, p.n, min(p.n, CONTROL_INTERVALS) + 1)).astype(np.intp)
-    q = Partition(p.nodes[cols])
+    m = min(p.n, CONTROL_INTERVALS)
+    nodes = np.round(np.linspace(0, p.n, m + 1)).astype(np.intp)
+    q = Partition(p.nodes[nodes])
     values = c0 + (c_end - c0) * (q.nodes / q.T)
     values[-1] = c_end
     line = PiecewiseLinearBoundary.from_values(q, side.side, values)
     other = PiecewiseLinearBoundary.infinite(q, "lower" if upper else "upper")
     sign = 1.0 if upper else -1.0
     control = PiecewiseLinearBand(other, line) if upper else PiecewiseLinearBand(line, other)
-    return control, cols[1:] - 1, bcp_linear_one_sided(sign * c0, sign * (c_end - c0) / q.T, q.T)
+    step = p.n // m
+    cols = slice(step - 1, None, step) if p.n % m == 0 else nodes[1:] - 1
+    return control, cols, bcp_linear_one_sided(sign * c0, sign * (c_end - c0) / q.T, q.T)
 
 
 def _estimate(
     inner: PiecewiseLinearBand | None, outer: PiecewiseLinearBand, cfg: McConfig,
     controlled: bool = True,
 ) -> BcpEstimate:
-    """Bracket (inner mean, outer mean), its midpoint and the outer band's SE.
+    """Bracket (inner mean, outer mean), its midpoint and a standard error.
 
     Both bands run on the same node samples; when inner is outer the band
     is evaluated once and the bracket is (mean, mean).  inner=None is an
@@ -170,12 +178,17 @@ def _estimate(
     for a side that a reduction maps to a line, let rounding in the series
     put the inner g above the outer one.  Sums run in chunk order.
 
-    When controlled, a one-sided outer band has a control (`_control`),
-    evaluated on the gathered node columns once per chunk, or per 8192
-    rows of a larger chunk (one kernel block at 16 columns): each bracket end
-    is its exact mean mu_c plus the mean of g - g_c (coefficient 1),
-    clipped to [0, 1], and the SE is that of g_out - g_c.  Subtracting the
-    same g_c keeps each end unbiased and inner <= outer path by path.
+    Without a control the SE is the outer band's.  When controlled, a
+    one-sided outer band has a control (`_control`), evaluated on the
+    gathered node columns once per chunk, or per 8192 rows of a larger
+    chunk (one kernel block at 16 columns).  Each bracket end is then the
+    control's exact mean mu_c plus the mean of g - g_c (coefficient 1),
+    or the plain mean of g, clipped to [0, 1]; the SE is the larger of
+    the two ends' SEs, and the control is taken only when it makes that
+    SE strictly smaller.  Subtracting the same g_c keeps each end
+    unbiased and inner <= outer path by path.  The choice looks at the
+    same samples, but only through their spread, which moves the mean
+    by O(1/paths) against an SE of O(1/sqrt(paths)).
     """
     bands = [outer] if inner is None or inner is outer else [inner, outer]
     control = _control(outer) if controlled else None
@@ -186,59 +199,72 @@ def _estimate(
     if control is not None:
         control_band, cols, control_mean = control
         control_plan = kernel_plan(control_band)
-        span = BLOCK_SIZE // cols.size  # rows: one kernel block per control call
-    local = threading.local()  # each worker thread's kernel workspace and gathered columns
+        width = control_band.partition.n
+        span = BLOCK_SIZE // width  # rows: one kernel block per control call
+    local = threading.local()  # each worker thread's gathered control columns
 
     def kernel(band, plan, x):
-        g, _ = band_kernel(band, x, plan=plan, work=local.work)
+        g, _ = band_kernel(band, x, plan=plan)
         if cfg.antithetic:
-            g2, _ = band_kernel(band, -x, plan=plan, work=local.work)
+            g2, _ = band_kernel(band, -x, plan=plan)
             g = 0.5 * (g + g2)
         return g
 
-    def subtract_control(g, r0, r1):  # rows r0..r1 of the chunk, gathered in local.cols
-        g[:, r0:r1] -= kernel(control_band, control_plan, local.cols[:r1 - r0])
+    def run_control(gc, r0, r1):  # rows r0..r1 of the chunk, gathered in local.cols
+        gc[r0:r1] = kernel(control_band, control_plan, local.cols[:r1 - r0])
+
+    def sums(g):  # (sum, sum of squares) of each row of g
+        return [(float(np.sum(gb)), float(np.sum(gb * gb))) for gb in g]
 
     def run_chunk(k: int):
         count = min(cfg.chunk_size, cfg.paths - k * cfg.chunk_size)
         stream = _chunk_stream(cfg.seed, k)
         buf = np.empty((min(block, count), p.n))
         g = np.empty((len(bands), count))
-        done = 0  # rows whose g_c is subtracted
+        if control is not None:
+            gc = np.empty(count)
+            done = 0  # rows whose g_c is computed
         for r0 in range(0, count, block):
             x = sample_nodes(p, stream, buf[:min(block, count - r0)])
             r1 = r0 + x.shape[0]
+            if control is not None:  # gathered while x is still in cache
+                if r1 - done > span:
+                    run_control(gc, done, r0)
+                    done = r0
+                local.cols[r0 - done:r1 - done] = x[:, cols]
             for b, (band, plan) in enumerate(zip(bands, plans)):
                 g[b, r0:r1] = kernel(band, plan, x)
             np.minimum(g[0, r0:r1], g[-1, r0:r1], out=g[0, r0:r1])
-            if control is not None:
-                if r1 - done > span:
-                    subtract_control(g, done, r0)
-                    done = r0
-                local.cols[r0 - done:r1 - done] = x[:, cols]
-        if control is not None:
-            subtract_control(g, done, count)
-        return [(float(np.sum(gb)), float(np.sum(gb * gb))) for gb in g]
+        if control is None:
+            return sums(g)
+        run_control(gc, done, count)
+        return sums(g) + sums(g - gc)
 
     def start_worker():
-        local.work = workspace(plans, p.n)
         if control is not None:
-            local.cols = np.empty((min(span, cfg.chunk_size, cfg.paths), cols.size))
+            local.cols = np.empty((min(span, cfg.chunk_size, cfg.paths), width))
 
     with ThreadPoolExecutor(_worker_lanes(n_chunks), initializer=start_worker) as pool:
         results = list(pool.map(run_chunk, range(n_chunks)))
+    # (sum, sum of squares) of g for each band, then of g - g_c when controlled
     totals = [[math.fsum(stats[b][i] for stats in results) for i in (0, 1)]
-              for b in range(len(bands))]
-    shift = 0.0 if control is None else control_mean
+              for b in range(len(results[0]))]
+    ends, shift = totals[:len(bands)], 0.0
+    std_error = _std_error(*ends[-1], cfg.paths)
+    if control is not None:  # the larger SE of the two ends, without and with the control
+        std_error, control_se = (max(_std_error(*t, cfg.paths) for t in e)
+                                 for e in (ends, totals[len(bands):]))
+        if control_se < std_error:
+            ends, shift, std_error = totals[len(bands):], control_mean, control_se
 
-    def end(s1: float) -> float:  # mu_c + the mean of g - g_c, a probability
+    def end(s1: float) -> float:  # shift + the mean, a probability
         return min(1.0, max(0.0, shift + s1 / cfg.paths))
 
-    mean_in = 0.0 if inner is None else end(totals[0][0])
-    mean_out = end(totals[-1][0])
+    mean_in = 0.0 if inner is None else end(ends[0][0])
+    mean_out = end(ends[-1][0])
     return BcpEstimate(
         mean=0.5 * (mean_in + mean_out),
-        std_error=_std_error(*totals[-1], cfg.paths),
+        std_error=std_error,
         paths=cfg.paths,
         bracket=(mean_in, mean_out),
     )
@@ -283,7 +309,11 @@ def estimate_bcp_bracketed(
 
     None is a side with no boundary.  Returns bracket = (mean over the
     narrowing band, mean over the widening band) and the midpoint as the
-    point estimate; the standard error is the outer band's.  Exact sides
+    point estimate.  The standard error is the outer band's for a
+    two-sided band; for a one-sided band it is the larger of the two
+    ends' SEs, of g - g_c where the control is kept (see `_estimate`), so
+    a band that is its own control to within ulps reports a rounding-level
+    SE only when both ends are.  Exact sides
     give one band, evaluated once.  An inner band that excludes the start
     or closes has probability 0, and 0 is then the lower end.
 

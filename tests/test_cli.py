@@ -563,7 +563,9 @@ class TestEmptyInnerBand:
 
 # One request per family, with (mean, std_error, lower, upper) recorded before
 # every family's reduced problem came from one constructor.  The rows of
-# one-sided bands were re-recorded when they gained the straight-chord control.
+# one-sided bands were re-recorded when they gained the straight-chord control;
+# the SEs of ou_td_const and gbm_zero_lower, which are rounding, again when a
+# controlled SE came to cover both bracket ends.
 FAMILY_PINS = [
     (["bm", "--upper", DANIELS],
      (0.5214937980455758, 0.0017761079645485646, 0.521337341779466, 0.5216502543116858)),
@@ -582,7 +584,7 @@ FAMILY_PINS = [
      (0.6133091885039019, 0.007344790893045905, 0.6132852377888046, 0.6133331392189993)),
     (["ou-td", "--kappa-fn", "0.5", "--alpha-fn", "0", "--sigma-fn", "1", "--x0", "0",
       "--upper", "exp(0.5*t)"],
-     (0.885110408906788, 9.925995094924608e-18, 0.8851104089067879, 0.8851104089067883)),
+     (0.885110408906788, 1.4533549083766575e-17, 0.8851104089067879, 0.8851104089067883)),
     (["ou-td", "--kappa-fn", "0.5+0.25*sin(t)", "--alpha-fn", "0.1*t",
       "--sigma-fn", "1+0.2*t", "--x0", "0", "--upper", "1+0.5*t"],
      (0.8278726825816881, 0.0012811866370670338, 0.8277767381679237, 0.8279686269954525)),
@@ -592,7 +594,7 @@ FAMILY_PINS = [
      (0.9806481062862562, 0.0019653403868211987, 0.9806313470353987, 0.9806648655371139)),
     (["gbm", "--sigma", "0.3", "--rate", "0.02", "--x0", "2", "--lower", "0",
       "--upper", "3*exp(0.1*t)"],
-     (0.9047714610820947, 2.816958649964645e-18, 0.9047714610820945, 0.9047714610820949)),
+     (0.9047714610820947, 3.167958336306222e-17, 0.9047714610820945, 0.9047714610820949)),
 ]
 
 

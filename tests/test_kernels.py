@@ -23,7 +23,7 @@ from bcp import (
     uniform_partition,
 )
 from bcp.kernels import (BLOCK_SIZE, TAIL_BOUND, SeriesConfig, _term_counts, kernel_plan,
-                         normal_cdf, workspace)
+                         normal_cdf)
 from bcp.mc import _chunk_stream
 from oracles import (
     band_kernel_unfused,
@@ -324,7 +324,8 @@ def _bit_identity_band(name):
     if name == "mixed_terms":  # J differs between intervals
         p8 = uniform_partition(1.0, 8)
         return two_sided_band(-0.05 - 0.2 * p8.nodes, 0.05 + 0.5 * p8.nodes**2)
-    if name == "lower_only":
+    if name in ("lower_only", "lower_short"):  # short: 16 nodes, reduced by column loops
+        p = uniform_partition(1.0, 16) if name == "lower_short" else p
         lower = PiecewiseLinearBoundary.from_values(p, "lower", -0.5 + 0.3 * p.nodes)
         return PiecewiseLinearBand(lower, PiecewiseLinearBoundary.infinite(p, "upper"))
     minus_one = PiecewiseLinearBoundary.from_values(p, "lower", np.full(129, -1.0))
@@ -406,7 +407,8 @@ class TestBlockedKernel:
 
     @pytest.mark.parametrize("rows", [1, 255, 256, 257, 1023, 1024, 1025, 4097])
     @pytest.mark.parametrize(
-        "name", ["pm1", "daniels_inner", "daniels_outer", "lower_only", "narrow", "mixed_terms"]
+        "name", ["pm1", "daniels_inner", "daniels_outer", "lower_only", "lower_short", "narrow",
+                 "mixed_terms"]
     )
     def test_matches_unfused_formula(self, name, rows):
         band = _bit_identity_band(name)
@@ -423,17 +425,17 @@ class TestBlockedKernel:
         assert 0 < np.count_nonzero(g) and g[0] > 0.0
 
     @pytest.mark.parametrize(
-        "name", ["pm1", "daniels_inner", "daniels_outer", "lower_only", "narrow", "mixed_terms"]
+        "name", ["pm1", "daniels_inner", "daniels_outer", "lower_only", "lower_short", "narrow",
+                 "mixed_terms"]
     )
     def test_block_path_matches(self, name):
-        # The Monte Carlo engine's path: one plan per band and estimate, one
-        # reused workspace, and unchecked blocks of samples it drew itself.
+        # The Monte Carlo engine's path: one plan per band and estimate, and
+        # unchecked blocks of samples it drew itself.
         band = _bit_identity_band(name)
         x = self.paths(band, 2500)
         plan = kernel_plan(band)
-        work = workspace([plan], band.partition.n)
         block = BLOCK_SIZE // band.partition.n
-        parts = [band_kernel(band, x[r0:r0 + block], plan=plan, work=work)
+        parts = [band_kernel(band, x[r0:r0 + block], plan=plan)
                  for r0 in range(0, x.shape[0], block)]
         g, tail = band_kernel(band, x)
         assert np.array_equal(np.concatenate([gb for gb, _ in parts]), g)

@@ -360,9 +360,10 @@ class TestControl:
 
     @pytest.mark.parametrize("side, c0, c_end, n", [
         ("upper", 1.0, 1.6, 128), ("upper", 1.0, 0.3, 128), ("lower", -0.8, -0.2, 128),
-        ("lower", -0.6, -1.4, 128), ("upper", 0.7, 1.3, 4), ("lower", -0.7, 0.1, 4)],
+        ("lower", -0.6, -1.4, 128), ("upper", 0.7, 1.3, 4), ("lower", -0.7, 0.1, 4),
+        ("upper", 0.8, 1.2, 40)],
         ids=["upper_rising", "upper_falling", "lower_rising", "lower_falling",
-             "upper_n4", "lower_n4"])
+             "upper_n4", "lower_n4", "upper_n40"])
     def test_mean_is_exact(self, side, c0, c_end, n):
         p = uniform_partition(1.5, n)
         # A curved side with these ends: the control reads only its ends.
@@ -373,7 +374,10 @@ class TestControl:
         band = PiecewiseLinearBand(*((other, finite) if side == "upper" else (finite, other)))
         control, cols, mean = bcp.mc._control(band)
         line = control.upper if side == "upper" else control.lower
-        assert control.partition.n == min(n, 16) and cols.size == min(n, 16)
+        # 16 divides 128 and 4 covers every node: a slice; at n = 40, an index array.
+        assert control.partition.n == np.empty((1, n))[:, cols].shape[1] == min(n, 16)
+        assert isinstance(cols, slice) == (n != 40)
+        assert np.array_equal(p.nodes[1:][cols], control.partition.nodes[1:])
         assert (line.right[0], line.left[-1]) == (finite.right[0], finite.left[-1])
         g = np.concatenate([
             band_kernel(control, sample_nodes(p, _chunk_stream(17, k), np.empty((20_000, n)))[:, cols])[0]
@@ -431,17 +435,40 @@ class TestControl:
             results.append(run_request(args).results)
         assert results[0] == results[1]
 
-    @pytest.mark.parametrize("side, seed, end", [
-        ("--upper=4+2*sin(3.14159*t)", "2", 1.0),
-        ("--lower=-3.5-2*sin(3.14159*t)", "12", 1.0),
-        ("--upper=0.002+0.5*t-2*sqrt(t)", "1", 0.0)], ids=["upper_one", "lower_one", "zero"])
-    def test_clipped_to_a_probability(self, side, seed, end):
-        # On these draws mu_c + mean(g - g_c) lies outside [0, 1] for the
-        # outer band, which BcpEstimate would reject unclipped.
+    @pytest.mark.parametrize("side, seed", [
+        ("--upper=4+2*sin(3.14159*t)", "39"), ("--lower=-3.5-2*sin(3.14159*t)", "12")],
+        ids=["upper", "lower"])
+    def test_clipped_at_one(self, side, seed):
+        # On these draws the control is kept and mu_c + mean(g - g_c) lies
+        # above 1 for the outer band, which BcpEstimate would reject unclipped.
         args = build_parser().parse_args(
             ["bm", side, "--T", "1", "--n", "16", "--paths", "4096", "--seed", seed])
         r = run_request(args).results
-        assert r["upper"] == end and 0.0 <= r["lower"] <= r["mean"] <= r["upper"] <= 1.0
+        assert r["upper"] == 1.0 and 0.0 < r["std_error"]
+        assert 0.0 <= r["lower"] <= r["mean"] <= r["upper"]
+
+    def test_clipped_at_zero(self, monkeypatch):
+        # A kept end falls below 0 only where P is below about 1/paths; a
+        # control mean of -0.5 puts it there.  The straight band is its own
+        # control, so the control is kept on every draw.
+        control = bcp.mc._control
+        monkeypatch.setattr(bcp.mc, "_control", lambda band: (*control(band)[:2], -0.5))
+        args = build_parser().parse_args(
+            ["bm", "--upper", "1+0.5*t", "--T", "1", "--paths", "4096", "--seed", "1"])
+        r = run_request(args).results
+        assert (r["lower"], r["mean"], r["upper"], r["std_error"]) == (0.0, 0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("expr, kept", [
+        ("1+sin(3.14159*t)", True), ("4+2*sin(3.14159*t)", True), ("2-1.9*sin(3.14159*t)", False)])
+    def test_control_kept_only_where_it_lowers_the_error(self, expr, kept):
+        # Var(g - g_c) / Var(g) at n = 128: 0.59, 0.50 and 1.04.
+        p = uniform_partition(1.0, 128)
+        _, outer = envelopes(GeneralBoundary(parse_boundary(expr), "upper", 1.0), p, 50)
+        band = PiecewiseLinearBand(PiecewiseLinearBoundary.infinite(p, "lower"), outer)
+        cfg = McConfig(paths=65536, seed=2)
+        est, plain = bcp.mc._estimate(band, band, cfg), estimate_bcp(band, cfg)
+        assert (est.std_error < plain.std_error) == kept
+        assert (est == plain) != kept
 
     def test_term_counts_once_per_band(self, monkeypatch):
         # Each band's J comes from one _term_counts call per estimate, where

@@ -19,7 +19,6 @@ from bcp import (
     closed_form_bcp,
     catalog_problem,
     PiecewiseLinearBand,
-    PiecewiseLinearBoundary,
     envelopes,
     estimate_bcp,
     estimate_bcp_bracketed,
@@ -564,14 +563,15 @@ class TestCatalogTable:
     def test_matches_plain_monte_carlo(self, case, params):
         # Each case reduces to a straight line, which estimate_bcp_bracketed
         # takes as its own control; the plain average of the kernel keeps
-        # the formula checked against simulation.
+        # the formula checked against simulation, with the paths, seed,
+        # partition and 3-SE limit of acceptance criterion 6.
         spec, lower, upper, T = catalog_problem(case, **params)
         red = reduce(spec, lower, upper, T)
         p = uniform_partition(red.horizon, 8)
-        _, outer = envelopes(red.upper, p, 30)
-        band = PiecewiseLinearBand(PiecewiseLinearBoundary.infinite(p, "lower"), outer)
-        est = estimate_bcp(band, McConfig(paths=200_000, seed=7))
-        assert abs(est.mean - closed_form_bcp(case, **params)) < 4.0 * est.std_error
+        sides = [envelopes(gb or GeneralBoundary.infinite(side, p.T), p, 30)[1]
+                 for gb, side in ((red.lower, "lower"), (red.upper, "upper"))]
+        est = estimate_bcp(PiecewiseLinearBand(*sides), McConfig(paths=1_000_000, seed=7))
+        assert abs(est.mean - closed_form_bcp(case, **params)) < 3.0 * max(est.std_error, 1e-9)
 
     @pytest.mark.parametrize("case", sorted(CLOSED_FORMS))
     def test_matches_explicit_formula_on_random_parameters(self, case):

@@ -60,7 +60,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import PiecewiseLinearBand, check_horizon
+from .boundary import (Partition, PiecewiseLinearBand, PiecewiseLinearBoundary,
+                       check_horizon)
 from .errors import InvalidBoundariesError, NumericFailureError, StartOutsideBandError
 
 #: Per-interval bound on the omitted series tail.
@@ -77,10 +78,11 @@ BLOCK_SIZE = 1024 * 128
 EXP_FLOOR = -700.0
 
 #: Most nodes per row for which the kernel loops over columns instead of
-#: reducing along rows: on 4096 x 16 blocks the loop takes 95 us against
-#: np.all's 165 us and 72 us against np.prod's 179 us (2 CPUs, numpy 2.4);
-#: at 128 nodes the reductions win.  The values are the same: np.prod also
-#: multiplies in column order.
+#: reducing along rows.  On 2 CPUs (numpy 2.4) the product loop takes 26-32
+#: us against np.prod's 106-109 us on the 4096 x 8 blocks of (-1, 1), and
+#: 27-37 us against 40-48 us on the control's 1024 x 16; the inside test's
+#: loop is 2-3x as fast as np.all at 4096 x 8 and about even at 1024 x 16.
+#: At 128 nodes the reductions win.  np.prod also multiplies in column order.
 LOOP_COLUMNS = 16
 
 
@@ -143,6 +145,22 @@ def _term_counts(band: PiecewiseLinearBand, min_terms: int) -> tuple[np.ndarray,
         ok = _tail(q, mid) < TAIL_BOUND
         terms, lo = np.where(ok, mid, terms), np.where(ok, lo, mid)
     return terms.astype(np.int64), _tail(q, terms)
+
+
+def _coarsest(band: PiecewiseLinearBand) -> PiecewiseLinearBand:
+    """band on every k-th node, for the largest k dividing n whose intervals
+    need no more series terms than band's largest J: whose series tails at
+    that J are below TAIL_BOUND.  One-sided, k = n."""
+    p, sides = band.partition, (band.lower, band.upper)
+    with np.errstate(over="ignore"):
+        most = 0 if any(s.is_infinite for s in sides) else float(_term_counts(band, 1)[0].max())
+        for k in filter(lambda k: p.n % k == 0, range(p.n, 1, -1)):
+            q = Partition(p.nodes[::k])
+            coarse = PiecewiseLinearBand(
+                *(PiecewiseLinearBoundary.from_values(q, s.side, s.right[::k]) for s in sides))
+            if not most or _tail(_q(coarse), most).max() < TAIL_BOUND:
+                return coarse
+    return band
 
 
 def _exp(u: np.ndarray) -> np.ndarray:

@@ -5,9 +5,8 @@ by (seed, k), so results are reproducible bit-for-bit regardless of how
 many worker lanes evaluate the chunks (BCP_THREADS alone sets that, see
 _worker_lanes).  A chunk runs block by block through one reused buffer
 of kernels.BLOCK_SIZE entries: each block draws its node vectors in place
-with `sample_nodes` and goes through the kernel of every band, and a
-control (below) runs on the chunk's gathered node columns, once per
-chunk or per 8192 rows of a larger one.
+with `sample_nodes` and goes through the kernel of every band, the
+control (below) included.
 Consecutive draws from one stream give the same numbers, in the same
 order, as one (count, n) draw, so the blocks never change a value; the
 sums of g and g^2 still run over the whole chunk.
@@ -38,7 +37,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -47,8 +45,7 @@ import numpy as np
 from .boundary import (GeneralBoundary, Partition, PiecewiseLinearBand,
                        PiecewiseLinearBoundary, envelopes, is_straight)
 from .errors import InvalidBoundariesError
-from .kernels import (BLOCK_SIZE, TAIL_BOUND, _q, _tail, _term_counts, band_kernel,
-                      bcp_linear_one_sided, kernel_plan)
+from .kernels import BLOCK_SIZE, _coarsest, band_kernel, bcp_linear_one_sided, kernel_plan
 
 
 @dataclass(frozen=True)
@@ -137,11 +134,10 @@ def _control(band: PiecewiseLinearBand) -> tuple | None:
 
     It is the band below (or above) the straight line through the finite
     side at s = 0 and s = S, on at most CONTROL_INTERVALS intervals ending
-    at S: (that band, the node columns it reads, its exact mean).  On the
-    coarse nodes the kernel of a straight side is exact, so the control's
-    mean is `bcp_linear_one_sided` of the line, mirrored for a lower side.
-    Evenly spaced columns, as when 16 divides n, are a slice: copying a
-    strided view takes about a quarter of the time of an index array.
+    at S: (that band, the index array of the node columns it reads, its
+    exact mean).  On the coarse nodes the kernel of a straight side is
+    exact, so the control's mean is `bcp_linear_one_sided` of the line,
+    mirrored for a lower side.
     """
     lo, hi = band.lower, band.upper
     if lo.is_infinite == hi.is_infinite:
@@ -160,9 +156,7 @@ def _control(band: PiecewiseLinearBand) -> tuple | None:
     other = PiecewiseLinearBoundary.infinite(q, "lower" if upper else "upper")
     sign = 1.0 if upper else -1.0
     control = PiecewiseLinearBand(other, line) if upper else PiecewiseLinearBand(line, other)
-    step = p.n // m
-    cols = slice(step - 1, None, step) if p.n % m == 0 else nodes[1:] - 1
-    return control, cols, bcp_linear_one_sided(sign * c0, sign * (c_end - c0) / q.T, q.T)
+    return control, nodes[1:] - 1, bcp_linear_one_sided(sign * c0, sign * (c_end - c0) / q.T, q.T)
 
 
 def _estimate(
@@ -179,13 +173,12 @@ def _estimate(
     put the inner g above the outer one.  Sums run in chunk order.
 
     Without a control the SE is the outer band's.  When controlled, a
-    one-sided outer band has a control (`_control`), evaluated on the
-    gathered node columns once per chunk, or per 8192 rows of a larger
-    chunk (one kernel block at 16 columns).  Each bracket end is then the
-    control's exact mean mu_c plus the mean of g - g_c (coefficient 1),
-    or the plain mean of g, clipped to [0, 1]; the SE is the larger of
-    the two ends' SEs, and the control is taken only when it makes that
-    SE strictly smaller.  Subtracting the same g_c keeps each end
+    one-sided outer band has a control (`_control`), evaluated like the
+    bands on each block, at its node columns.  Each bracket end is then
+    the control's exact mean mu_c plus the mean of g - g_c (coefficient
+    1), or the plain mean of g, clipped to [0, 1]; the SE is the larger
+    of the two ends' SEs, and the control is taken only when it makes
+    that SE strictly smaller.  Subtracting the same g_c keeps each end
     unbiased and inner <= outer path by path.  The choice looks at the
     same samples, but only through their spread, which moves the mean
     by O(1/paths) against an SE of O(1/sqrt(paths)).
@@ -199,9 +192,6 @@ def _estimate(
     if control is not None:
         control_band, cols, control_mean = control
         control_plan = kernel_plan(control_band)
-        width = control_band.partition.n
-        span = BLOCK_SIZE // width  # rows: one kernel block per control call
-    local = threading.local()  # each worker thread's gathered control columns
 
     def kernel(band, plan, x):
         g, _ = band_kernel(band, x, plan=plan)
@@ -209,9 +199,6 @@ def _estimate(
             g2, _ = band_kernel(band, -x, plan=plan)
             g = 0.5 * (g + g2)
         return g
-
-    def run_control(gc, r0, r1):  # rows r0..r1 of the chunk, gathered in local.cols
-        gc[r0:r1] = kernel(control_band, control_plan, local.cols[:r1 - r0])
 
     def sums(g):  # (sum, sum of squares) of each row of g
         return [(float(np.sum(gb)), float(np.sum(gb * gb))) for gb in g]
@@ -223,28 +210,17 @@ def _estimate(
         g = np.empty((len(bands), count))
         if control is not None:
             gc = np.empty(count)
-            done = 0  # rows whose g_c is computed
         for r0 in range(0, count, block):
             x = sample_nodes(p, stream, buf[:min(block, count - r0)])
             r1 = r0 + x.shape[0]
-            if control is not None:  # gathered while x is still in cache
-                if r1 - done > span:
-                    run_control(gc, done, r0)
-                    done = r0
-                local.cols[r0 - done:r1 - done] = x[:, cols]
+            if control is not None:
+                gc[r0:r1] = kernel(control_band, control_plan, x[:, cols])
             for b, (band, plan) in enumerate(zip(bands, plans)):
                 g[b, r0:r1] = kernel(band, plan, x)
             np.minimum(g[0, r0:r1], g[-1, r0:r1], out=g[0, r0:r1])
-        if control is None:
-            return sums(g)
-        run_control(gc, done, count)
-        return sums(g) + sums(g - gc)
+        return sums(g) if control is None else sums(g) + sums(g - gc)
 
-    def start_worker():
-        if control is not None:
-            local.cols = np.empty((min(span, cfg.chunk_size, cfg.paths), width))
-
-    with ThreadPoolExecutor(_worker_lanes(n_chunks), initializer=start_worker) as pool:
+    with ThreadPoolExecutor(_worker_lanes(n_chunks)) as pool:
         results = list(pool.map(run_chunk, range(n_chunks)))
     # (sum, sum of squares) of g for each band, then of g - g_c when controlled
     totals = [[math.fsum(stats[b][i] for stats in results) for i in (0, 1)]
@@ -282,22 +258,6 @@ def estimate_bcp(band: PiecewiseLinearBand, cfg: McConfig) -> BcpEstimate:
     return _estimate(band, band, cfg, controlled=False)
 
 
-def _coarsest(band: PiecewiseLinearBand) -> PiecewiseLinearBand:
-    """band on every k-th node, for the largest k dividing n whose intervals
-    need no more series terms than band's largest J: whose series tails at
-    that J are below TAIL_BOUND.  One-sided, k = n."""
-    p, sides = band.partition, (band.lower, band.upper)
-    with np.errstate(over="ignore"):
-        most = 0 if any(s.is_infinite for s in sides) else float(_term_counts(band, 1)[0].max())
-        for k in filter(lambda k: p.n % k == 0, range(p.n, 1, -1)):
-            q = Partition(p.nodes[::k])
-            coarse = PiecewiseLinearBand(
-                *(PiecewiseLinearBoundary.from_values(q, s.side, s.right[::k]) for s in sides))
-            if not most or _tail(_q(coarse), most).max() < TAIL_BOUND:
-                return coarse
-    return band
-
-
 def estimate_bcp_bracketed(
     gb_lower: GeneralBoundary | None,
     gb_upper: GeneralBoundary | None,
@@ -319,8 +279,8 @@ def estimate_bcp_bracketed(
 
     p is the finest partition.  A band of straight sides (`is_straight`)
     runs on the coarsest sub-partition of p that needs no more series
-    terms (`_coarsest`): the bracket stays (mean, mean), and the variance
-    cannot rise.  Narrow bands such as (-0.1, 0.1) at n = 4 keep p.
+    terms (`kernels._coarsest`): the bracket stays (mean, mean), and the
+    variance cannot rise.  Narrow bands such as (-0.1, 0.1) at n = 4 keep p.
     """
     gbs = (gb_lower or GeneralBoundary.infinite("lower", p.T),
            gb_upper or GeneralBoundary.infinite("upper", p.T))

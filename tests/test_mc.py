@@ -142,8 +142,8 @@ class TestReproducibility:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_pinned_antithetic_bracket_multi_block_chunks(self, threads, monkeypatch):
         # Recorded with the straight-chord control; each 2500-row chunk is
-        # drawn and evaluated as blocks of 1024 + 1024 + 452 rows, and its
-        # control once on the whole chunk.
+        # drawn and evaluated as blocks of 1024 + 1024 + 452 rows, its
+        # control included.
         monkeypatch.setenv("BCP_THREADS", str(threads))
         daniels = parse_boundary("0.5 - t*log(0.25+0.25*sqrt(1+8*exp(-1/t)))")
         est = estimate_bcp_bracketed(
@@ -290,8 +290,8 @@ class TestBracketing:
 
     def test_empty_inner_band_gives_zero_lower_end(self, monkeypatch):
         # The inner envelope of 0.0005 + sqrt(t) lies below 0 at t = 0, so
-        # the inner band excludes the start: only the outer band is evaluated,
-        # per block, and its control once per 4096-row chunk.
+        # the inner band excludes the start: only the outer band and its
+        # control are evaluated, per 1024-row block.
         p = uniform_partition(1.0, 128)
         cfg = McConfig(paths=8192, seed=1)
         gb = GeneralBoundary(parse_boundary("0.0005+sqrt(t)"), "upper", 1.0)
@@ -301,7 +301,7 @@ class TestBracketing:
         upper = bcp.mc._estimate(band, band, cfg)
         calls = self._count_kernel_calls(monkeypatch)
         est = estimate_bcp_bracketed(None, gb, p, 50, cfg)
-        assert sorted(calls) == [1024] * 8 + [4096] * 2
+        assert sorted(calls) == [1024] * 16
         assert est.bracket == (0.0, upper.mean) and est.std_error == upper.std_error
         assert est.mean == 0.5 * upper.mean
 
@@ -374,9 +374,8 @@ class TestControl:
         band = PiecewiseLinearBand(*((other, finite) if side == "upper" else (finite, other)))
         control, cols, mean = bcp.mc._control(band)
         line = control.upper if side == "upper" else control.lower
-        # 16 divides 128 and 4 covers every node: a slice; at n = 40, an index array.
+        # Every (n/16)-th column, rounded where 16 does not divide n = 40.
         assert control.partition.n == np.empty((1, n))[:, cols].shape[1] == min(n, 16)
-        assert isinstance(cols, slice) == (n != 40)
         assert np.array_equal(p.nodes[1:][cols], control.partition.nodes[1:])
         assert (line.right[0], line.left[-1]) == (finite.right[0], finite.left[-1])
         g = np.concatenate([
@@ -407,16 +406,17 @@ class TestControl:
         r = run_request(args).results
         assert r["mean"] == bcp_linear_one_sided(*line, 1.0) and r["std_error"] == 0.0
 
-    def test_large_chunk_runs_control_per_8192_rows(self, monkeypatch):
-        # One 20 000-row chunk: its control runs on 8192 + 8192 + 3616 rows,
-        # and the estimate is mu_c plus the mean of g - g_c over the chunk.
+    def test_large_chunk_runs_control_per_block(self, monkeypatch):
+        # One 20 000-row chunk: its control runs on each block, 19 of 1024
+        # rows and one of 544, and the estimate is mu_c plus the mean of
+        # g - g_c over the chunk.
         p = uniform_partition(1.0, 128)
         _, outer = envelopes(GeneralBoundary(parse_boundary("1+0.3*sin(4*t)"), "upper", 1.0),
                              p, 50)
         band = PiecewiseLinearBand(PiecewiseLinearBoundary.infinite(p, "lower"), outer)
         calls = TestBracketing._count_kernel_calls(monkeypatch)
         est = bcp.mc._estimate(band, band, McConfig(paths=20_000, seed=6, chunk_size=20_000))
-        assert calls[-1] == 3616 and [c for c in calls[:-1] if c != 1024] == [8192, 8192, 544]
+        assert calls[::2] == calls[1::2] == [1024] * 19 + [544]  # the control's, the band's
         control, cols, mean = bcp.mc._control(band)
         x = sample_nodes(p, _chunk_stream(6, 0), np.empty((20_000, p.n)))
         d = band_kernel(band, x)[0] - band_kernel(control, x[:, cols])[0]

@@ -17,20 +17,24 @@ is capped at its outer g, so the bracket ordering holds path by path,
 rounding included.  The plain estimate is the bracketed one
 with inner = outer, so its bracket is (mean, mean).
 
-A one-sided band is estimated against a control variate (Glasserman
-2003, sec. 4.1): the kernel g_c of the band below the straight line
-through the outer band's finite side at s = 0 and s = S, on at most 16
-of its intervals, whose mean mu_c `bcp_linear_one_sided` gives exactly.
-Each bracket end is mu_c + mean(g - g_c), with coefficient 1 rather
-than the fitted optimum: each end stays unbiased, inner <= outer path
-by path, and the result a function of the seed and chunk size alone.
-On the four paper7 cases the variance falls 8-22x.  A side that bends
-far from its chord can make g - g_c vary more than g (2 - 1.9 sin(pi t)
-at n = 128: 0.97x), so the engine also sums g alone and keeps the
-control only where it gives the smaller standard error.  Two-sided
-bands keep plain Monte Carlo, since their control would need the
-probability of a band between two sloped lines.  `estimate_bcp` is the
-plain average of the kernel, without a control.
+Every band with a finite side is estimated against a control variate
+(Glasserman 2003, sec. 4.1): the kernel g_c of the band between the
+straight lines (chords) through the outer band's finite sides at s = 0
+and s = S, on at most 16 of its intervals.  Its mean mu_c is the
+probability of the chords' band: exact from `bcp_linear_one_sided` for
+one side, and for two a one-dimensional quadrature of the one-interval
+kernel, `bcp_linear_two_sided`, which returns it with an error eps of
+about 1e-13.  Each bracket end is mu_c + mean(g - g_c), with coefficient
+1 rather than the fitted optimum: each end stays unbiased, inner <= outer
+path by path, and the result a function of the seed and chunk size
+alone.  The ends are widened by eps each way, so the bracket covers the
+quadrature's error.  On the four paper7 cases the variance falls 8-22x,
+and on (-1, Daniels) 5x; a straight band whose chords are its sides has
+g - g_c = 0.  A side that bends far from its chord can make g - g_c vary
+more than g (2 - 1.9 sin(pi t) at n = 128: 0.97x), so the engine also
+sums g alone and keeps the control only where its standard error plus
+eps is the smaller.  `estimate_bcp` is the plain average of the kernel,
+without a control.
 """
 
 from __future__ import annotations
@@ -45,7 +49,8 @@ import numpy as np
 from .boundary import (GeneralBoundary, Partition, PiecewiseLinearBand,
                        PiecewiseLinearBoundary, envelopes, is_straight)
 from .errors import InvalidBoundariesError
-from .kernels import BLOCK_SIZE, _coarsest, band_kernel, bcp_linear_one_sided, kernel_plan
+from .kernels import (BLOCK_SIZE, _coarsest, band_kernel, bcp_linear_one_sided,
+                      bcp_linear_two_sided, kernel_plan, line_floor)
 
 
 @dataclass(frozen=True)
@@ -130,33 +135,56 @@ CONTROL_INTERVALS = 16
 
 
 def _control(band: PiecewiseLinearBand) -> tuple | None:
-    """The control of a one-sided band, or None for any other.
+    """The control of a band with a finite side, or None.
 
-    It is the band below (or above) the straight line through the finite
+    It is the band between the straight lines (chords) through each finite
     side at s = 0 and s = S, on at most CONTROL_INTERVALS intervals ending
-    at S: (that band, the index array of the node columns it reads, its
-    exact mean).  On the coarse nodes the kernel of a straight side is
-    exact, so the control's mean is `bcp_linear_one_sided` of the line,
-    mirrored for a lower side.
+    at S: (that band, the index array of the node columns it reads, a
+    function giving its mean and that mean's error (mu_c, eps), and a floor
+    on eps known beforehand).  On the coarse nodes the kernel of straight
+    sides is exact, so mu_c is the probability of the chords' band:
+    `bcp_linear_one_sided` of one chord, mirrored for a lower side, with
+    eps = 0, or `bcp_linear_two_sided` of two, whose floor is `line_floor`.
+    Where the chords' band has the band's nodes and bit-equal side values,
+    the band itself is returned.  There is no control where a chord's rise
+    c(S) - c(0) overflows, or where the chords' band on one interval would
+    need more than MAX_TERMS series terms.
     """
-    lo, hi = band.lower, band.upper
-    if lo.is_infinite == hi.is_infinite:
-        return None
-    upper = lo.is_infinite
-    side, p = (hi if upper else lo), band.partition
-    c0, c_end = float(side.right[0]), float(side.left[-1])
-    if not math.isfinite(c_end - c0):
-        return None
+    p = band.partition
     m = min(p.n, CONTROL_INTERVALS)
     nodes = np.round(np.linspace(0, p.n, m + 1)).astype(np.intp)
     q = Partition(p.nodes[nodes])
-    values = c0 + (c_end - c0) * (q.nodes / q.T)
-    values[-1] = c_end
-    line = PiecewiseLinearBoundary.from_values(q, side.side, values)
-    other = PiecewiseLinearBoundary.infinite(q, "lower" if upper else "upper")
-    sign = 1.0 if upper else -1.0
-    control = PiecewiseLinearBand(other, line) if upper else PiecewiseLinearBand(line, other)
-    return control, nodes[1:] - 1, bcp_linear_one_sided(sign * c0, sign * (c_end - c0) / q.T, q.T)
+    sides, chords, ends = (band.lower, band.upper), [], []
+    for side in sides:
+        if side.is_infinite:
+            chords.append(PiecewiseLinearBoundary.infinite(q, side.side))
+            continue
+        c0, c_end = float(side.right[0]), float(side.left[-1])
+        if not math.isfinite(c_end - c0):
+            return None
+        values = c0 + (c_end - c0) * (q.nodes / q.T)
+        values[-1] = c_end
+        chords.append(PiecewiseLinearBoundary.from_values(q, side.side, values))
+        ends.append((c0, c_end))
+    if not ends:
+        return None
+    if q.n == p.n and all(np.array_equal(c.right, s.right) and np.array_equal(c.left, s.left)
+                          for c, s in zip(chords, sides)):
+        control = band
+    else:
+        try:
+            control = PiecewiseLinearBand(*chords)
+        except InvalidBoundariesError:  # chords only ulps apart, crossed by rounding
+            return None
+    cols = nodes[1:] - 1
+    if len(ends) == 2:
+        floor = line_floor(*ends, q.T)
+        return None if math.isinf(floor) else (
+            control, cols, lambda: bcp_linear_two_sided(*ends, q.T), floor)
+    (c0, c_end), = ends
+    sign = 1.0 if band.lower.is_infinite else -1.0
+    return control, cols, lambda: (
+        bcp_linear_one_sided(sign * c0, sign * (c_end - c0) / q.T, q.T), 0.0), 0.0
 
 
 def _estimate(
@@ -172,16 +200,21 @@ def _estimate(
     for a side that a reduction maps to a line, let rounding in the series
     put the inner g above the outer one.  Sums run in chunk order.
 
-    Without a control the SE is the outer band's.  When controlled, a
-    one-sided outer band has a control (`_control`), evaluated like the
-    bands on each block, at its node columns.  Each bracket end is then
-    the control's exact mean mu_c plus the mean of g - g_c (coefficient
-    1), or the plain mean of g, clipped to [0, 1]; the SE is the larger
-    of the two ends' SEs, and the control is taken only when it makes
-    that SE strictly smaller.  Subtracting the same g_c keeps each end
-    unbiased and inner <= outer path by path.  The choice looks at the
-    same samples, but only through their spread, which moves the mean
-    by O(1/paths) against an SE of O(1/sqrt(paths)).
+    Without a control the SE is the outer band's.  When controlled, an
+    outer band with a finite side has a control (`_control`), evaluated
+    like the bands on each block, at its node columns; a band that is its
+    own control is evaluated once, and its g is g_c.  Each bracket end is
+    then the control's mean mu_c plus the mean of g - g_c (coefficient 1),
+    widened by mu_c's error eps (0 for one side) away from the other end,
+    or the plain mean of g; either is clipped to [0, 1].  The SE is the
+    larger of the two ends' SEs, and the control is taken only when its
+    SE plus eps is strictly below the plain one.  The quadrature behind a
+    two-sided mu_c runs only when the control's SE plus eps's floor, known
+    beforehand, is below the plain SE; so never where that SE is 0.
+    Subtracting the same g_c keeps each end unbiased and inner <= outer
+    path by path.  The choice looks at the same samples, but only through
+    their spread, which moves the mean by O(1/paths) against an SE of
+    O(1/sqrt(paths)).
     """
     bands = [outer] if inner is None or inner is outer else [inner, outer]
     control = _control(outer) if controlled else None
@@ -190,8 +223,9 @@ def _estimate(
     block = max(1, BLOCK_SIZE // p.n)  # rows: one kernel block per mc block
     plans = [kernel_plan(band) for band in bands]
     if control is not None:
-        control_band, cols, control_mean = control
-        control_plan = kernel_plan(control_band)
+        control_band, cols, control_mean, floor = control
+        own = control_band is outer  # g_c is the outer band's g
+        control_plan = None if own else kernel_plan(control_band)
 
     def kernel(band, plan, x):
         g, _ = band_kernel(band, x, plan=plan)
@@ -209,11 +243,11 @@ def _estimate(
         buf = np.empty((min(block, count), p.n))
         g = np.empty((len(bands), count))
         if control is not None:
-            gc = np.empty(count)
+            gc = g[-1] if own else np.empty(count)
         for r0 in range(0, count, block):
             x = sample_nodes(p, stream, buf[:min(block, count - r0)])
             r1 = r0 + x.shape[0]
-            if control is not None:
+            if control is not None and not own:
                 gc[r0:r1] = kernel(control_band, control_plan, x[:, cols])
             for b, (band, plan) in enumerate(zip(bands, plans)):
                 g[b, r0:r1] = kernel(band, plan, x)
@@ -225,19 +259,21 @@ def _estimate(
     # (sum, sum of squares) of g for each band, then of g - g_c when controlled
     totals = [[math.fsum(stats[b][i] for stats in results) for i in (0, 1)]
               for b in range(len(results[0]))]
-    ends, shift = totals[:len(bands)], 0.0
+    ends, shift, widen = totals[:len(bands)], 0.0, 0.0
     std_error = _std_error(*ends[-1], cfg.paths)
     if control is not None:  # the larger SE of the two ends, without and with the control
         std_error, control_se = (max(_std_error(*t, cfg.paths) for t in e)
                                  for e in (ends, totals[len(bands):]))
-        if control_se < std_error:
-            ends, shift, std_error = totals[len(bands):], control_mean, control_se
+        if control_se + floor < std_error:  # else the quadrature cannot pay
+            mu, eps = control_mean()
+            if control_se + eps < std_error:
+                ends, shift, widen, std_error = totals[len(bands):], mu, eps, control_se
 
-    def end(s1: float) -> float:  # shift + the mean, a probability
-        return min(1.0, max(0.0, shift + s1 / cfg.paths))
+    def end(s1: float, w: float) -> float:  # shift + the mean + w, a probability
+        return min(1.0, max(0.0, shift + s1 / cfg.paths + w))
 
-    mean_in = 0.0 if inner is None else end(ends[0][0])
-    mean_out = end(ends[-1][0])
+    mean_in = 0.0 if inner is None else end(ends[0][0], -widen)
+    mean_out = end(ends[-1][0], widen)
     return BcpEstimate(
         mean=0.5 * (mean_in + mean_out),
         std_error=std_error,
@@ -269,18 +305,21 @@ def estimate_bcp_bracketed(
 
     None is a side with no boundary.  Returns bracket = (mean over the
     narrowing band, mean over the widening band) and the midpoint as the
-    point estimate.  The standard error is the outer band's for a
-    two-sided band; for a one-sided band it is the larger of the two
-    ends' SEs, of g - g_c where the control is kept (see `_estimate`), so
-    a band that is its own control to within ulps reports a rounding-level
-    SE only when both ends are.  Exact sides
-    give one band, evaluated once.  An inner band that excludes the start
-    or closes has probability 0, and 0 is then the lower end.
+    point estimate.  The standard error is the larger of the two ends'
+    SEs, of g - g_c where the control is kept (see `_estimate`), so a
+    band that is its own control to within ulps reports a rounding-level
+    SE only when both ends are.  Where a two-sided control is kept, the
+    bracket also covers the error eps of its quadrature mean, about 1e-13:
+    a straight two-sided band that is its own control returns mu_c +- eps
+    with SE 0.  Exact sides give one band, evaluated once.  An inner band
+    that excludes the start or closes has probability 0, and 0 is then the
+    lower end.
 
     p is the finest partition.  A band of straight sides (`is_straight`)
     runs on the coarsest sub-partition of p that needs no more series
-    terms (`kernels._coarsest`): the bracket stays (mean, mean), and the
-    variance cannot rise.  Narrow bands such as (-0.1, 0.1) at n = 4 keep p.
+    terms (`kernels._coarsest`): the variance cannot rise, and the bracket
+    stays (mean, mean) unless a two-sided control widens it by eps.
+    Narrow bands such as (-0.1, 0.1) at n = 4 keep p.
     """
     gbs = (gb_lower or GeneralBoundary.infinite("lower", p.T),
            gb_upper or GeneralBoundary.infinite("upper", p.T))

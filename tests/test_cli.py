@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 import warnings
 
 import pytest
@@ -184,6 +185,24 @@ class TestExitCodes:
             assert json.loads(out)["results"]["mean"] == 0.0
         else:
             assert "series terms" in err
+
+    @pytest.mark.parametrize("h, n, result", [
+        ("1e-4", "4", 0.0), ("1e-6", "4", 0.0), ("1e-8", "4", 0.0), ("1e-16", "128", 0.0),
+        ("1e160", "128", 1.0)])
+    def test_extreme_band_keeps_result_with_chord_control(self, h, n, result, capsys):
+        # The chords' one-interval band needs about 2.7e8 series terms at
+        # +-1e-8 and more than MAX_TERMS at +-1e-16; every path leaves the
+        # narrow bands and stays in the wide one, so the plain SE is 0 and
+        # the quadrature never runs.
+        argv = ["bm", f"--lower=-{h}", "--upper", h, "--T", "1", "--n", n,
+                "--paths", "2000", "--seed", "1"]
+        start = time.perf_counter()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_capture(argv, capsys)
+        assert (code, err) == (EXIT_OK, "") and time.perf_counter() - start < 10.0
+        r = json.loads(out)["results"]
+        assert (r["mean"], r["std_error"], r["lower"], r["upper"]) == (result, 0.0, result, result)
 
     @pytest.mark.parametrize("h", ["1e140", "1e160", "1e300"])
     def test_very_wide_two_sided_band(self, h, capsys):
@@ -544,7 +563,7 @@ class TestEmptyInnerBand:
     @pytest.mark.parametrize(
         "argv, upper",
         [(["bm", "--upper", "0.0005+sqrt(t)"], 0.169),
-         (["bm", "--lower=-1", "--upper", "0.0005+sqrt(t)"], 0.0696),
+         (["bm", "--lower=-1", "--upper", "0.0005+sqrt(t)"], 0.0691),
          (["ou", "--kappa", "0.5", "--alpha", "0", "--sigma2", "1", "--x0", "0",
            "--upper", "0.0005+sqrt(t)"], 0.190),
          (["bm", "--lower", "sqrt(t)-0.0005", "--upper", "sqrt(t)+0.002", "--n", "16"], 0.0)],
@@ -565,13 +584,16 @@ class TestEmptyInnerBand:
 # every family's reduced problem came from one constructor.  The rows of
 # one-sided bands were re-recorded when they gained the straight-chord control;
 # the SEs of ou_td_const and gbm_zero_lower, which are rounding, again when a
-# controlled SE came to cover both bracket ends.
+# controlled SE came to cover both bracket ends.  The two-sided rows, bm_pm1,
+# gbm_lower and growth_lower, were re-recorded when two-sided bands gained the
+# chord control, each within 1.3 combined SEs of its plain value.
 FAMILY_PINS = [
     (["bm", "--upper", DANIELS],
      (0.5214937980455758, 0.0017761079645485646, 0.521337341779466, 0.5216502543116858)),
-    # A straight band: it runs on 8 of the 16 intervals.
+    # A straight band: it runs on 8 of the 16 intervals, and is its own
+    # control, so the result is the quadrature's mu_c +- eps.
     (["bm", "--lower=-1", "--upper", "1"],
-     (0.3784707409345752, 0.006788311779602325, 0.3784707409345752, 0.3784707409345752)),
+     (0.37077742979952394, 0.0, 0.3707774297994342, 0.3707774297996137)),
     (["bm", "--upper", DANIELS, "--antithetic"],
      (0.5207406458974682, 0.0012858749828847976, 0.5205919833818949, 0.5208893084130415)),
     (["ou", "--kappa", "0.5", "--alpha", "0", "--sigma2", "1", "--x0", "0", "--upper", "1"],
@@ -581,7 +603,7 @@ FAMILY_PINS = [
      (0.7205996847949474, 0.0004811646617240615, 0.7205684035643518, 0.7206309660255431)),
     (["gbm", "--sigma", "0.1", "--rate", "0.1+0.05*exp(-t)", "--x0", "10",
       "--lower", "8", "--upper", "12"],
-     (0.6133091885039019, 0.007344790893045905, 0.6132852377888046, 0.6133331392189993)),
+     (0.603627193869934, 0.00035275097925092436, 0.6036032431547569, 0.603651144585111)),
     (["ou-td", "--kappa-fn", "0.5", "--alpha-fn", "0", "--sigma-fn", "1", "--x0", "0",
       "--upper", "exp(0.5*t)"],
      (0.885110408906788, 1.4533549083766575e-17, 0.8851104089067879, 0.8851104089067883)),
@@ -591,7 +613,7 @@ FAMILY_PINS = [
     # growth and gbm through the log map, off x0 = 1 and sigma = 1, with a lower side.
     (["growth", "--alpha", "0.3", "--beta", "0.8", "--sigma", "0.6", "--x0", "2",
       "--lower", "0.5", "--upper", "5+t"],
-     (0.9806481062862562, 0.0019653403868211987, 0.9806313470353987, 0.9806648655371139)),
+     (0.9791798818485296, 0.0009442814057029952, 0.9791631225975588, 0.9791966410995004)),
     (["gbm", "--sigma", "0.3", "--rate", "0.02", "--x0", "2", "--lower", "0",
       "--upper", "3*exp(0.1*t)"],
      (0.9047714610820947, 3.167958336306222e-17, 0.9047714610820945, 0.9047714610820949)),

@@ -593,3 +593,50 @@ class TestLinearClosedForm:
         band = one_sided_band(np.linspace(c, c + d, 129), T=1.0)
         est = estimate_bcp(band, McConfig(paths=200_000, seed=17))
         assert abs(est.mean - exact) < 3.0 * est.std_error
+
+
+class TestLinearTwoSided:
+    """`bcp_linear_two_sided`: the probability of a band between two lines,
+    by quadrature of the one-interval kernel, with an error bound eps."""
+
+    @pytest.mark.parametrize("a, b, T, most", [
+        (-1.0, 1.0, 1.0, 1e-12), (-1.0, 1.0, 4.0, 1e-12), (-0.5, 2.0, 1.0, 1e-12),
+        (-3.0, 3.0, 1.0, 1e-12), (-1.0, 40.0, 1.0, 1e-12), (-1.0, 1e4, 1.0, 1e-10),
+        (-30.0, 30.0, 1.0, 1e-12), (-1e3, 1.0, 1.0, 1e-11), (-0.3, 1e6, 1.0, 1e-7)])
+    def test_constant_band_inside_error_bound(self, a, b, T, most):
+        # Over all of (a, b), (-1, 1e4) once read 1.7e-34 at 32 nodes and
+        # (-30, 30) 0.81; the range is cut to |y| <= 10 sqrt(T).  On
+        # (-0.3, 1e6) the kernel's differences lose 3.5e-11, the same in
+        # both rules, which the rounding floor's far-side term covers.
+        mu, eps = bcp.kernels.bcp_linear_two_sided((a, a), (b, b), T)
+        truth = two_barrier_survival(a, b, T)
+        assert abs(mu - truth) <= eps < most
+
+    def test_sloped_band_matches_adaptive_quadrature(self):
+        lower, upper = (-0.8, -1.3), (0.6, 1.1)
+        band = two_sided_band(np.array(lower), np.array(upper), T=1.5)
+        terms = kernel_plan(band)[1]
+        lib = quad_of_kernel_n1(lambda y: band_kernel_unfused(band, [[y]], terms)[0],
+                                lower[1], upper[1], 1.5)
+        mu, eps = bcp.kernels.bcp_linear_two_sided(lower, upper, 1.5)
+        assert abs(mu - lib) < 1e-10 and eps < 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(a0=st.floats(-3.0, -0.05), b0=st.floats(0.05, 3.0), a1=st.floats(-3.0, 3.0),
+           gap=st.floats(0.05, 4.0), T=st.floats(0.1, 4.0))
+    def test_doubled_rule_inside_error_bound(self, a0, b0, a1, gap, T):
+        mu, eps = bcp.kernels.bcp_linear_two_sided((a0, a1), (b0, a1 + gap), T)
+        fine, _ = bcp.kernels.bcp_linear_two_sided((a0, a1), (b0, a1 + gap), T, nodes=128)
+        assert 0.0 <= mu <= 1.0 and abs(mu - fine) <= eps
+
+    @pytest.mark.parametrize("h, floor", [
+        (1.0, 9.0e-14), (0.1, 1.8e-12), (1e-4, 3.5e-9), (1e-8, 4.5e-5), (1e-16, math.inf)])
+    def test_floor_before_quadrature(self, h, floor):
+        # J = 3 at +-1, 24 at +-0.1, about 2.7e8 at +-1e-8, and past
+        # MAX_TERMS at +-1e-16, where there is no floor.
+        got = bcp.kernels.line_floor((-h, -h), (h, h), 1.0)
+        assert got == pytest.approx(floor, rel=0.02)
+
+    def test_past_term_cap_raises(self):
+        with pytest.raises(NumericFailureError, match="series terms"):
+            bcp.kernels.bcp_linear_two_sided((-1e-16, -1e-16), (1e-16, 1e-16), 1.0)

@@ -26,8 +26,9 @@ from bcp import (
 )
 from bcp.boundary import Partition
 from bcp.cli import build_parser, run_request
+from bcp.kernels import bcp_linear_two_sided
 from bcp.mc import _chunk_stream, _worker_lanes, sample_nodes
-from oracles import quad_one_sided_n1, reflection_one_sided
+from oracles import quad_one_sided_n1, reflection_one_sided, two_barrier_survival
 
 
 def upper_band(values, T=1.0):
@@ -125,8 +126,9 @@ class TestReproducibility:
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_pinned_two_sided_bracket(self, threads, monkeypatch):
-        # Recorded with the unblocked kernel; each 1000-row chunk is one
-        # partial 1024-row block.
+        # Recorded with the two-sided chord control, which took the SE from
+        # 0.0045 to 0.0020 and moved the bracket by 0.0012; each 1000-row
+        # chunk is one partial 1024-row block.
         monkeypatch.setenv("BCP_THREADS", str(threads))
         daniels = parse_boundary("0.5 - t*log(0.25+0.25*sqrt(1+8*exp(-1/t)))")
         est = estimate_bcp_bracketed(
@@ -136,8 +138,8 @@ class TestReproducibility:
             50,
             McConfig(paths=8192, seed=1, chunk_size=1000),
         )
-        assert est.bracket == (0.23180133096469174, 0.23180421363992304)
-        assert est.std_error == 0.004492618414136666
+        assert est.bracket == (0.23300994198439406, 0.23301282465984585)
+        assert est.std_error == 0.002013187916697499
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_pinned_antithetic_bracket_multi_block_chunks(self, threads, monkeypatch):
@@ -272,7 +274,8 @@ class TestBracketing:
     def test_exact_band_evaluated_once(self, monkeypatch):
         # (-1, 1) requested at n = 128 runs on 8 intervals: two chunks of
         # 4096 rows, each one block, so one kernel call per chunk, not one
-        # per chunk and envelope.
+        # per chunk and envelope.  The band is its own control, so g - g_c
+        # is 0: the estimate is the quadrature's mu_c +- eps, with SE 0.
         p = uniform_partition(1.0, 8)
         cfg = McConfig(paths=8192, seed=1)
         band = PiecewiseLinearBand(
@@ -286,7 +289,10 @@ class TestBracketing:
             GeneralBoundary.constant(1.0, "upper", 1.0), uniform_partition(1.0, 128), 50, cfg,
         )
         assert calls == [4096] * 2
-        assert est == plain and est.bracket == (plain.mean, plain.mean)
+        mu, eps = bcp_linear_two_sided((-1.0, -1.0), (1.0, 1.0), 1.0)
+        assert est.bracket == (mu - eps, mu + eps) and est.std_error == 0.0
+        assert est.bracket[0] <= two_barrier_survival(-1.0, 1.0, 1.0) <= est.bracket[1]
+        assert abs(est.mean - plain.mean) < 4.0 * plain.std_error
 
     def test_empty_inner_band_gives_zero_lower_end(self, monkeypatch):
         # The inner envelope of 0.0005 + sqrt(t) lies below 0 at t = 0, so
@@ -321,15 +327,20 @@ class TestBracketing:
         g_in, _ = band_kernel(inner, x)
         g_out, _ = band_kernel(outer, x)
         assert np.any(g_in > g_out) and np.max(g_in - g_out) < 1e-12
-        est = bcp.mc._estimate(inner, outer, McConfig(paths=4096, seed=3))
+        cfg = McConfig(paths=4096, seed=3)
+        est = bcp.mc._estimate(inner, outer, cfg, controlled=False)
         assert est.bracket == (float(np.sum(np.minimum(g_in, g_out))) / 4096,
                                float(np.sum(g_out)) / 4096)
+        # Against the chord control the capped inner g still gives the lower end.
+        lo, hi = bcp.mc._estimate(inner, outer, cfg).bracket
+        assert lo <= hi and hi - lo < 1e-12
 
     @pytest.mark.parametrize("upper", ["1", "1+0.5*t"])
     def test_straight_side_evaluated_once(self, upper, monkeypatch):
         # A straight side is exact, like a constant one, and the straight
         # band runs on 8 intervals: 2 kernel calls for 8192 paths requested
-        # at n = 128, where its two envelopes on 128 intervals made 16.
+        # at n = 128, where its two envelopes on 128 intervals made 16.  The
+        # band is its own control: the bracket is mu_c +- eps, with SE 0.
         p = uniform_partition(1.0, 128)
         calls = self._count_kernel_calls(monkeypatch)
         est = estimate_bcp_bracketed(
@@ -337,7 +348,9 @@ class TestBracketing:
             GeneralBoundary(parse_boundary(upper), "upper", 1.0), p, 50,
             McConfig(paths=8192, seed=3),
         )
-        assert calls == [4096] * 2 and est.bracket_width == 0.0
+        mu, eps = bcp_linear_two_sided((-1.0, -1.0), (1.0, 1.5 if "t" in upper else 1.0), 1.0)
+        assert calls == [4096] * 2 and est.std_error == 0.0
+        assert est.bracket == (mu - eps, mu + eps)  # width 2 eps, 1.8e-13 and 2.1e-13
 
     def test_no_side_gives_one(self):
         p = uniform_partition(1.0, 8)
@@ -354,9 +367,10 @@ class TestBracketing:
 
 
 class TestControl:
-    """A one-sided band's control: the band below (or above) the straight
-    line through its finite side at s = 0 and s = S, on at most 16 intervals,
-    whose mean `bcp_linear_one_sided` gives exactly."""
+    """A band's control: the band between the straight lines through its
+    finite sides at s = 0 and s = S, on at most 16 intervals, whose mean
+    `bcp_linear_one_sided` gives exactly for one side, and
+    `bcp_linear_two_sided` to within its eps for two."""
 
     @pytest.mark.parametrize("side, c0, c_end, n", [
         ("upper", 1.0, 1.6, 128), ("upper", 1.0, 0.3, 128), ("lower", -0.8, -0.2, 128),
@@ -372,8 +386,9 @@ class TestControl:
             p, side, c0 + (c_end - c0) * p.nodes / p.T + bend)
         other = PiecewiseLinearBoundary.infinite(p, "lower" if side == "upper" else "upper")
         band = PiecewiseLinearBand(*((other, finite) if side == "upper" else (finite, other)))
-        control, cols, mean = bcp.mc._control(band)
-        line = control.upper if side == "upper" else control.lower
+        control, cols, mean, floor = bcp.mc._control(band)
+        (mean, eps), line = mean(), control.upper if side == "upper" else control.lower
+        assert eps == floor == 0.0
         # Every (n/16)-th column, rounded where 16 does not divide n = 40.
         assert control.partition.n == np.empty((1, n))[:, cols].shape[1] == min(n, 16)
         assert np.array_equal(p.nodes[1:][cols], control.partition.nodes[1:])
@@ -384,11 +399,13 @@ class TestControl:
         assert abs(g.mean() - mean) < 4.0 * g.std(ddof=1) / math.sqrt(g.size)
 
     @pytest.mark.parametrize("lower, upper", [
-        (np.full(9, -1.0), np.full(9, 1.0)), (None, None), (None, np.r_[1e308, np.zeros(7), -1e308])],
-        ids=["two_sided", "no_side", "chord_overflows"])
+        (np.full(9, -1e-16), np.full(9, 1e-16)), (None, None),
+        (None, np.r_[1e308, np.zeros(7), -1e308])],
+        ids=["two_sided_past_term_cap", "no_side", "chord_overflows"])
     def test_bands_without_control(self, lower, upper):
-        # Two-sided bands keep plain Monte Carlo; so does a side whose rise
-        # c(S) - c(0) overflows.
+        # The chords of (-1e-16, 1e-16) on one interval would need more than
+        # MAX_TERMS series terms; a side whose rise c(S) - c(0) overflows has
+        # no chord.  These bands keep plain Monte Carlo.
         p = uniform_partition(1.0, 8)
         band = PiecewiseLinearBand(*(
             PiecewiseLinearBoundary.infinite(p, side) if v is None
@@ -406,6 +423,61 @@ class TestControl:
         r = run_request(args).results
         assert r["mean"] == bcp_linear_one_sided(*line, 1.0) and r["std_error"] == 0.0
 
+    def test_own_control_evaluated_once(self, monkeypatch):
+        # bm --upper 1 runs on one interval, where the chord is the side
+        # itself: _control returns the band, whose g serves as g_c, so each
+        # of the two 4096-row blocks makes one kernel call, not two.
+        calls = TestBracketing._count_kernel_calls(monkeypatch)
+        args = build_parser().parse_args(
+            ["bm", "--upper", "1", "--T", "1", "--paths", "8192", "--seed", "3"])
+        r = run_request(args).results
+        assert calls == [4096] * 2
+        assert r["mean"] == bcp_linear_one_sided(1.0, 0.0, 1.0) and r["std_error"] == 0.0
+
+    @pytest.mark.parametrize("lower, upper, seed", [
+        ("-1-0.5*sin(3.14159*t)", "1+0.5*sin(3.14159*t)", 31),
+        ("-0.6-0.8*t*t", "0.4+t-0.3*sin(5*t)", 32),
+        ("-1.5+t", "2-1.8*t*t", 33)], ids=["bulge", "widening", "narrowing"])
+    def test_two_sided_mean_within_error(self, lower, upper, seed):
+        # The control of a curved two-sided band is the band between its
+        # sides' chords on 16 of its 128 intervals; E[g_c] = mu_c.
+        p = uniform_partition(1.0, 128)
+        (_, lo), (_, hi) = (envelopes(GeneralBoundary(parse_boundary(e), side, 1.0), p, 50)
+                            for e, side in ((lower, "lower"), (upper, "upper")))
+        control, cols, mean, floor = bcp.mc._control(PiecewiseLinearBand(lo, hi))
+        assert control.partition.n == 16 and 0.0 < floor < 1e-12
+        assert (control.lower.right[0], control.upper.left[-1]) == (lo.right[0], hi.left[-1])
+        mu, eps = mean()
+        assert floor < eps < 1e-12
+        g = np.concatenate([
+            band_kernel(control, sample_nodes(p, _chunk_stream(seed, k),
+                                              np.empty((20_000, 128)))[:, cols])[0]
+            for k in range(5)])
+        assert abs(g.mean() - mu) < 4.0 * g.std(ddof=1) / math.sqrt(g.size)
+
+    def test_two_sided_control_kept(self):
+        # (-1, Daniels): the chords' band takes the SE from 0.0032 to 0.0014
+        # at 16384 paths, and the bracket is mu_c + mean(g - g_c) +- eps.
+        args = build_parser().parse_args(
+            ["bm", "--lower=-1", "--upper", "0.5 - t*log(0.25+0.25*sqrt(1+8*exp(-1/t)))",
+             "--T", "1", "--paths", "16384", "--seed", "1"])
+        r = run_request(args).results
+        assert r["std_error"] < 1.6e-3 and r["lower"] < r["mean"] < r["upper"]
+
+    @pytest.mark.parametrize("h, n", [("1e-4", "4"), ("1e-8", "4"), ("1e160", "128"),
+                                      ("0.1", "4")])
+    def test_quadrature_skipped_where_it_cannot_pay(self, h, n, monkeypatch):
+        # Where no path stays inside, the plain SE is 0; at +-0.1 it is
+        # 2.2e-54, below the quadrature's rounding floor of 1.8e-12.
+        def refuse(*args):
+            raise AssertionError("quadrature ran")
+
+        monkeypatch.setattr(bcp.mc, "bcp_linear_two_sided", refuse)
+        args = build_parser().parse_args(
+            ["bm", f"--lower=-{h}", "--upper", h, "--T", "1", "--n", n,
+             "--paths", "8192", "--seed", "1"])
+        assert run_request(args).results["std_error"] < 1e-50
+
     def test_large_chunk_runs_control_per_block(self, monkeypatch):
         # One 20 000-row chunk: its control runs on each block, 19 of 1024
         # rows and one of 544, and the estimate is mu_c plus the mean of
@@ -417,17 +489,18 @@ class TestControl:
         calls = TestBracketing._count_kernel_calls(monkeypatch)
         est = bcp.mc._estimate(band, band, McConfig(paths=20_000, seed=6, chunk_size=20_000))
         assert calls[::2] == calls[1::2] == [1024] * 19 + [544]  # the control's, the band's
-        control, cols, mean = bcp.mc._control(band)
+        control, cols, mean, _ = bcp.mc._control(band)
         x = sample_nodes(p, _chunk_stream(6, 0), np.empty((20_000, p.n)))
         d = band_kernel(band, x)[0] - band_kernel(control, x[:, cols])[0]
         s1, s2 = float(np.sum(d)), float(np.sum(d * d))
-        assert est.mean == mean + s1 / 20_000
+        assert est.mean == mean()[0] + s1 / 20_000
         assert est.std_error == math.sqrt((s2 - s1 * s1 / 20_000) / 19_999 / 20_000)
 
+    @pytest.mark.parametrize("lower", [[], ["--lower=-1"]], ids=["one_sided", "two_sided"])
     @pytest.mark.parametrize("antithetic", [False, True])
-    def test_thread_count_does_not_change_result(self, antithetic, monkeypatch):
+    def test_thread_count_does_not_change_result(self, antithetic, lower, monkeypatch):
         argv = ["bm", "--upper", "0.5 - t*log(0.25+0.25*sqrt(1+8*exp(-1/t)))", "--T", "1",
-                "--paths", "10000", "--seed", "4", "--chunk-size", "3000"]
+                "--paths", "10000", "--seed", "4", "--chunk-size", "3000"] + lower
         results = []
         for threads in ("1", "2"):
             monkeypatch.setenv("BCP_THREADS", threads)
@@ -452,7 +525,8 @@ class TestControl:
         # control mean of -0.5 puts it there.  The straight band is its own
         # control, so the control is kept on every draw.
         control = bcp.mc._control
-        monkeypatch.setattr(bcp.mc, "_control", lambda band: (*control(band)[:2], -0.5))
+        monkeypatch.setattr(bcp.mc, "_control",
+                            lambda band: (*control(band)[:2], lambda: (-0.5, 0.0), 0.0))
         args = build_parser().parse_args(
             ["bm", "--upper", "1+0.5*t", "--T", "1", "--paths", "4096", "--seed", "1"])
         r = run_request(args).results
@@ -473,6 +547,8 @@ class TestControl:
     def test_term_counts_once_per_band(self, monkeypatch):
         # Each band's J comes from one _term_counts call per estimate, where
         # every 1024-row block once made its own: 16 calls for these 8192 paths.
+        # The bands are the inner, the outer, the control and the chords'
+        # one-interval band of the control's quadrature.
         calls = []
 
         def counted(band, min_terms):
@@ -485,7 +561,8 @@ class TestControl:
         est = estimate_bcp_bracketed(
             GeneralBoundary.constant(-1.0, "lower", 1.0), GeneralBoundary(daniels, "upper", 1.0),
             uniform_partition(1.0, 128), 50, McConfig(paths=8192, seed=1))
-        assert len(calls) == 2 and calls[0] is not calls[1]
+        assert sorted(band.partition.n for band in calls) == [1, 16, 128, 128]
+        assert len({id(band) for band in calls}) == 4
         assert est.bracket[0] < est.bracket[1]
 
 
@@ -523,12 +600,15 @@ class TestStraightBands:
         assert ns == [n]
 
     def test_kinked_side_keeps_value(self, monkeypatch):
+        # Re-recorded with the two-sided chord control (-1, 1.25), which took
+        # the SE from 0.0072 to 0.0023 and the mean from 0.4301 to 0.4282; the
+        # bracket is mu_c + mean(g - g_c) +- eps.
         argv = ["bm", "--lower=-1", "--upper", "1+0.5*abs(t-0.5)", "--n", "16",
                 "--paths", "4096", "--seed", "3"]
         r, _ = self._run(argv, monkeypatch)
         assert (r["mean"], r["std_error"], r["lower"], r["upper"]) == (
-            0.43010436192954415, 0.007240004642360409, 0.43010436192954415,
-            0.43010436192954415)
+            0.4282026473437503, 0.0023480053977728873, 0.4282026473436525,
+            0.4282026473438481)
 
     @pytest.mark.parametrize("bound, mean, se", [
         ("1e-4", 0.0, 0.0), ("0.1", 2.8495944756285945e-54, 2.1940039826216618e-54)])
@@ -553,6 +633,8 @@ class TestStraightBands:
     @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize("antithetic", [False, True])
     def test_equals_plain_estimate_on_coarse_band(self, threads, antithetic, monkeypatch):
+        # The coarse band is its own control, so both estimates are mu_c +-
+        # eps with SE 0; the plain estimate on it agrees to within its SE.
         monkeypatch.setenv("BCP_THREADS", threads)
         cfg = McConfig(paths=16384, seed=5, antithetic=antithetic)
         p = uniform_partition(1.0, 8)
@@ -565,7 +647,9 @@ class TestStraightBands:
             GeneralBoundary(parse_boundary("1+0.5*t"), "upper", 1.0),
             uniform_partition(1.0, 128), 50, cfg,
         )
-        assert est == estimate_bcp(coarse, cfg)
+        plain = estimate_bcp(coarse, cfg)
+        assert est == bcp.mc._estimate(coarse, coarse, cfg) and est.std_error == 0.0
+        assert abs(est.mean - plain.mean) < 4.0 * plain.std_error
 
     def test_standard_error_falls(self):
         # The kernel on merged intervals is the conditional expectation of

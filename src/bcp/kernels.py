@@ -57,11 +57,11 @@ series (Anderson 1960): `bcp_linear_two_sided` integrates the one-interval
 kernel k_1(y) against the density of W_T by Gauss-Legendre quadrature at
 QUAD_NODES and twice as many nodes, over the band's end cut to |y| <=
 QUAD_CUT sqrt(T), and returns the value with an error bound eps: the two
-rules' difference, a rounding floor from J and the rule (`line_floor`,
-known before the quadrature runs), the series tail and the normal mass
-beyond the cut.  eps is about 1e-13 where J is small; one call takes
-about 0.6 ms on 2 CPUs.  It is the mean of the Monte Carlo engine's
-two-sided control.
+rules' difference plus `line_floor`, the part known before the quadrature
+runs (a rounding floor from J and the rule, the series tail and the
+normal mass beyond the cut).  eps is about 1e-13 where J is small; one
+call takes about 0.8 ms on 2 CPUs.  It is the mean of the Monte Carlo
+engine's two-sided control.
 """
 
 from __future__ import annotations
@@ -143,18 +143,14 @@ def _q(band: PiecewiseLinearBand) -> np.ndarray:
 
 
 def _term_counts(band: PiecewiseLinearBand, min_terms: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-interval term counts J of a two-sided band and their tail bounds."""
-    return _q_terms(_q(band), min_terms)
-
-
-def _q_terms(q: np.ndarray, min_terms: int) -> tuple[np.ndarray, np.ndarray]:
-    """Term counts J and tail bounds of intervals with these q.
+    """Per-interval term counts J of a two-sided band and their tail bounds.
 
     The tail bound falls as J grows, so J is found by steps of 1, 2, 4, ...
     up from a lower estimate, then by bisection back to the smallest J.  It
     also falls as q grows, so the cap is checked at the smallest q alone, in
     Python floats, where an overflow is inf and warns nothing.
     """
+    q = _q(band)
     if not ((q_min := float(q.min())) > 0.0 and _tail(q_min, MAX_TERMS) < TAIL_BOUND):
         raise NumericFailureError(
             f"a two-sided band this narrow needs more than {MAX_TERMS:.0f} series terms")
@@ -422,42 +418,47 @@ def _mills_ratio(x: float) -> float:
     return 1.0 / r
 
 
+def _line_band(lower: tuple[float, float], upper: tuple[float, float],
+               T: float) -> PiecewiseLinearBand:
+    """The one-interval band between the lines through lower = (a0, a1)
+    and upper = (b0, b1) at t = 0 and T."""
+    p = Partition(np.array([0.0, T]))
+    return PiecewiseLinearBand(PiecewiseLinearBoundary.from_values(p, "lower", lower),
+                               PiecewiseLinearBoundary.from_values(p, "upper", upper))
+
+
 def line_floor(lower: tuple[float, float], upper: tuple[float, float], T: float) -> float:
-    """The rounding floor of `bcp_linear_two_sided` for these lines, known
-    before its quadrature runs, or inf where J would pass MAX_TERMS.
+    """The part of `bcp_linear_two_sided`'s error bound for these lines
+    known before its quadrature runs: the series tail, the normal mass
+    beyond the cut and a rounding floor; inf where the lines' one-interval
+    band would need more than MAX_TERMS series terms.
 
     With J series terms, a rule of K = QUAD_NODES nodes and d the larger
-    width, it is (16 J + 4 K + 12 J M L) 2^-53.  Each k_1(y) sums 4J
-    exponentials in [0, 1]: each moves by at most 2 ulps of 1 through exp,
-    and by 2 more where it joins a partial sum of magnitude at most 2,
-    which gives 16 J.  Each exponent -2AB/T is a product of differences
-    such as b0 - 0 and b1 - y, whose operands are at most M = J d +
-    max(|a0|, |a1|, |b0|, |b1|), so A and B carry up to 3 M ulps of 1.  A
-    term's slope in A or B is at most 2 J d / T, since A, B <= J d; in A,
-    fixed by the start, it is also at most 1 / (e r), with r = min(-a0,
-    b0), and in B it integrates against phi_T to at most 1 / sqrt(2 pi T).
-    L = min(4 J d / T, 1/r + 1/sqrt(T)) bounds both.  On (-0.3, 1e6) that
-    error is 3.5e-11, the same in both rules.  Each of the 2K products
-    w phi_T k_1 carries a few ulps, its weight up to 1.3e-13 relative at
-    the outermost nodes, where the weights are smallest; fsum adds them
-    exactly, and 4 K covers that sum.
+    width, the rounding floor is (16 J + 4 K + 12 J M L) 2^-53.  Each
+    k_1(y) sums 4J exponentials in [0, 1]: each moves by at most 2 ulps of
+    1 through exp, and by 2 more where it joins a partial sum of magnitude
+    at most 2, which gives 16 J.  Each exponent -2AB/T is a product of
+    differences such as b0 - 0 and b1 - y, whose operands are at most M =
+    J d + max(|a0|, |a1|, |b0|, |b1|), so A and B carry up to 3 M ulps of
+    1.  A term's slope in A or B is at most 2 J d / T, since A, B <= J d;
+    in A, fixed by the start, it is also at most 1 / (e r), with r =
+    min(-a0, b0), and in B it integrates against phi_T to at most
+    1 / sqrt(2 pi T).  L = min(4 J d / T, 1/r + 1/sqrt(T)) bounds both.  On
+    (-0.3, 1e6) that error is 3.5e-11, the same in both rules.  Each of the
+    2K products w phi_T k_1 carries a few ulps, and fsum adds them exactly.
+    The weights at 2K = 128 nodes are off by 3.1e-15 in sum (`_legendre`),
+    and a unit of weight enters the rule times (hi - lo) phi_T / 2 <=
+    QUAD_CUT / sqrt(2 pi) < 4: 1.2e-14.  4 K, 2.8e-14, covers both.
     """
-    q = np.array([(upper[0] - lower[0]) * (upper[1] - lower[1]) / T])  # as `_q`
     try:
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            terms, _ = _q_terms(q, 1)
+        _, terms, tail = kernel_plan(_line_band(lower, upper, T))
     except NumericFailureError:
         return math.inf
-    return _rounding_floor(lower, upper, T, float(terms[0]), QUAD_NODES)
-
-
-def _rounding_floor(lower: tuple[float, float], upper: tuple[float, float], T: float,
-                    terms: float, nodes: int) -> float:
-    """`line_floor` of lines whose one-interval band needs these terms."""
-    d = max(upper[0] - lower[0], upper[1] - lower[1])
-    size = terms * d + max(map(abs, (*lower, *upper)))
-    slope = min(4.0 * terms * d / T, 1.0 / min(-lower[0], upper[0]) + 1.0 / math.sqrt(T))
-    return (16.0 * terms + 4.0 * nodes + 12.0 * terms * size * slope) * 2.0**-53
+    j, d = float(terms[0]), max(upper[0] - lower[0], upper[1] - lower[1])
+    size = j * d + max(map(abs, (*lower, *upper)))
+    slope = min(4.0 * j * d / T, 1.0 / min(-lower[0], upper[0]) + 1.0 / math.sqrt(T))
+    rounding = (16.0 * j + 4.0 * QUAD_NODES + 12.0 * j * size * slope) * 2.0**-53
+    return rounding + tail + math.erfc(QUAD_CUT / math.sqrt(2.0))
 
 
 @functools.cache
@@ -465,10 +466,11 @@ def _legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [-1, 1], computed once per size
     and read-only.  Newton's method on P_nodes, evaluated by its three-term
     recurrence, refines each node until it moves by less than 1e-15; the
-    weights, 2 / ((1 - z^2) P'(z)^2), then err by at most 1.3e-13 relative
-    at 64 and 128 nodes (at the outermost ones), where numpy's leggauss
-    errs by up to 1.4e-11 and costs 1.6 MB of peak memory in its
-    eigenvalue solver.
+    weights, 2 / ((1 - z^2) P'(z)^2), then err by at most 1.3e-16 each and
+    3.1e-15 in sum at 128 nodes against 40-digit ones.  numpy's leggauss
+    errs by 6.3e-15 and 4.1e-14, and raised two_sided peak_rss_mb by
+    2.2 MB (+3.9 %, in 10 of 10 pairs) through its import and eigenvalue
+    solver.
     """
     z = np.cos(np.pi * (np.arange(nodes, 0, -1) - 0.25) / (nodes + 0.5))
     for _ in range(100):
@@ -486,8 +488,8 @@ def _legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return z, w
 
 
-def bcp_linear_two_sided(lower: tuple[float, float], upper: tuple[float, float], T: float,
-                         nodes: int = QUAD_NODES) -> tuple[float, float]:
+def bcp_linear_two_sided(lower: tuple[float, float], upper: tuple[float, float],
+                         T: float) -> tuple[float, float]:
     """P(a(t) < W_t < b(t) for all t <= T) for the lines a through lower =
     (a0, a1) and b through upper = (b0, b1) at t = 0 and T, with a0 < 0 < b0
     and a1 < b1: (mu, eps), where the probability lies in mu +- eps.
@@ -495,24 +497,20 @@ def bcp_linear_two_sided(lower: tuple[float, float], upper: tuple[float, float],
     mu is the integral of phi_T(y) k_1(y) over y, where phi_T is the density
     of W_T and k_1 the kernel of the one-interval band (Glasserman 2003,
     sec. 4.1), by Gauss-Legendre quadrature Q_2K over (a1, b1) cut to
-    |y| <= QUAD_CUT sqrt(T); without the cut, (-1, 1e4) read 1.7e-34 at 32
-    nodes for 0.6827.  eps is |Q_K - Q_2K| + `line_floor` + the series tail
-    + the normal mass beyond the cut.  A band that needs more than MAX_TERMS
-    series terms raises NumericFailureError.
+    |y| <= QUAD_CUT sqrt(T), with K = QUAD_NODES; without the cut, (-1, 1e4)
+    read 1.7e-34 at 32 nodes for 0.6827.  eps is |Q_K - Q_2K| + `line_floor`.
+    A band that needs more than MAX_TERMS series terms raises
+    NumericFailureError.
     """
-    p = Partition(np.array([0.0, T]))
-    band = PiecewiseLinearBand(PiecewiseLinearBoundary.from_values(p, "lower", lower),
-                               PiecewiseLinearBoundary.from_values(p, "upper", upper))
+    band = _line_band(lower, upper, T)
     plan = kernel_plan(band)
-    rt = math.sqrt(T)
+    rt, k = math.sqrt(T), QUAD_NODES
     lo, hi = max(lower[1], -QUAD_CUT * rt), min(upper[1], QUAD_CUT * rt)
     q = [0.0, 0.0]
     if lo < hi:  # both rules' nodes in one kernel call
-        (z, w), (z2, w2) = _legendre(nodes), _legendre(2 * nodes)
+        (z, w), (z2, w2) = _legendre(k), _legendre(2 * k)
         y = 0.5 * (hi - lo) * np.concatenate([z, z2]) + 0.5 * (hi + lo)
         g, _ = band_kernel(band, y[:, None], plan=plan)
         f = np.concatenate([w, w2]) * (np.exp(-0.5 * y * y / T) / math.sqrt(2.0 * math.pi * T)) * g
-        q = [0.5 * (hi - lo) * math.fsum(f[:nodes]), 0.5 * (hi - lo) * math.fsum(f[nodes:])]
-    eps = (abs(q[0] - q[1]) + _rounding_floor(lower, upper, T, float(plan[1][0]), nodes) + plan[2]
-           + math.erfc(QUAD_CUT / math.sqrt(2.0)))
-    return min(1.0, max(0.0, q[1])), eps
+        q = [0.5 * (hi - lo) * math.fsum(f[:k]), 0.5 * (hi - lo) * math.fsum(f[k:])]
+    return min(1.0, max(0.0, q[1])), abs(q[0] - q[1]) + line_floor(lower, upper, T)

@@ -5,7 +5,6 @@ import json
 import math
 import subprocess
 import sys
-import time
 import warnings
 
 import pytest
@@ -189,18 +188,22 @@ class TestExitCodes:
     @pytest.mark.parametrize("h, n, result", [
         ("1e-4", "4", 0.0), ("1e-6", "4", 0.0), ("1e-8", "4", 0.0), ("1e-16", "128", 0.0),
         ("1e160", "128", 1.0)])
-    def test_extreme_band_keeps_result_with_chord_control(self, h, n, result, capsys):
+    def test_extreme_band_keeps_result_with_chord_control(self, h, n, result, capsys,
+                                                           monkeypatch):
         # The chords' one-interval band needs about 2.7e8 series terms at
         # +-1e-8 and more than MAX_TERMS at +-1e-16; every path leaves the
         # narrow bands and stays in the wide one, so the plain SE is 0 and
         # the quadrature never runs.
+        def never(*args):
+            raise AssertionError("the quadrature ran")
+
+        monkeypatch.setattr(bcp.mc, "bcp_linear_two_sided", never)
         argv = ["bm", f"--lower=-{h}", "--upper", h, "--T", "1", "--n", n,
                 "--paths", "2000", "--seed", "1"]
-        start = time.perf_counter()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run_capture(argv, capsys)
-        assert (code, err) == (EXIT_OK, "") and time.perf_counter() - start < 10.0
+        assert (code, err) == (EXIT_OK, "")
         r = json.loads(out)["results"]
         assert (r["mean"], r["std_error"], r["lower"], r["upper"]) == (result, 0.0, result, result)
 

@@ -626,7 +626,9 @@ class TestLinearTwoSided:
            gap=st.floats(0.05, 4.0), T=st.floats(0.1, 4.0))
     def test_doubled_rule_inside_error_bound(self, a0, b0, a1, gap, T):
         mu, eps = bcp.kernels.bcp_linear_two_sided((a0, a1), (b0, a1 + gap), T)
-        fine, _ = bcp.kernels.bcp_linear_two_sided((a0, a1), (b0, a1 + gap), T, nodes=128)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bcp.kernels, "QUAD_NODES", 128)
+            fine, _ = bcp.kernels.bcp_linear_two_sided((a0, a1), (b0, a1 + gap), T)
         assert 0.0 <= mu <= 1.0 and abs(mu - fine) <= eps
 
     @pytest.mark.parametrize("h, floor", [

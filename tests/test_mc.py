@@ -331,9 +331,14 @@ class TestBracketing:
         est = bcp.mc._estimate(inner, outer, cfg, controlled=False)
         assert est.bracket == (float(np.sum(np.minimum(g_in, g_out))) / 4096,
                                float(np.sum(g_out)) / 4096)
-        # Against the chord control the capped inner g still gives the lower end.
-        lo, hi = bcp.mc._estimate(inner, outer, cfg).bracket
-        assert lo <= hi and hi - lo < 1e-12
+        # Against the chord control, kept here, the capped inner g still
+        # gives the lower end: mu_c + mean(min(g_in, g_out) - g_c) - eps.
+        control, cols, mean, _ = bcp.mc._control(outer)
+        g_c, _ = band_kernel(control, x[:, cols])
+        mu, eps = mean()
+        assert bcp.mc._estimate(inner, outer, cfg).bracket == (
+            mu + float(np.sum(np.minimum(g_in, g_out) - g_c)) / 4096 - eps,
+            mu + float(np.sum(g_out - g_c)) / 4096 + eps)
 
     @pytest.mark.parametrize("upper", ["1", "1+0.5*t"])
     def test_straight_side_evaluated_once(self, upper, monkeypatch):
@@ -448,7 +453,7 @@ class TestControl:
         assert control.partition.n == 16 and 0.0 < floor < 1e-12
         assert (control.lower.right[0], control.upper.left[-1]) == (lo.right[0], hi.left[-1])
         mu, eps = mean()
-        assert floor < eps < 1e-12
+        assert floor <= eps < 1e-12  # eps = floor + |Q_K - Q_2K|
         g = np.concatenate([
             band_kernel(control, sample_nodes(p, _chunk_stream(seed, k),
                                               np.empty((20_000, 128)))[:, cols])[0]
@@ -547,8 +552,9 @@ class TestControl:
     def test_term_counts_once_per_band(self, monkeypatch):
         # Each band's J comes from one _term_counts call per estimate, where
         # every 1024-row block once made its own: 16 calls for these 8192 paths.
-        # The bands are the inner, the outer, the control and the chords'
-        # one-interval band of the control's quadrature.
+        # The bands are the inner, the outer and the control.  The chords'
+        # one-interval band is built anew by each `line_floor` (before
+        # sampling, and in the quadrature) and by the quadrature itself.
         calls = []
 
         def counted(band, min_terms):
@@ -561,8 +567,8 @@ class TestControl:
         est = estimate_bcp_bracketed(
             GeneralBoundary.constant(-1.0, "lower", 1.0), GeneralBoundary(daniels, "upper", 1.0),
             uniform_partition(1.0, 128), 50, McConfig(paths=8192, seed=1))
-        assert sorted(band.partition.n for band in calls) == [1, 16, 128, 128]
-        assert len({id(band) for band in calls}) == 4
+        assert sorted(band.partition.n for band in calls) == [1, 1, 1, 16, 128, 128]
+        assert len({id(band) for band in calls if band.partition.n > 1}) == 3
         assert est.bracket[0] < est.bracket[1]
 
 

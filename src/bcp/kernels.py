@@ -52,22 +52,21 @@ one term, and an exponent such as c2 (j dprev dcur + dprev ac - dcur ap)
 is inf - inf = NaN.  Its limit is -inf, so the clamp takes a NaN exponent
 to EXP_FLOOR as well (np.fmax), and the band's g is 1 on every path inside.
 
-The probability of a band between two straight lines needs no sloped-band
-series (Anderson 1960): `bcp_linear_two_sided` integrates the one-interval
-kernel k_1(y) against the density of W_T by Gauss-Legendre quadrature at
-QUAD_NODES and twice as many nodes, over the band's end cut to |y| <=
-QUAD_CUT sqrt(T), and returns the value with an error bound eps: the two
-rules' difference plus `line_floor`, the part known before the quadrature
-runs (a rounding floor from J and the rule, the series tail and the
-normal mass beyond the cut).  eps is about 1e-13 where J is small; one
-call takes about 0.8 ms on 2 CPUs.  It is the mean of the Monte Carlo
-engine's two-sided control.
+`line_probability` gives the probability of a band of straight sides
+over [0, T]: `bcp_linear_one_sided` for one line, and for two, without a
+sloped-band series (Anderson 1960), Gauss-Legendre quadrature of the
+one-interval kernel k_1(y) against the density of W_T at QUAD_NODES and
+twice as many nodes, over |y| <= QUAD_CUT sqrt(T).  Its error bound eps,
+about 1e-13 where J is small, is the two rules' difference plus a floor
+known before the quadrature runs.  The quadrature takes about 0.8 ms on
+2 CPUs.  It is the mean of the Monte Carlo engine's control.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,7 +88,7 @@ BLOCK_SIZE = 1024 * 128
 #: Lower clamp on every exponent; exp(-700) ~ 1e-304 is still a normal double.
 EXP_FLOOR = -700.0
 
-#: Gauss-Legendre nodes of `bcp_linear_two_sided`'s quadrature; its error
+#: Gauss-Legendre nodes of `line_probability`'s quadrature; its error
 #: estimate compares the rule with the one of twice as many nodes.  At 32
 #: nodes the normal mass on |y| <= 10 is off by 9.6e-9, at 64 by 1e-16.
 QUAD_NODES = 64
@@ -418,49 +417,6 @@ def _mills_ratio(x: float) -> float:
     return 1.0 / r
 
 
-def _line_band(lower: tuple[float, float], upper: tuple[float, float],
-               T: float) -> PiecewiseLinearBand:
-    """The one-interval band between the lines through lower = (a0, a1)
-    and upper = (b0, b1) at t = 0 and T."""
-    p = Partition(np.array([0.0, T]))
-    return PiecewiseLinearBand(PiecewiseLinearBoundary.from_values(p, "lower", lower),
-                               PiecewiseLinearBoundary.from_values(p, "upper", upper))
-
-
-def line_floor(lower: tuple[float, float], upper: tuple[float, float], T: float) -> float:
-    """The part of `bcp_linear_two_sided`'s error bound for these lines
-    known before its quadrature runs: the series tail, the normal mass
-    beyond the cut and a rounding floor; inf where the lines' one-interval
-    band would need more than MAX_TERMS series terms.
-
-    With J series terms, a rule of K = QUAD_NODES nodes and d the larger
-    width, the rounding floor is (16 J + 4 K + 12 J M L) 2^-53.  Each
-    k_1(y) sums 4J exponentials in [0, 1]: each moves by at most 2 ulps of
-    1 through exp, and by 2 more where it joins a partial sum of magnitude
-    at most 2, which gives 16 J.  Each exponent -2AB/T is a product of
-    differences such as b0 - 0 and b1 - y, whose operands are at most M =
-    J d + max(|a0|, |a1|, |b0|, |b1|), so A and B carry up to 3 M ulps of
-    1.  A term's slope in A or B is at most 2 J d / T, since A, B <= J d;
-    in A, fixed by the start, it is also at most 1 / (e r), with r =
-    min(-a0, b0), and in B it integrates against phi_T to at most
-    1 / sqrt(2 pi T).  L = min(4 J d / T, 1/r + 1/sqrt(T)) bounds both.  On
-    (-0.3, 1e6) that error is 3.5e-11, the same in both rules.  Each of the
-    2K products w phi_T k_1 carries a few ulps, and fsum adds them exactly.
-    The weights at 2K = 128 nodes are off by 3.1e-15 in sum (`_legendre`),
-    and a unit of weight enters the rule times (hi - lo) phi_T / 2 <=
-    QUAD_CUT / sqrt(2 pi) < 4: 1.2e-14.  4 K, 2.8e-14, covers both.
-    """
-    try:
-        _, terms, tail = kernel_plan(_line_band(lower, upper, T))
-    except NumericFailureError:
-        return math.inf
-    j, d = float(terms[0]), max(upper[0] - lower[0], upper[1] - lower[1])
-    size = j * d + max(map(abs, (*lower, *upper)))
-    slope = min(4.0 * j * d / T, 1.0 / min(-lower[0], upper[0]) + 1.0 / math.sqrt(T))
-    rounding = (16.0 * j + 4.0 * QUAD_NODES + 12.0 * j * size * slope) * 2.0**-53
-    return rounding + tail + math.erfc(QUAD_CUT / math.sqrt(2.0))
-
-
 @functools.cache
 def _legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [-1, 1], computed once per size
@@ -488,29 +444,71 @@ def _legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return z, w
 
 
+def line_probability(lower: tuple[float, float] | None, upper: tuple[float, float] | None,
+                     T: float) -> tuple[float, Callable[[], tuple[float, float]]]:
+    """P(a(t) < W_t < b(t) for all t <= T) for the lines a through lower =
+    (a0, a1) and b through upper = (b0, b1) at t = 0 and T, None for an
+    absent side (at least one is given): (floor, mean), where mean() returns
+    (mu, eps), the probability lying in mu +- eps, and floor <= eps is known
+    before mean runs.
+
+    One line: `bcp_linear_one_sided`, mirrored for a lower line, exact, so
+    floor = eps = 0.  Two lines, with a0 < 0 < b0 and a1 < b1: mu is the
+    integral of phi_T(y) k_1(y) over y, where phi_T is the density of W_T
+    and k_1 the kernel of the one-interval band (Glasserman 2003, sec. 4.1),
+    by Gauss-Legendre quadrature Q_2K over (a1, b1) cut to |y| <= QUAD_CUT
+    sqrt(T), with K = QUAD_NODES; without the cut, (-1, 1e4) read 1.7e-34
+    at 32 nodes for 0.6827.  eps is |Q_K - Q_2K| + floor.  A band that
+    needs more than MAX_TERMS series terms raises NumericFailureError.
+
+    floor holds the series tail, the normal mass beyond the cut and a
+    rounding floor.  With J series terms, a rule of K nodes and d the larger
+    width, the rounding floor is (16 J + 4 K + 12 J M L) 2^-53.  Each
+    k_1(y) sums 4J exponentials in [0, 1]: each moves by at most 2 ulps of
+    1 through exp, and by 2 more where it joins a partial sum of magnitude
+    at most 2, which gives 16 J.  Each exponent -2AB/T is a product of
+    differences such as b0 - 0 and b1 - y, whose operands are at most M =
+    J d + max(|a0|, |a1|, |b0|, |b1|), so A and B carry up to 3 M ulps of
+    1.  A term's slope in A or B is at most 2 J d / T, since A, B <= J d;
+    in A, fixed by the start, it is also at most 1 / (e r), with r =
+    min(-a0, b0), and in B it integrates against phi_T to at most
+    1 / sqrt(2 pi T).  L = min(4 J d / T, 1/r + 1/sqrt(T)) bounds both.  On
+    (-0.3, 1e6) that error is 3.5e-11, the same in both rules.  Each of the
+    2K products w phi_T k_1 carries a few ulps, and fsum adds them exactly.
+    The weights at 2K = 128 nodes are off by 3.1e-15 in sum (`_legendre`),
+    and a unit of weight enters the rule times (hi - lo) phi_T / 2 <=
+    QUAD_CUT / sqrt(2 pi) < 4: 1.2e-14.  4 K, 2.8e-14, covers both.
+    """
+    if lower is None or upper is None:
+        (c0, c_end), sign = (upper, 1.0) if lower is None else (lower, -1.0)
+        return 0.0, lambda: (bcp_linear_one_sided(sign * c0, sign * (c_end - c0) / T, T), 0.0)
+    p = Partition(np.array([0.0, T]))
+    band = PiecewiseLinearBand(PiecewiseLinearBoundary.from_values(p, "lower", lower),
+                               PiecewiseLinearBoundary.from_values(p, "upper", upper))
+    plan = kernel_plan(band)
+    k, j, d = QUAD_NODES, float(plan[1][0]), max(upper[0] - lower[0], upper[1] - lower[1])
+    size = j * d + max(map(abs, (*lower, *upper)))
+    slope = min(4.0 * j * d / T, 1.0 / min(-lower[0], upper[0]) + 1.0 / math.sqrt(T))
+    rounding = (16.0 * j + 4.0 * k + 12.0 * j * size * slope) * 2.0**-53
+    floor = rounding + plan[2] + math.erfc(QUAD_CUT / math.sqrt(2.0))
+
+    def mean() -> tuple[float, float]:
+        rt = math.sqrt(T)
+        lo, hi = max(lower[1], -QUAD_CUT * rt), min(upper[1], QUAD_CUT * rt)
+        q = [0.0, 0.0]
+        if lo < hi:  # both rules' nodes in one kernel call
+            (z, w), (z2, w2) = _legendre(k), _legendre(2 * k)
+            y = 0.5 * (hi - lo) * np.concatenate([z, z2]) + 0.5 * (hi + lo)
+            g, _ = band_kernel(band, y[:, None], plan=plan)
+            phi = np.exp(-0.5 * y * y / T) / math.sqrt(2.0 * math.pi * T)
+            f = np.concatenate([w, w2]) * phi * g
+            q = [0.5 * (hi - lo) * math.fsum(f[:k]), 0.5 * (hi - lo) * math.fsum(f[k:])]
+        return min(1.0, max(0.0, q[1])), abs(q[0] - q[1]) + floor
+
+    return floor, mean
+
+
 def bcp_linear_two_sided(lower: tuple[float, float], upper: tuple[float, float],
                          T: float) -> tuple[float, float]:
-    """P(a(t) < W_t < b(t) for all t <= T) for the lines a through lower =
-    (a0, a1) and b through upper = (b0, b1) at t = 0 and T, with a0 < 0 < b0
-    and a1 < b1: (mu, eps), where the probability lies in mu +- eps.
-
-    mu is the integral of phi_T(y) k_1(y) over y, where phi_T is the density
-    of W_T and k_1 the kernel of the one-interval band (Glasserman 2003,
-    sec. 4.1), by Gauss-Legendre quadrature Q_2K over (a1, b1) cut to
-    |y| <= QUAD_CUT sqrt(T), with K = QUAD_NODES; without the cut, (-1, 1e4)
-    read 1.7e-34 at 32 nodes for 0.6827.  eps is |Q_K - Q_2K| + `line_floor`.
-    A band that needs more than MAX_TERMS series terms raises
-    NumericFailureError.
-    """
-    band = _line_band(lower, upper, T)
-    plan = kernel_plan(band)
-    rt, k = math.sqrt(T), QUAD_NODES
-    lo, hi = max(lower[1], -QUAD_CUT * rt), min(upper[1], QUAD_CUT * rt)
-    q = [0.0, 0.0]
-    if lo < hi:  # both rules' nodes in one kernel call
-        (z, w), (z2, w2) = _legendre(k), _legendre(2 * k)
-        y = 0.5 * (hi - lo) * np.concatenate([z, z2]) + 0.5 * (hi + lo)
-        g, _ = band_kernel(band, y[:, None], plan=plan)
-        f = np.concatenate([w, w2]) * (np.exp(-0.5 * y * y / T) / math.sqrt(2.0 * math.pi * T)) * g
-        q = [0.5 * (hi - lo) * math.fsum(f[:k]), 0.5 * (hi - lo) * math.fsum(f[k:])]
-    return min(1.0, max(0.0, q[1])), abs(q[0] - q[1]) + line_floor(lower, upper, T)
+    """(mu, eps) of `line_probability` for two lines."""
+    return line_probability(lower, upper, T)[1]()

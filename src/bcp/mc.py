@@ -21,10 +21,10 @@ Every band with a finite side is estimated against a control variate
 (Glasserman 2003, sec. 4.1): the kernel g_c of the band between the
 straight lines (chords) through the outer band's finite sides at s = 0
 and s = S, on at most 16 of its intervals.  Its mean mu_c is the
-probability of the chords' band: exact from `bcp_linear_one_sided` for
-one side, and for two a one-dimensional quadrature of the one-interval
-kernel, `bcp_linear_two_sided`, which returns it with an error eps of
-about 1e-13.  Each bracket end is mu_c + mean(g - g_c), with coefficient
+probability of the chords' band, from one call of
+`kernels.line_probability`: exact for one side, and for two a
+one-dimensional quadrature of the one-interval kernel, with an error eps
+of about 1e-13.  Each bracket end is mu_c + mean(g - g_c), with coefficient
 1 rather than the fitted optimum: each end stays unbiased, inner <= outer
 path by path, and the result a function of the seed and chunk size
 alone.  The ends are widened by eps each way, so the bracket covers the
@@ -48,9 +48,8 @@ import numpy as np
 
 from .boundary import (GeneralBoundary, Partition, PiecewiseLinearBand,
                        PiecewiseLinearBoundary, envelopes, is_straight)
-from .errors import InvalidBoundariesError
-from .kernels import (BLOCK_SIZE, _coarsest, band_kernel, bcp_linear_one_sided,
-                      bcp_linear_two_sided, kernel_plan, line_floor)
+from .errors import InvalidBoundariesError, NumericFailureError
+from .kernels import BLOCK_SIZE, _coarsest, band_kernel, kernel_plan, line_probability
 
 
 @dataclass(frozen=True)
@@ -142,13 +141,13 @@ def _control(band: PiecewiseLinearBand) -> tuple | None:
     at S: (that band, the index array of the node columns it reads, a
     function giving its mean and that mean's error (mu_c, eps), and a floor
     on eps known beforehand).  On the coarse nodes the kernel of straight
-    sides is exact, so mu_c is the probability of the chords' band:
-    `bcp_linear_one_sided` of one chord, mirrored for a lower side, with
-    eps = 0, or `bcp_linear_two_sided` of two, whose floor is `line_floor`.
+    sides is exact, so mu_c is the probability of the chords' band, and
+    the function and floor are `line_probability`'s for the chords' ends.
     Where the chords' band has the band's nodes and bit-equal side values,
     the band itself is returned.  There is no control where a chord's rise
-    c(S) - c(0) overflows, or where the chords' band on one interval would
-    need more than MAX_TERMS series terms.
+    c(S) - c(0) overflows, where rounding makes the chords cross, or where
+    the chords' band on one interval would need more than MAX_TERMS series
+    terms.
     """
     p = band.partition
     m = min(p.n, CONTROL_INTERVALS)
@@ -158,6 +157,7 @@ def _control(band: PiecewiseLinearBand) -> tuple | None:
     for side in sides:
         if side.is_infinite:
             chords.append(PiecewiseLinearBoundary.infinite(q, side.side))
+            ends.append(None)
             continue
         c0, c_end = float(side.right[0]), float(side.left[-1])
         if not math.isfinite(c_end - c0):
@@ -166,7 +166,7 @@ def _control(band: PiecewiseLinearBand) -> tuple | None:
         values[-1] = c_end
         chords.append(PiecewiseLinearBoundary.from_values(q, side.side, values))
         ends.append((c0, c_end))
-    if not ends:
+    if ends == [None, None]:
         return None
     if q.n == p.n and all(np.array_equal(c.right, s.right) and np.array_equal(c.left, s.left)
                           for c, s in zip(chords, sides)):
@@ -176,15 +176,11 @@ def _control(band: PiecewiseLinearBand) -> tuple | None:
             control = PiecewiseLinearBand(*chords)
         except InvalidBoundariesError:  # chords only ulps apart, crossed by rounding
             return None
-    cols = nodes[1:] - 1
-    if len(ends) == 2:
-        floor = line_floor(*ends, q.T)
-        return None if math.isinf(floor) else (
-            control, cols, lambda: bcp_linear_two_sided(*ends, q.T), floor)
-    (c0, c_end), = ends
-    sign = 1.0 if band.lower.is_infinite else -1.0
-    return control, cols, lambda: (
-        bcp_linear_one_sided(sign * c0, sign * (c_end - c0) / q.T, q.T), 0.0), 0.0
+    try:
+        floor, mean = line_probability(*ends, q.T)
+    except NumericFailureError:  # the chords' band needs more than MAX_TERMS terms
+        return None
+    return control, nodes[1:] - 1, mean, floor
 
 
 def _estimate(
@@ -200,17 +196,17 @@ def _estimate(
     for a side that a reduction maps to a line, let rounding in the series
     put the inner g above the outer one.  Sums run in chunk order.
 
-    Without a control the SE is the outer band's.  When controlled, an
+    The SE is the larger of the two ends' SEs.  When controlled, an
     outer band with a finite side has a control (`_control`), evaluated
     like the bands on each block, at its node columns; a band that is its
     own control is evaluated once, and its g is g_c.  Each bracket end is
     then the control's mean mu_c plus the mean of g - g_c (coefficient 1),
     widened by mu_c's error eps (0 for one side) away from the other end,
-    or the plain mean of g; either is clipped to [0, 1].  The SE is the
-    larger of the two ends' SEs, and the control is taken only when its
-    SE plus eps is strictly below the plain one.  The quadrature behind a
-    two-sided mu_c runs only when the control's SE plus eps's floor, known
-    beforehand, is below the plain SE; so never where that SE is 0.
+    or the plain mean of g; either is clipped to [0, 1].  The control is
+    taken only when its SE plus eps is strictly below the plain one.  The
+    quadrature behind a two-sided mu_c runs only when the control's SE
+    plus eps's floor, known beforehand, is below the plain SE; so never
+    where that SE is 0.
     Subtracting the same g_c keeps each end unbiased and inner <= outer
     path by path.  The choice looks at the same samples, but only through
     their spread, which moves the mean by O(1/paths) against an SE of
@@ -260,10 +256,9 @@ def _estimate(
     totals = [[math.fsum(stats[b][i] for stats in results) for i in (0, 1)]
               for b in range(len(results[0]))]
     ends, shift, widen = totals[:len(bands)], 0.0, 0.0
-    std_error = _std_error(*ends[-1], cfg.paths)
-    if control is not None:  # the larger SE of the two ends, without and with the control
-        std_error, control_se = (max(_std_error(*t, cfg.paths) for t in e)
-                                 for e in (ends, totals[len(bands):]))
+    std_error = max(_std_error(*t, cfg.paths) for t in ends)  # the larger end's
+    if control is not None:  # and the larger end's with the control
+        control_se = max(_std_error(*t, cfg.paths) for t in totals[len(bands):])
         if control_se + floor < std_error:  # else the quadrature cannot pay
             mu, eps = control_mean()
             if control_se + eps < std_error:

@@ -24,6 +24,7 @@ from bcp.cli import (
     run,
     run_request,
 )
+from test_mc import refuse_quadrature
 
 FAST = ["--paths", "2000", "--seed", "3", "--n", "16"]
 DANIELS = "0.5 - t*log(0.25+0.25*sqrt(1+8*exp(-1/t)))"
@@ -194,10 +195,7 @@ class TestExitCodes:
         # +-1e-8 and more than MAX_TERMS at +-1e-16; every path leaves the
         # narrow bands and stays in the wide one, so the plain SE is 0 and
         # the quadrature never runs.
-        def never(*args):
-            raise AssertionError("the quadrature ran")
-
-        monkeypatch.setattr(bcp.mc, "bcp_linear_two_sided", never)
+        refuse_quadrature(monkeypatch)
         argv = ["bm", f"--lower=-{h}", "--upper", h, "--T", "1", "--n", n,
                 "--paths", "2000", "--seed", "1"]
         with warnings.catch_warnings():

@@ -596,8 +596,16 @@ class TestLinearClosedForm:
 
 
 class TestLinearTwoSided:
-    """`bcp_linear_two_sided`: the probability of a band between two lines,
-    by quadrature of the one-interval kernel, with an error bound eps."""
+    """`line_probability`: the probability of a band between two lines, by
+    quadrature of the one-interval kernel, with an error bound eps; of one
+    line, exact.  `bcp_linear_two_sided` returns its (mu, eps)."""
+
+    @pytest.mark.parametrize("lower, upper, line", [
+        (None, (1.0, 1.5), (1.0, 0.25)), ((-0.75, -0.25), None, (0.75, -0.25))],
+        ids=["upper", "lower"])
+    def test_one_line_is_exact(self, lower, upper, line):
+        floor, mean = bcp.kernels.line_probability(lower, upper, 2.0)
+        assert (floor, mean()) == (0.0, (bcp_linear_one_sided(*line, 2.0), 0.0))
 
     @pytest.mark.parametrize("a, b, T, most", [
         (-1.0, 1.0, 1.0, 1e-12), (-1.0, 1.0, 4.0, 1e-12), (-0.5, 2.0, 1.0, 1e-12),
@@ -635,8 +643,12 @@ class TestLinearTwoSided:
         (1.0, 9.0e-14), (0.1, 1.8e-12), (1e-4, 3.5e-9), (1e-8, 4.5e-5), (1e-16, math.inf)])
     def test_floor_before_quadrature(self, h, floor):
         # J = 3 at +-1, 24 at +-0.1, about 2.7e8 at +-1e-8, and past
-        # MAX_TERMS at +-1e-16, where there is no floor.
-        got = bcp.kernels.line_floor((-h, -h), (h, h), 1.0)
+        # MAX_TERMS at +-1e-16, where there is no floor and no mean.
+        if math.isinf(floor):
+            with pytest.raises(NumericFailureError, match="series terms"):
+                bcp.kernels.line_probability((-h, -h), (h, h), 1.0)
+            return
+        got, _ = bcp.kernels.line_probability((-h, -h), (h, h), 1.0)
         assert got == pytest.approx(floor, rel=0.02)
 
     def test_past_term_cap_raises(self):

@@ -26,9 +26,25 @@ from bcp import (
 )
 from bcp.boundary import Partition
 from bcp.cli import build_parser, run_request
-from bcp.kernels import bcp_linear_two_sided
+from bcp.kernels import bcp_linear_two_sided, kernel_plan
 from bcp.mc import _chunk_stream, _worker_lanes, sample_nodes
 from oracles import quad_one_sided_n1, reflection_one_sided, two_barrier_survival
+
+
+def refuse_quadrature(monkeypatch):
+    """Make the two-sided control's quadrature raise if it runs; the floor
+    that `line_probability` knows beforehand stays real."""
+    line_probability = bcp.kernels.line_probability
+
+    def refusing(*args):
+        floor, _ = line_probability(*args)
+
+        def refuse():
+            raise AssertionError("the quadrature ran")
+
+        return floor, refuse
+
+    monkeypatch.setattr(bcp.mc, "line_probability", refusing)
 
 
 def upper_band(values, T=1.0):
@@ -311,6 +327,16 @@ class TestBracketing:
         assert est.bracket == (0.0, upper.mean) and est.std_error == upper.std_error
         assert est.mean == 0.5 * upper.mean
 
+    def test_std_error_is_larger_end_without_control(self):
+        # Without a control the SE is still the larger of the two ends':
+        # here the inner band's, 5.08e-3, not the outer band's, 6.29e-4, at
+        # n = 16.
+        inner, outer = (upper_band(np.full(17, v)) for v in (0.5, 3.0))
+        cfg = McConfig(paths=8192, seed=1)
+        ses = [estimate_bcp(band, cfg).std_error for band in (inner, outer)]
+        est = bcp.mc._estimate(inner, outer, cfg, controlled=False)
+        assert ses[0] > 8.0 * ses[1] and est.std_error == ses[0]
+
     def test_straight_side_keeps_bracket_order(self):
         # Two hand-built bands whose lower sides, -0.5 - t, are two ulps
         # apart: rounding in the series puts some paths' inner g above their
@@ -474,14 +500,46 @@ class TestControl:
     def test_quadrature_skipped_where_it_cannot_pay(self, h, n, monkeypatch):
         # Where no path stays inside, the plain SE is 0; at +-0.1 it is
         # 2.2e-54, below the quadrature's rounding floor of 1.8e-12.
-        def refuse(*args):
-            raise AssertionError("quadrature ran")
-
-        monkeypatch.setattr(bcp.mc, "bcp_linear_two_sided", refuse)
+        refuse_quadrature(monkeypatch)
         args = build_parser().parse_args(
             ["bm", f"--lower=-{h}", "--upper", h, "--T", "1", "--n", n,
              "--paths", "8192", "--seed", "1"])
         assert run_request(args).results["std_error"] < 1e-50
+
+    def test_floor_skips_quadrature_on_rounding_level_se(self, monkeypatch):
+        # (-0.01, 0.01) over one interval of length 10 needs J = 774 series
+        # terms.  The plain SE, 3.6e-18, is positive but only the kernel's
+        # rounding; the floor known before the quadrature, 1.0e-10, is
+        # above it, so the quadrature is skipped, not run to lose.
+        refuse_quadrature(monkeypatch)
+        args = build_parser().parse_args(
+            ["bm", "--lower=-0.01", "--upper", "0.01", "--T", "10", "--n", "1",
+             "--paths", "20000", "--seed", "1"])
+        r = run_request(args).results
+        assert (r["mean"], r["std_error"]) == (2.373101715136272e-17, 3.62428957457081e-18)
+        p = uniform_partition(10.0, 1)
+        band = PiecewiseLinearBand(*(PiecewiseLinearBoundary.from_values(p, side, [v, v])
+                                     for side, v in (("lower", -0.01), ("upper", 0.01))))
+        assert kernel_plan(band)[1].tolist() == [774]
+
+    def test_crossed_chords_give_no_control(self):
+        # Sides 7.7e-24 apart at s = 0 and one ulp apart at s = 1, bulging
+        # apart by sin(pi s) in between: rounding makes their chords on 16
+        # intervals cross, so the band keeps plain Monte Carlo.
+        p = uniform_partition(1.0, 128)
+        s, c = p.nodes, 3.85261614173547e-24
+        a1 = 2.6918966828234634
+        b1 = float(np.nextafter(a1, math.inf))
+        lv = -c + (a1 + c) * s - np.sin(math.pi * s)
+        uv = c + (b1 - c) * s + np.sin(math.pi * s)
+        lv[-1], uv[-1] = a1, b1
+        band = PiecewiseLinearBand(PiecewiseLinearBoundary.from_values(p, "lower", lv),
+                                   PiecewiseLinearBoundary.from_values(p, "upper", uv))
+        q = s[::8]
+        assert np.any(-c + (a1 + c) * q >= c + (b1 - c) * q)
+        assert bcp.mc._control(band) is None
+        cfg = McConfig(paths=4096, seed=1)
+        assert bcp.mc._estimate(band, band, cfg) == estimate_bcp(band, cfg)
 
     def test_large_chunk_runs_control_per_block(self, monkeypatch):
         # One 20 000-row chunk: its control runs on each block, 19 of 1024
@@ -552,9 +610,9 @@ class TestControl:
     def test_term_counts_once_per_band(self, monkeypatch):
         # Each band's J comes from one _term_counts call per estimate, where
         # every 1024-row block once made its own: 16 calls for these 8192 paths.
-        # The bands are the inner, the outer and the control.  The chords'
-        # one-interval band is built anew by each `line_floor` (before
-        # sampling, and in the quadrature) and by the quadrature itself.
+        # The bands are the inner, the outer, the control and the chords'
+        # one-interval band, which `line_probability` builds and plans once
+        # for both its floor and its quadrature.
         calls = []
 
         def counted(band, min_terms):
@@ -567,7 +625,7 @@ class TestControl:
         est = estimate_bcp_bracketed(
             GeneralBoundary.constant(-1.0, "lower", 1.0), GeneralBoundary(daniels, "upper", 1.0),
             uniform_partition(1.0, 128), 50, McConfig(paths=8192, seed=1))
-        assert sorted(band.partition.n for band in calls) == [1, 1, 1, 16, 128, 128]
+        assert sorted(band.partition.n for band in calls) == [1, 16, 128, 128]
         assert len({id(band) for band in calls if band.partition.n > 1}) == 3
         assert est.bracket[0] < est.bracket[1]
 

@@ -31,8 +31,8 @@ term counts, is its `kernel_plan`.  The Monte Carlo engine makes the
 plan once per band and estimate and calls `band_kernel` once per block
 of samples it drew itself, which are not checked again; called alone,
 `band_kernel` checks x and makes the plan.  Rows of at most
-LOOP_COLUMNS nodes, such as the control's, are reduced by a loop over
-the columns.  The block is sized for
+LOOP_COLUMNS nodes, such as those of (-1, 1) on 8 intervals, are reduced
+by a loop over the columns.  The block is sized for
 two worker threads, not for a cache: on 2 CPUs, two threads each running
 the two-sided kernel on 4096-row chunks were no faster than one thread
 with 256-row blocks (speed-up 0.91-0.98), and 1.42-1.70x faster with
@@ -100,9 +100,12 @@ QUAD_CUT = 10.0
 #: Most nodes per row for which the kernel loops over columns instead of
 #: reducing along rows.  On 2 CPUs (numpy 2.4) the product loop takes 26-32
 #: us against np.prod's 106-109 us on the 4096 x 8 blocks of (-1, 1), and
-#: 27-37 us against 40-48 us on the control's 1024 x 16; the inside test's
-#: loop is 2-3x as fast as np.all at 4096 x 8 and about even at 1024 x 16.
-#: At 128 nodes the reductions win.  np.prod also multiplies in column order.
+#: the inside test's loop is 2-3x as fast as np.all there.  On the control's
+#: 1024 x 32 blocks the product loop is 1.07-1.24x as fast, but the inside
+#: test's loop only 0.64-0.78x, and the whole kernel, one- or two-sided,
+#: 0.90-0.98x as fast as with the reductions in three of four runs (1.01-1.17x
+#: in the fourth), so the reductions take 32 columns; at 1024 x 16 the two
+#: are about even.  np.prod multiplies in column order too.
 LOOP_COLUMNS = 16
 
 
@@ -404,7 +407,8 @@ def bcp_linear_one_sided(intercept: float, slope: float, T: float) -> float:
     if not math.isfinite(q):  # exp(-2cd) overflowed, or -2cd itself is inf or NaN
         # exp(-2cd) Phi(-x) = exp(-(c + dT)^2 / 2T) R(x) / sqrt(2 pi), with
         # x = (c - dT) / sqrt(T) >= 2 sqrt(-cd) > 37 once -2cd > 709.
-        q = math.exp(-0.5 * ((intercept + slope * T) / rt) ** 2) / math.sqrt(2.0 * math.pi)
+        z = (intercept + slope * T) / rt  # exp(-z^2 / 2) is 0.0 from |z| = 38.6; z ** 2 can raise
+        q = (math.exp(-0.5 * z ** 2) if abs(z) < 40.0 else 0.0) / math.sqrt(2.0 * math.pi)
         q *= _mills_ratio((intercept - slope * T) / rt)
     return float(min(1.0, max(0.0, p - q)))
 

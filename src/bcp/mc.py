@@ -8,8 +8,9 @@ of kernels.BLOCK_SIZE entries: each block draws its node vectors in place
 with `sample_nodes` and goes through the kernel of every band, the
 control (below) included.
 Consecutive draws from one stream give the same numbers, in the same
-order, as one (count, n) draw, so the blocks never change a value; the
-sums of g and g^2 still run over the whole chunk.
+order, as one (count, n) draw, so the blocks never change a value; each
+chunk's sum of g, and of the squared deviations from its own mean, still
+run over the whole chunk, and `_totals` combines them in chunk order.
 
 Every estimate comes from `_estimate`: the inner and outer bands run on
 the same node samples (common random numbers), and each path's inner g
@@ -18,23 +19,25 @@ rounding included.  The plain estimate is the bracketed one
 with inner = outer, so its bracket is (mean, mean).
 
 Every band with a finite side is estimated against a control variate
-(Glasserman 2003, sec. 4.1): the kernel g_c of the band between the
-straight lines (chords) through the outer band's finite sides at s = 0
-and s = S, on at most 16 of its intervals.  Its mean mu_c is the
-probability of the chords' band, from one call of
-`kernels.line_probability`: exact for one side, and for two a
-one-dimensional quadrature of the one-interval kernel, with an error eps
-of about 1e-13.  Each bracket end is mu_c + mean(g - g_c), with coefficient
-1 rather than the fitted optimum: each end stays unbiased, inner <= outer
-path by path, and the result a function of the seed and chunk size
-alone.  The ends are widened by eps each way, so the bracket covers the
-quadrature's error.  On the four paper7 cases the variance falls 8-22x,
-and on (-1, Daniels) 5x; a straight band whose chords are its sides has
-g - g_c = 0.  A side that bends far from its chord can make g - g_c vary
-more than g (2 - 1.9 sin(pi t) at n = 128: 0.97x), so the engine also
-sums g alone and keeps the control only where its standard error plus
-eps is the smaller.  `estimate_bcp` is the plain average of the kernel,
-without a control.
+(Glasserman 2003, sec. 4.1): the kernel g_c of the band between straight
+lines standing in for the outer band's finite sides, on at most 32 of its
+intervals.  Each line is the side's least-squares fit over all band
+nodes; a straight side keeps its chord, the line through its values at
+s = 0 and s = S, and so does a side whose fit would leave the start
+outside or cross the other side's.  Its mean mu_c is the probability of
+the lines' band, from one call of `kernels.line_probability`: exact for
+one side, and for two a one-dimensional quadrature of the one-interval
+kernel, with an error eps of about 1e-13 to 1e-12.  Each bracket end is
+mu_c + mean(g - g_c), with coefficient 1 rather than the fitted optimum:
+each end stays unbiased, inner <= outer path by path, and the result a
+function of the seed and chunk size alone.  The ends are widened by eps
+each way, so the bracket covers the quadrature's error.  On the four
+paper7 cases the variance falls 18-38x, and on (-1, Daniels) 11x; a
+straight band whose chords are its sides has g - g_c = 0.  A line can
+still lie far from where the paths cross: on 0.0005 + sqrt(t) at n = 128
+g - g_c varies 1.3x as much as g, so the engine also sums g alone and
+keeps the control only where its standard error plus eps is the smaller.
+`estimate_bcp` is the plain average of the kernel, without a control.
 """
 
 from __future__ import annotations
@@ -122,65 +125,102 @@ def _worker_lanes(n_chunks: int) -> int:
     return max(1, min(threads, cpus, n_chunks))
 
 
-def _std_error(s1: float, s2: float, paths: int) -> float:
-    """Standard error of the mean of `paths` values with sum s1 and sum of squares s2."""
+def _totals(chunks: list[tuple[int, float, float]]) -> tuple[float, float]:
+    """Sum and standard error of the mean of values given per chunk as
+    (count, sum, sum of squared deviations from the chunk's mean), combined
+    in chunk order (Chan, Golub & LeVeque 1983).  Deviations from each
+    chunk's mean keep a spread that is far below the mean's rounding, which
+    the sums of g and g^2 would cancel to 0."""
+    paths = sum(c for c, _, _ in chunks)
+    s1 = math.fsum(s for _, s, _ in chunks)
     if paths < 2:
-        return 0.0
-    return math.sqrt(max(0.0, (s2 - s1 * s1 / paths) / (paths - 1)) / paths)
+        return s1, 0.0
+    mean = s1 / paths
+    m2 = math.fsum(m2 + c * (s / c - mean) ** 2 for c, s, m2 in chunks)
+    return s1, math.sqrt(m2 / (paths - 1) / paths)
 
 
-#: Most intervals of a control band: its nodes are every (n/16)-th node.
-CONTROL_INTERVALS = 16
+#: Most intervals of a control band: its nodes are every (n/32)-th node.
+CONTROL_INTERVALS = 32
+
+
+def _line(q: Partition, side: str, ends: tuple[float, float] | None) -> PiecewiseLinearBoundary:
+    """The side on q of the line through ends = (c(0), c(S)); infinite for None."""
+    if ends is None:
+        return PiecewiseLinearBoundary.infinite(q, side)
+    c0, c_end = ends
+    values = c0 + (c_end - c0) * (q.nodes / q.T)
+    values[-1] = c_end
+    return PiecewiseLinearBoundary.from_values(q, side, values)
+
+
+def _side_lines(side: PiecewiseLinearBoundary, nodes: np.ndarray, q: Partition) -> tuple:
+    """(the ends of the line that stands in for a finite side in the control,
+    the ends of its chord), each (c(0), c(S)) or None where it has none.
+
+    The chord runs through the side's values at s = 0 and s = S: None where
+    its rise overflows.  Where the chord gives the side bit-for-bit at the
+    control's nodes it stands in.  Else the least-squares line through the
+    side's values at all band nodes, right limits and the left limit at S,
+    against s: a curved side bends away from its chord, and the fit follows
+    it.  Where the fit is not finite or leaves the start outside, the chord
+    stands in.
+    """
+    c0, c_end = float(side.right[0]), float(side.left[-1])
+    chord = (c0, c_end) if math.isfinite(c_end - c0) else None
+    if chord is not None and all(np.array_equal(_line(q, side.side, chord).right, v[nodes])
+                                 for v in (side.right, side.left)):
+        return chord, chord
+    s, v = side.partition.nodes, side.right.copy()
+    v[-1] = c_end
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        s_bar, v_bar = s.mean(), v.mean()
+        slope = np.dot(s - s_bar, v - v_bar) / np.dot(s - s_bar, s - s_bar)
+        fit = float(v_bar - slope * s_bar), float(v_bar + slope * (s[-1] - s_bar))
+    inside = fit[0] > 0.0 if side.side == "upper" else fit[0] < 0.0
+    return (fit if inside and math.isfinite(fit[1] - fit[0]) else chord), chord
 
 
 def _control(band: PiecewiseLinearBand) -> tuple | None:
     """The control of a band with a finite side, or None.
 
-    It is the band between the straight lines (chords) through each finite
-    side at s = 0 and s = S, on at most CONTROL_INTERVALS intervals ending
-    at S: (that band, the index array of the node columns it reads, a
-    function giving its mean and that mean's error (mu_c, eps), and a floor
-    on eps known beforehand).  On the coarse nodes the kernel of straight
-    sides is exact, so mu_c is the probability of the chords' band, and
-    the function and floor are `line_probability`'s for the chords' ends.
-    Where the chords' band has the band's nodes and bit-equal side values,
-    the band itself is returned.  There is no control where a chord's rise
-    c(S) - c(0) overflows, where rounding makes the chords cross, or where
-    the chords' band on one interval would need more than MAX_TERMS series
-    terms.
+    It is the band between straight lines standing in for its finite sides
+    (`_side_lines`: least-squares lines, or chords), on at most
+    CONTROL_INTERVALS intervals ending at S: (that band, the index array of
+    the node columns it reads, a function giving its mean and that mean's
+    error (mu_c, eps), and a floor on eps known beforehand).  On the coarse
+    nodes the kernel of straight sides is exact, so mu_c is the probability
+    of the lines' band, and the function and floor are `line_probability`'s
+    for the lines' ends.  Where the lines' band has the band's nodes and
+    bit-equal side values, the band itself is returned.  Where the fitted
+    lines cross, or their band on one interval would need more than
+    MAX_TERMS series terms, the chords stand in; where the chords fail too
+    (a rise c(S) - c(0) overflows, rounding makes them cross, or MAX_TERMS),
+    there is no control.
     """
     p = band.partition
     m = min(p.n, CONTROL_INTERVALS)
     nodes = np.round(np.linspace(0, p.n, m + 1)).astype(np.intp)
     q = Partition(p.nodes[nodes])
-    sides, chords, ends = (band.lower, band.upper), [], []
-    for side in sides:
-        if side.is_infinite:
-            chords.append(PiecewiseLinearBoundary.infinite(q, side.side))
-            ends.append(None)
+    sides = (band.lower, band.upper)
+    if all(side.is_infinite for side in sides):
+        return None
+    pairs = [(None, None) if side.is_infinite else _side_lines(side, nodes, q) for side in sides]
+    fitted, chords = zip(*pairs)
+    for ends in [fitted] + [chords] * (chords != fitted):
+        if any(e is None and not s.is_infinite for e, s in zip(ends, sides)):
+            continue  # a finite side without a line
+        lines = [_line(q, s.side, e) for s, e in zip(sides, ends)]
+        own = q.n == p.n and all(np.array_equal(line.right, s.right)
+                                 and np.array_equal(line.left, s.left)
+                                 for line, s in zip(lines, sides))
+        try:  # fitted lines, or chords only ulps apart, can cross
+            control = band if own else PiecewiseLinearBand(*lines)
+            floor, mean = line_probability(*ends, q.T)
+        except (InvalidBoundariesError, NumericFailureError):  # or need > MAX_TERMS terms
             continue
-        c0, c_end = float(side.right[0]), float(side.left[-1])
-        if not math.isfinite(c_end - c0):
-            return None
-        values = c0 + (c_end - c0) * (q.nodes / q.T)
-        values[-1] = c_end
-        chords.append(PiecewiseLinearBoundary.from_values(q, side.side, values))
-        ends.append((c0, c_end))
-    if ends == [None, None]:
-        return None
-    if q.n == p.n and all(np.array_equal(c.right, s.right) and np.array_equal(c.left, s.left)
-                          for c, s in zip(chords, sides)):
-        control = band
-    else:
-        try:
-            control = PiecewiseLinearBand(*chords)
-        except InvalidBoundariesError:  # chords only ulps apart, crossed by rounding
-            return None
-    try:
-        floor, mean = line_probability(*ends, q.T)
-    except NumericFailureError:  # the chords' band needs more than MAX_TERMS terms
-        return None
-    return control, nodes[1:] - 1, mean, floor
+        return control, nodes[1:] - 1, mean, floor
+    return None
 
 
 def _estimate(
@@ -230,8 +270,13 @@ def _estimate(
             g = 0.5 * (g + g2)
         return g
 
-    def sums(g):  # (sum, sum of squares) of each row of g
-        return [(float(np.sum(gb)), float(np.sum(gb * gb))) for gb in g]
+    def sums(g):  # (sum, sum of squared deviations from the mean) of each row of g
+        out = []
+        for gb in g:
+            s = float(np.sum(gb))
+            d = gb - s / gb.size
+            out.append((s, float(np.sum(d * d))))
+        return out
 
     def run_chunk(k: int):
         count = min(cfg.chunk_size, cfg.paths - k * cfg.chunk_size)
@@ -248,17 +293,17 @@ def _estimate(
             for b, (band, plan) in enumerate(zip(bands, plans)):
                 g[b, r0:r1] = kernel(band, plan, x)
             np.minimum(g[0, r0:r1], g[-1, r0:r1], out=g[0, r0:r1])
-        return sums(g) if control is None else sums(g) + sums(g - gc)
+        return count, (sums(g) if control is None else sums(g) + sums(g - gc))
 
     with ThreadPoolExecutor(_worker_lanes(n_chunks)) as pool:
         results = list(pool.map(run_chunk, range(n_chunks)))
-    # (sum, sum of squares) of g for each band, then of g - g_c when controlled
-    totals = [[math.fsum(stats[b][i] for stats in results) for i in (0, 1)]
-              for b in range(len(results[0]))]
+    # (sum, SE) of g for each band, then of g - g_c when controlled
+    totals = [_totals([(count, *stats[b]) for count, stats in results])
+              for b in range(len(results[0][1]))]
     ends, shift, widen = totals[:len(bands)], 0.0, 0.0
-    std_error = max(_std_error(*t, cfg.paths) for t in ends)  # the larger end's
+    std_error = max(se for _, se in ends)  # the larger end's
     if control is not None:  # and the larger end's with the control
-        control_se = max(_std_error(*t, cfg.paths) for t in totals[len(bands):])
+        control_se = max(se for _, se in totals[len(bands):])
         if control_se + floor < std_error:  # else the quadrature cannot pay
             mu, eps = control_mean()
             if control_se + eps < std_error:
@@ -304,11 +349,11 @@ def estimate_bcp_bracketed(
     SEs, of g - g_c where the control is kept (see `_estimate`), so a
     band that is its own control to within ulps reports a rounding-level
     SE only when both ends are.  Where a two-sided control is kept, the
-    bracket also covers the error eps of its quadrature mean, about 1e-13:
-    a straight two-sided band that is its own control returns mu_c +- eps
-    with SE 0.  Exact sides give one band, evaluated once.  An inner band
-    that excludes the start or closes has probability 0, and 0 is then the
-    lower end.
+    bracket also covers the error eps of its quadrature mean, about 1e-13
+    to 1e-12: a straight two-sided band that is its own control returns
+    mu_c +- eps with SE 0.  Exact sides give one band, evaluated once.  An
+    inner band that excludes the start or closes has probability 0, and 0
+    is then the lower end.
 
     p is the finest partition.  A band of straight sides (`is_straight`)
     runs on the coarsest sub-partition of p that needs no more series

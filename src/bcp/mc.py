@@ -21,22 +21,25 @@ with inner = outer, so its bracket is (mean, mean).
 Every band with a finite side is estimated against a control variate
 (Glasserman 2003, sec. 4.1): the kernel g_c of the band between straight
 lines standing in for the outer band's finite sides, on at most 32 of its
-intervals.  Each line is the side's least-squares fit over all band
-nodes; a straight side keeps its chord, the line through its values at
-s = 0 and s = S, and so does a side whose fit would leave the start
-outside or cross the other side's.  Its mean mu_c is the probability of
-the lines' band, from one call of `kernels.line_probability`: exact for
-one side, and for two a one-dimensional quadrature of the one-interval
-kernel, with an error eps of about 1e-13 to 1e-12.  Each bracket end is
-mu_c + mean(g - g_c), with coefficient 1 rather than the fitted optimum:
-each end stays unbiased, inner <= outer path by path, and the result a
-function of the seed and chunk size alone.  The ends are widened by eps
-each way, so the bracket covers the quadrature's error.  On the four
-paper7 cases the variance falls 18-38x, and on (-1, Daniels) 11x; a
-straight band whose chords are its sides has g - g_c = 0.  A line can
-still lie far from where the paths cross: on 0.0005 + sqrt(t) at n = 128
-g - g_c varies 1.3x as much as g, so the engine also sums g alone and
-keeps the control only where its standard error plus eps is the smaller.
+intervals.  The lines are the sides' least-squares fits over all band
+nodes or their chords, the lines through their values at s = 0 and
+s = S; where both sets make a control, a pilot of at most one block,
+drawn from its own stream, keeps the one whose g - g_c varies less
+(`_control`, `_estimate`).  Its mean mu_c is the probability of the lines' band, from
+one call of `kernels.line_probability`: exact for one side, and for two
+a one-dimensional quadrature of the one-interval kernel, with an error
+eps of about 1e-13.  Each bracket end is mu_c + mean(g - g_c),
+with coefficient 1 rather than the fitted optimum: each end stays
+unbiased, inner <= outer path by path, and the result a function of the
+seed and chunk size alone.  The ends are widened by eps each way, so the
+bracket covers the quadrature's error.  On the four paper7 cases the
+variance falls 18-38x, and on (-1, Daniels) 11x; a straight band whose
+chords are its sides has g - g_c = 0.  A line can still lie far from
+where the paths cross: on 4 + 2 sin(pi t) at n = 128 the pilot keeps a
+fitted line that no path reaches, and the chord of
+0.3 + 2t - 1.9 sin(pi t) makes g - g_c vary 11x as much as g, so the
+engine also sums g alone and keeps the control only where its standard
+error plus eps is the smaller.
 `estimate_bcp` is the plain average of the kernel, without a control.
 """
 
@@ -155,24 +158,23 @@ def _line(q: Partition, side: str, ends: tuple[float, float] | None) -> Piecewis
 
 
 def _side_lines(side: PiecewiseLinearBoundary, nodes: np.ndarray, q: Partition) -> tuple:
-    """(the ends of the line that stands in for a finite side in the control,
-    the ends of its chord), each (c(0), c(S)) or None where it has none.
+    """(the ends of the side's least-squares line, the ends of its chord),
+    each (c(0), c(S)) or None where it has none.
 
     The chord runs through the side's values at s = 0 and s = S: None where
     its rise overflows.  Where the chord gives the side bit-for-bit at the
-    control's nodes it stands in.  Else the least-squares line through the
-    side's values at all band nodes, right limits and the left limit at S,
-    against s: a curved side bends away from its chord, and the fit follows
-    it.  Where the fit is not finite or leaves the start outside, the chord
-    stands in.
+    control's nodes it is also the fitted line.  Else the fit is the
+    least-squares line through the side's values at all band nodes against
+    s: a curved side bends away from its chord, and the fit follows it.
+    Where the fit is not finite or leaves the start outside, the chord
+    stands in for it.
     """
-    c0, c_end = float(side.right[0]), float(side.left[-1])
+    c0, c_end = float(side.right[0]), float(side.right[-1])
     chord = (c0, c_end) if math.isfinite(c_end - c0) else None
     if chord is not None and all(np.array_equal(_line(q, side.side, chord).right, v[nodes])
                                  for v in (side.right, side.left)):
         return chord, chord
-    s, v = side.partition.nodes, side.right.copy()
-    v[-1] = c_end
+    s, v = side.partition.nodes, side.right
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         s_bar, v_bar = s.mean(), v.mean()
         slope = np.dot(s - s_bar, v - v_bar) / np.dot(s - s_bar, s - s_bar)
@@ -181,22 +183,24 @@ def _side_lines(side: PiecewiseLinearBoundary, nodes: np.ndarray, q: Partition) 
     return (fit if inside and math.isfinite(fit[1] - fit[0]) else chord), chord
 
 
-def _control(band: PiecewiseLinearBand) -> tuple | None:
-    """The control of a band with a finite side, or None.
+def _control(band: PiecewiseLinearBand) -> list[tuple]:
+    """The candidate controls of a band: none where it has no finite side,
+    else the fitted lines' and then the chords' where they differ.
 
-    It is the band between straight lines standing in for its finite sides
-    (`_side_lines`: least-squares lines, or chords), on at most
-    CONTROL_INTERVALS intervals ending at S: (that band, the index array of
-    the node columns it reads, a function giving its mean and that mean's
-    error (mu_c, eps), and a floor on eps known beforehand).  On the coarse
-    nodes the kernel of straight sides is exact, so mu_c is the probability
-    of the lines' band, and the function and floor are `line_probability`'s
-    for the lines' ends.  Where the lines' band has the band's nodes and
-    bit-equal side values, the band itself is returned.  Where the fitted
-    lines cross, or their band on one interval would need more than
-    MAX_TERMS series terms, the chords stand in; where the chords fail too
-    (a rise c(S) - c(0) overflows, rounding makes them cross, or MAX_TERMS),
-    there is no control.
+    Each is the band between straight lines standing in for the band's
+    finite sides (`_side_lines`), on at most CONTROL_INTERVALS intervals
+    ending at S: (that band, the index array of the node columns it reads,
+    a function giving its mean and that mean's error (mu_c, eps), and a
+    floor on eps known beforehand).  On the coarse nodes the kernel of
+    straight sides is exact, so mu_c is the probability of the lines'
+    band, and the function and floor are `line_probability`'s for the
+    lines' ends.  Where the lines' band has the band's nodes and bit-equal
+    side values, the band itself is returned.  A set of lines gives no
+    candidate where a finite side has no line (a chord's rise overflows),
+    where the lines cross (fitted lines can, and chords only ulps apart by
+    rounding), or where their band on one interval would need more than
+    MAX_TERMS series terms; fitted lines give none either where their
+    floor is above the chords', so a fit never widens the bracket.
     """
     p = band.partition
     m = min(p.n, CONTROL_INTERVALS)
@@ -204,23 +208,34 @@ def _control(band: PiecewiseLinearBand) -> tuple | None:
     q = Partition(p.nodes[nodes])
     sides = (band.lower, band.upper)
     if all(side.is_infinite for side in sides):
-        return None
+        return []
     pairs = [(None, None) if side.is_infinite else _side_lines(side, nodes, q) for side in sides]
     fitted, chords = zip(*pairs)
-    for ends in [fitted] + [chords] * (chords != fitted):
+    candidates = []
+    for ends in [chords] + [fitted] * (fitted != chords):
         if any(e is None and not s.is_infinite for e, s in zip(ends, sides)):
             continue  # a finite side without a line
         lines = [_line(q, s.side, e) for s, e in zip(sides, ends)]
         own = q.n == p.n and all(np.array_equal(line.right, s.right)
                                  and np.array_equal(line.left, s.left)
                                  for line, s in zip(lines, sides))
-        try:  # fitted lines, or chords only ulps apart, can cross
+        try:
             control = band if own else PiecewiseLinearBand(*lines)
             floor, mean = line_probability(*ends, q.T)
-        except (InvalidBoundariesError, NumericFailureError):  # or need > MAX_TERMS terms
+        except (InvalidBoundariesError, NumericFailureError):  # crossed, or > MAX_TERMS terms
             continue
-        return control, nodes[1:] - 1, mean, floor
-    return None
+        if candidates and floor > candidates[0][3]:
+            continue  # fitted lines whose floor is above the chords'
+        candidates.insert(0, (control, nodes[1:] - 1, mean, floor))
+    return candidates
+
+
+#: Philox chunk index of the pilot that picks between two candidate
+#: controls; no estimate reaches that many chunks.
+PILOT_CHUNK = 2**64 - 1
+#: The pilot draws paths // PILOT_SHARE rows, at most one block, so it
+#: costs a small share of any estimate.
+PILOT_SHARE = 64
 
 
 def _estimate(
@@ -239,7 +254,12 @@ def _estimate(
     The SE is the larger of the two ends' SEs.  When controlled, an
     outer band with a finite side has a control (`_control`), evaluated
     like the bands on each block, at its node columns; a band that is its
-    own control is evaluated once, and its g is g_c.  Each bracket end is
+    own control is evaluated once, and its g is g_c.  Where `_control`
+    offers two, a pilot picks one before any chunk runs: on cfg.paths //
+    PILOT_SHARE rows, at most one block, from the stream of chunk
+    PILOT_CHUNK, it evaluates the outer band's g and each candidate's g_c,
+    and keeps the candidate whose g - g_c has the smaller variance, the
+    first on a tie.  The pilot's paths enter no sum.  Each bracket end is
     then the control's mean mu_c plus the mean of g - g_c (coefficient 1),
     widened by mu_c's error eps (0 for one side) away from the other end,
     or the plain mean of g; either is clipped to [0, 1].  The control is
@@ -248,20 +268,15 @@ def _estimate(
     plus eps's floor, known beforehand, is below the plain SE; so never
     where that SE is 0.
     Subtracting the same g_c keeps each end unbiased and inner <= outer
-    path by path.  The choice looks at the same samples, but only through
-    their spread, which moves the mean by O(1/paths) against an SE of
-    O(1/sqrt(paths)).
+    path by path.  The keep-or-drop choice looks at the same samples, but
+    only through their spread, which moves the mean by O(1/paths) against
+    an SE of O(1/sqrt(paths)).
     """
     bands = [outer] if inner is None or inner is outer else [inner, outer]
-    control = _control(outer) if controlled else None
     p = outer.partition
     n_chunks = -(-cfg.paths // cfg.chunk_size)
     block = max(1, BLOCK_SIZE // p.n)  # rows: one kernel block per mc block
     plans = [kernel_plan(band) for band in bands]
-    if control is not None:
-        control_band, cols, control_mean, floor = control
-        own = control_band is outer  # g_c is the outer band's g
-        control_plan = None if own else kernel_plan(control_band)
 
     def kernel(band, plan, x):
         g, _ = band_kernel(band, x, plan=plan)
@@ -269,6 +284,20 @@ def _estimate(
             g2, _ = band_kernel(band, -x, plan=plan)
             g = 0.5 * (g + g2)
         return g
+
+    candidates = [(c, None if c[0] is outer else kernel_plan(c[0]))
+                  for c in (_control(outer) if controlled else [])]
+
+    def pilot():  # the candidate whose g - g_c varies less on the pilot's block
+        x = sample_nodes(p, _chunk_stream(cfg.seed, PILOT_CHUNK),
+                         np.empty((min(block, max(1, cfg.paths // PILOT_SHARE)), p.n)))
+        g = kernel(outer, plans[-1], x)
+
+        def spread(candidate):
+            (band, cols, _, _), plan = candidate
+            return np.var(g - kernel(band, plan, x[:, cols]))
+
+        return min(candidates, key=spread)
 
     def sums(g):  # (sum, sum of squared deviations from the mean) of each row of g
         out = []
@@ -296,6 +325,12 @@ def _estimate(
         return count, (sums(g) if control is None else sums(g) + sums(g - gc))
 
     with ThreadPoolExecutor(_worker_lanes(n_chunks)) as pool:
+        if len(candidates) > 1:  # on a worker, whose chunks reuse the memory it frees
+            candidates = [pool.submit(pilot).result()]
+        control = candidates[0] if candidates else None
+        if control is not None:
+            (control_band, cols, control_mean, floor), control_plan = control
+            own = control_band is outer  # g_c is the outer band's g
         results = list(pool.map(run_chunk, range(n_chunks)))
     # (sum, SE) of g for each band, then of g - g_c when controlled
     totals = [_totals([(count, *stats[b]) for count, stats in results])
@@ -349,11 +384,11 @@ def estimate_bcp_bracketed(
     SEs, of g - g_c where the control is kept (see `_estimate`), so a
     band that is its own control to within ulps reports a rounding-level
     SE only when both ends are.  Where a two-sided control is kept, the
-    bracket also covers the error eps of its quadrature mean, about 1e-13
-    to 1e-12: a straight two-sided band that is its own control returns
-    mu_c +- eps with SE 0.  Exact sides give one band, evaluated once.  An
-    inner band that excludes the start or closes has probability 0, and 0
-    is then the lower end.
+    bracket also covers the error eps of its quadrature mean, about 1e-13:
+    a straight two-sided band that is its own control returns mu_c +- eps
+    with SE 0.  Exact sides give one band, evaluated once.  An inner band
+    that excludes the start or closes has probability 0, and 0 is then the
+    lower end.
 
     p is the finest partition.  A band of straight sides (`is_straight`)
     runs on the coarsest sub-partition of p that needs no more series

@@ -561,15 +561,15 @@ class TestEmptyInnerBand:
     # The boundaries are valid, but the inner envelope, shifted inward by
     # the curvature pad, excludes the start or closes; these requests once
     # exited 4.  The inner band's probability is 0, the lower end.  The
-    # upper ends were re-recorded when the control's lines became fits to the
-    # sides, which lose to the plain mean here (0.169, 0.0691 and 0.190 with
-    # the chord control; within 0.25 combined SEs).
+    # first two upper ends were re-recorded when the control came to run on
+    # 32 columns, where a pilot picks the chord over the least-squares line
+    # (0.169 and 0.0691 with 16 columns; both within 0.17 combined SEs).
     @pytest.mark.parametrize(
         "argv, upper",
         [(["bm", "--upper", "0.0005+sqrt(t)"], 0.170),
          (["bm", "--lower=-1", "--upper", "0.0005+sqrt(t)"], 0.0696),
          (["ou", "--kappa", "0.5", "--alpha", "0", "--sigma2", "1", "--x0", "0",
-           "--upper", "0.0005+sqrt(t)"], 0.191),
+           "--upper", "0.0005+sqrt(t)"], 0.190),
          (["bm", "--lower", "sqrt(t)-0.0005", "--upper", "sqrt(t)+0.002", "--n", "16"], 0.0)],
         ids=["bm_one_sided", "bm_two_sided", "ou", "inner_band_closes"],
     )
@@ -590,11 +590,14 @@ class TestEmptyInnerBand:
 # the SEs of ou_td_const and gbm_zero_lower, which are rounding, again when a
 # controlled SE came to cover both bracket ends.  The two-sided rows, bm_pm1,
 # gbm_lower and growth_lower, were re-recorded when two-sided bands gained the
-# chord control, each within 1.3 combined SEs of its plain value.  Every row
-# but bm_pm1 was re-recorded when the control's lines became least-squares
-# fits to the sides, each mean within 1.6 combined SEs of its chord value; the
-# rounding-level SEs of ou_td_const and gbm_zero_lower moved when the SE came
-# to be summed from each chunk's deviations about its own mean.
+# chord control, each within 1.3 combined SEs of its plain value.  The rows
+# whose pilot picks the sides' least-squares lines were re-recorded when those
+# lines joined the chords as candidate controls, each mean within 1.6 combined
+# SEs of its chord value.  gbm_lower, whose fitted lines' quadrature floor
+# lies above the chords', and gbm_zero_lower, whose pilot picks the chords,
+# keep their values.  The rounding-level SEs of ou_td_const and
+# gbm_zero_lower moved (the latter by one ulp) when the SE came to be summed
+# from each chunk's deviations about its own mean.
 FAMILY_PINS = [
     (["bm", "--upper", DANIELS],
      (0.5206080124365846, 0.0008080934363765314, 0.5204515561704748, 0.5207644687026944)),
@@ -611,7 +614,7 @@ FAMILY_PINS = [
      (0.7214056466212302, 0.00018786767034541086, 0.7213743653906346, 0.7214369278518259)),
     (["gbm", "--sigma", "0.1", "--rate", "0.1+0.05*exp(-t)", "--x0", "10",
       "--lower", "8", "--upper", "12"],
-     (0.6036930833830987, 0.00034910392642082603, 0.6036691326679213, 0.6037170340982762)),
+     (0.603627193869934, 0.00035275097925092436, 0.6036032431547569, 0.603651144585111)),
     (["ou-td", "--kappa-fn", "0.5", "--alpha-fn", "0", "--sigma-fn", "1", "--x0", "0",
       "--upper", "exp(0.5*t)"],
      (0.885110408906788, 2.3285009339634636e-17, 0.8851104089067878, 0.8851104089067883)),
@@ -624,7 +627,7 @@ FAMILY_PINS = [
      (0.9786075836664023, 0.0003575905164377156, 0.9785908244154348, 0.9786243429173699)),
     (["gbm", "--sigma", "0.3", "--rate", "0.02", "--x0", "2", "--lower", "0",
       "--upper", "3*exp(0.1*t)"],
-     (0.9047714610820947, 3.06107623624609e-17, 0.9047714610820945, 0.9047714610820949)),
+     (0.9047714610820947, 3.167958336306223e-17, 0.9047714610820945, 0.9047714610820949)),
 ]
 
 

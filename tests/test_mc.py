@@ -26,8 +26,8 @@ from bcp import (
 )
 from bcp.boundary import Partition
 from bcp.cli import build_parser, run_request
-from bcp.kernels import bcp_linear_two_sided, kernel_plan
-from bcp.mc import _chunk_stream, _worker_lanes, sample_nodes
+from bcp.kernels import bcp_linear_two_sided, kernel_plan, line_probability
+from bcp.mc import PILOT_CHUNK, PILOT_SHARE, _chunk_stream, _worker_lanes, sample_nodes
 from oracles import quad_one_sided_n1, reflection_one_sided, two_barrier_survival
 
 
@@ -318,7 +318,8 @@ class TestBracketing:
     def test_empty_inner_band_gives_zero_lower_end(self, monkeypatch):
         # The inner envelope of 0.0005 + sqrt(t) lies below 0 at t = 0, so
         # the inner band excludes the start: only the outer band and its
-        # control are evaluated, per 1024-row block.
+        # control are evaluated, per 1024-row block, after the pilot's three
+        # calls (the band and both candidate controls) on 8192 // 64 rows.
         p = uniform_partition(1.0, 128)
         cfg = McConfig(paths=8192, seed=1)
         gb = GeneralBoundary(parse_boundary("0.0005+sqrt(t)"), "upper", 1.0)
@@ -328,7 +329,7 @@ class TestBracketing:
         upper = bcp.mc._estimate(band, band, cfg)
         calls = self._count_kernel_calls(monkeypatch)
         est = estimate_bcp_bracketed(None, gb, p, 50, cfg)
-        assert sorted(calls) == [1024] * 16
+        assert sorted(calls) == [128] * 3 + [1024] * 16
         assert est.bracket == (0.0, upper.mean) and est.std_error == upper.std_error
         assert est.mean == 0.5 * upper.mean
 
@@ -380,7 +381,7 @@ class TestBracketing:
                                float(np.sum(g_out)) / 4096)
         # Against the chord control, kept here, the capped inner g still
         # gives the lower end: mu_c + mean(min(g_in, g_out) - g_c) - eps.
-        control, cols, mean, _ = bcp.mc._control(outer)
+        [(control, cols, mean, _)] = bcp.mc._control(outer)
         g_c, _ = band_kernel(control, x[:, cols])
         mu, eps = mean()
         assert bcp.mc._estimate(inner, outer, cfg).bracket == (
@@ -419,19 +420,32 @@ class TestBracketing:
 
 
 def fitted_ends(side):
-    """(c(0), c(S)) of the least-squares line through a side's values at its
-    nodes, right limits and the left limit at S."""
-    s, v = side.partition.nodes, side.right.copy()
-    v[-1] = side.left[-1]
-    slope, intercept = np.polyfit(s, v, 1)
+    """(c(0), c(S)) of the least-squares line through a side's values at its nodes."""
+    s = side.partition.nodes
+    slope, intercept = np.polyfit(s, side.right, 1)
     return intercept, intercept + slope * s[-1]
 
 
+def line_ends(line):
+    return line.right[0], line.right[-1]
+
+
+def pilot_pick(band, candidates, seed, paths):
+    """The candidate whose g - g_c varies less on the pilot: paths // 64
+    rows, at most one 1024-row block at n = 128, drawn from its own stream."""
+    p = band.partition
+    rows = min(1024, paths // PILOT_SHARE)
+    x = sample_nodes(p, _chunk_stream(seed, PILOT_CHUNK), np.empty((rows, p.n)))
+    g = band_kernel(band, x)[0]
+    return min(candidates, key=lambda c: np.var(g - band_kernel(c[0], x[:, c[1]])[0]))
+
+
 class TestControl:
-    """A band's control: the band between straight lines standing in for its
-    finite sides, least-squares lines or chords, on at most 32 intervals,
-    whose mean `bcp_linear_one_sided` gives exactly for one side, and
-    `bcp_linear_two_sided` to within its eps for two."""
+    """A band's candidate controls: the bands between straight lines standing
+    in for its finite sides, least-squares lines and chords, on at most 32
+    intervals, whose mean `bcp_linear_one_sided` gives exactly for one side,
+    and `bcp_linear_two_sided` to within its eps for two.  Where there are
+    two, a pilot picks one."""
 
     @pytest.mark.parametrize("side, c0, c_end, n", [
         ("upper", 1.0, 1.6, 128), ("upper", 1.0, 0.3, 128), ("lower", -0.8, -0.2, 128),
@@ -448,15 +462,17 @@ class TestControl:
             p, side, c0 + (c_end - c0) * p.nodes / p.T + bend)
         other = PiecewiseLinearBoundary.infinite(p, "lower" if side == "upper" else "upper")
         band = PiecewiseLinearBand(*((other, finite) if side == "upper" else (finite, other)))
-        control, cols, mean, floor = bcp.mc._control(band)
+        (control, cols, mean, floor), chord = bcp.mc._control(band)
         (mean, eps), line = mean(), control.upper if side == "upper" else control.lower
         assert eps == floor == 0.0
         # Every (n/32)-th column, rounded where 32 does not divide n = 40.
         assert control.partition.n == np.empty((1, n))[:, cols].shape[1] == min(n, 32)
         assert np.array_equal(p.nodes[1:][cols], control.partition.nodes[1:])
-        ends = line.right[0], line.left[-1]
+        ends = line_ends(line)
         assert ends == pytest.approx(fitted_ends(finite), rel=1e-12, abs=1e-12)
         assert min(abs(ends[0] - c0), abs(ends[1] - c_end)) > 0.05
+        chord = chord[0].upper if side == "upper" else chord[0].lower
+        assert line_ends(chord) == line_ends(finite)
         g = np.concatenate([
             band_kernel(control, sample_nodes(p, _chunk_stream(17, k), np.empty((20_000, n)))[:, cols])[0]
             for k in range(10)])
@@ -476,7 +492,7 @@ class TestControl:
             PiecewiseLinearBoundary.infinite(p, side) if v is None
             else PiecewiseLinearBoundary.from_values(p, side, v)
             for side, v in (("lower", lower), ("upper", upper))))
-        assert bcp.mc._control(band) is None
+        assert bcp.mc._control(band) == []
 
     def test_overflowing_chord_takes_the_fitted_line(self):
         # The chord's rise from 1e308 to -1e308 overflows, but the
@@ -484,9 +500,9 @@ class TestControl:
         # below it, and its mean is exact and finite.
         p = uniform_partition(1.0, 8)
         side = PiecewiseLinearBoundary.from_values(p, "upper", np.r_[1e308, np.zeros(7), -1e308])
-        control, _, mean, floor = bcp.mc._control(
+        [(control, _, mean, floor)] = bcp.mc._control(
             PiecewiseLinearBand(PiecewiseLinearBoundary.infinite(p, "lower"), side))
-        ends = control.upper.right[0], control.upper.left[-1]
+        ends = line_ends(control.upper)
         assert ends == pytest.approx((1e308 / 1.875, -1e308 / 1.875), rel=1e-12)
         assert mean() == (0.0, 0.0) and floor == 0.0
 
@@ -511,42 +527,47 @@ class TestControl:
         assert calls == [4096] * 2
         assert r["mean"] == bcp_linear_one_sided(1.0, 0.0, 1.0) and r["std_error"] == 0.0
 
-    @pytest.mark.parametrize("lower, upper, n, seed, most", [
-        ("-1-0.5*sin(3.14159*t)", "1+0.5*sin(3.14159*t)", 128, 31, 1e-12),
-        ("-0.6-0.8*t*t", "0.4+t-0.3*sin(5*t)", 128, 32, 2e-12),
-        ("-1.5+t", "2-1.8*t*t", 128, 33, 1e-12),
-        ("-0.6-0.8*t*t", "0.4+t-0.3*sin(5*t)", 40, 34, 2e-12),
-        ("-1-0.5*sin(3.14159*t)", "1+0.5*sin(3.14159*t)", 4, 35, 1e-12)],
+    @pytest.mark.parametrize("lower, upper, n, seed, fitted", [
+        ("-1-0.5*sin(3.14159*t)", "1+0.5*sin(3.14159*t)", 128, 31, True),
+        ("-0.6-0.8*t*t", "0.4+t-0.3*sin(5*t)", 128, 32, False),
+        ("-1.5+t", "2-1.8*t*t", 128, 33, True),
+        ("-0.6-0.8*t*t", "0.4+t-0.3*sin(5*t)", 40, 34, False),
+        ("-1-0.5*sin(3.14159*t)", "1+0.5*sin(3.14159*t)", 4, 35, True)],
         ids=["bulge", "widening", "narrowing", "widening_n40", "bulge_n4"])
-    def test_two_sided_mean_within_error(self, lower, upper, n, seed, most):
-        # The control of a curved two-sided band is the band between its
-        # sides' least-squares lines on up to 32 of its intervals; a fitted
-        # upper line passes through neither end of its side, and the straight
-        # -1.5 + t keeps its chord, which is also its fit.  E[g_c] = mu_c.
-        # eps is below 1e-12, except where the fitted upper line of the
-        # widening band passes 0.06-0.07 above the start (0.4 for the chord):
-        # the floor's rounding term grows as 1/r, to 1.1-1.3e-12.
+    def test_two_sided_mean_within_error(self, lower, upper, n, seed, fitted):
+        # The candidate controls of a curved two-sided band are the bands
+        # between its sides' least-squares lines and between their chords,
+        # on up to 32 of its intervals; the straight -1.5 + t keeps its
+        # chord, which is also its fit.  The widening band's fitted upper
+        # line passes 0.06-0.07 above the start, where the chord passes 0.4:
+        # the floor's rounding term grows as 1/r, to 1.1-1.3e-12, above the
+        # chords', so only the chords are offered.  E[g_c] = mu_c for each,
+        # and eps is below 1e-12.
         p = uniform_partition(1.0, n)
         (_, lo), (_, hi) = (envelopes(GeneralBoundary(parse_boundary(e), side, 1.0), p, 50)
                             for e, side in ((lower, "lower"), (upper, "upper")))
-        control, cols, mean, floor = bcp.mc._control(PiecewiseLinearBand(lo, hi))
-        assert control.partition.n == min(n, 32) and 0.0 < floor < most
-        for line, side in ((control.lower, lo), (control.upper, hi)):
-            ends = line.right[0], line.left[-1]
-            assert ends == pytest.approx(fitted_ends(side), rel=1e-12, abs=1e-12)
-        ends = control.upper.right[0], control.upper.left[-1]
-        assert min(abs(ends[0] - hi.right[0]), abs(ends[1] - hi.left[-1])) > 0.03
-        mu, eps = mean()
-        assert floor <= eps < most  # eps = floor + |Q_K - Q_2K|
-        g = np.concatenate([
-            band_kernel(control, sample_nodes(p, _chunk_stream(seed, k),
-                                              np.empty((20_000, n)))[:, cols])[0]
-            for k in range(5)])
-        assert abs(g.mean() - mu) < 4.0 * g.std(ddof=1) / math.sqrt(g.size)
+        candidates = bcp.mc._control(PiecewiseLinearBand(lo, hi))
+        fits, chords = [fitted_ends(s) for s in (lo, hi)], [line_ends(s) for s in (lo, hi)]
+        assert (line_probability(*fits, 1.0)[0] < line_probability(*chords, 1.0)[0]) == fitted
+        assert len(candidates) == 1 + fitted
+        for (control, cols, mean, floor), ends in zip(candidates, [fits] * fitted + [chords]):
+            assert control.partition.n == min(n, 32) and 0.0 < floor < 1e-12
+            assert np.ravel([line_ends(control.lower), line_ends(control.upper)]) == (
+                pytest.approx(np.ravel(ends), rel=1e-12, abs=1e-12))
+            mu, eps = mean()
+            assert floor <= eps < 1e-12  # eps = floor + |Q_K - Q_2K|
+            g = np.concatenate([
+                band_kernel(control, sample_nodes(p, _chunk_stream(seed, k),
+                                                  np.empty((20_000, n)))[:, cols])[0]
+                for k in range(5)])
+            assert abs(g.mean() - mu) < 4.0 * g.std(ddof=1) / math.sqrt(g.size)
+        # A fitted upper line passes through neither end of its side.
+        assert min(abs(fits[1][0] - chords[1][0]), abs(fits[1][1] - chords[1][1])) > 0.03
 
     def test_two_sided_control_kept(self):
-        # (-1, Daniels): the chords' band takes the SE from 0.0032 to 0.0014
-        # at 16384 paths, and the bracket is mu_c + mean(g - g_c) +- eps.
+        # (-1, Daniels): the control takes the SE from 0.0032 to 9.8e-4 at
+        # 16384 paths (1.4e-3 with chords on 16 columns), and the bracket is
+        # mu_c + mean(g - g_c) +- eps.
         args = build_parser().parse_args(
             ["bm", "--lower=-1", "--upper", "0.5 - t*log(0.25+0.25*sqrt(1+8*exp(-1/t)))",
              "--T", "1", "--paths", "16384", "--seed", "1"])
@@ -603,22 +624,23 @@ class TestControl:
         assert np.any(-c + (a1 + c) * q >= c + (b1 - c) * q)
         (a0, a_end), (b0, b_end) = (fitted_ends(side) for side in (band.lower, band.upper))
         assert a0 < 0.0 < b0 and a_end > b_end
-        assert bcp.mc._control(band) is None
+        assert bcp.mc._control(band) == []
         cfg = McConfig(paths=4096, seed=1)
         assert bcp.mc._estimate(band, band, cfg) == estimate_bcp(band, cfg)
 
     def test_crossed_fitted_lines_take_the_chords(self):
         # (-0.5, 0.5) parted by 400 s exp(-30 s): the least-squares lines,
-        # -2.06 to 0.18 and 2.06 to -0.18, cross, so the control is the
-        # band between the chords, which lowers the SE from 1.1e-3 to 7.5e-4.
+        # -2.06 to 0.18 and 2.06 to -0.18, cross, so the only candidate is
+        # the band between the chords, which lowers the SE from 1.1e-3 to
+        # 7.5e-4.
         p = uniform_partition(1.0, 128)
         bump = 400.0 * p.nodes * np.exp(-30.0 * p.nodes)
         band = self._band(-0.5 - bump, 0.5 + bump, p)
         (a0, a_end), (b0, b_end) = (fitted_ends(side) for side in (band.lower, band.upper))
         assert a0 < 0.0 < b0 and a_end > b_end
-        control, _, _, _ = bcp.mc._control(band)
+        [(control, _, _, _)] = bcp.mc._control(band)
         for line, side in ((control.lower, band.lower), (control.upper, band.upper)):
-            assert (line.right[0], line.left[-1]) == (side.right[0], side.left[-1])
+            assert line_ends(line) == line_ends(side)
         cfg = McConfig(paths=8192, seed=1)
         est, plain = bcp.mc._estimate(band, band, cfg), estimate_bcp(band, cfg)
         assert est.std_error < 0.8 * plain.std_error
@@ -631,13 +653,14 @@ class TestControl:
         _, outer = envelopes(GeneralBoundary(parse_boundary("0.01+2*t*t"), "upper", 1.0), p, 50)
         assert fitted_ends(outer)[0] == pytest.approx(-0.32, abs=5e-3)
         band = PiecewiseLinearBand(PiecewiseLinearBoundary.infinite(p, "lower"), outer)
-        control, _, mean, _ = bcp.mc._control(band)
-        assert (control.upper.right[0], control.upper.left[-1]) == (outer.right[0], outer.left[-1])
+        [(control, _, mean, _)] = bcp.mc._control(band)
+        assert line_ends(control.upper) == line_ends(outer)
         assert mean() == (bcp_linear_one_sided(outer.right[0], outer.left[-1] - outer.right[0],
                                                1.0), 0.0)
 
     def test_large_chunk_runs_control_per_block(self, monkeypatch):
-        # One 20 000-row chunk: its control runs on each block, 19 of 1024
+        # One 20 000-row chunk: its control, the candidate the pilot picks
+        # after its three calls on 312 rows, runs on each block, 19 of 1024
         # rows and one of 544, and the estimate is mu_c plus the mean of
         # g - g_c over the chunk.
         p = uniform_partition(1.0, 128)
@@ -646,8 +669,9 @@ class TestControl:
         band = PiecewiseLinearBand(PiecewiseLinearBoundary.infinite(p, "lower"), outer)
         calls = TestBracketing._count_kernel_calls(monkeypatch)
         est = bcp.mc._estimate(band, band, McConfig(paths=20_000, seed=6, chunk_size=20_000))
-        assert calls[::2] == calls[1::2] == [1024] * 19 + [544]  # the control's, the band's
-        control, cols, mean, _ = bcp.mc._control(band)
+        assert calls[:3] == [312] * 3  # the pilot's: the band, then each candidate
+        assert calls[3::2] == calls[4::2] == [1024] * 19 + [544]  # the control's, the band's
+        control, cols, mean, _ = pilot_pick(band, bcp.mc._control(band), 6, 20_000)
         x = sample_nodes(p, _chunk_stream(6, 0), np.empty((20_000, p.n)))
         d = band_kernel(band, x)[0] - band_kernel(control, x[:, cols])[0]
         s1 = float(np.sum(d))
@@ -672,9 +696,8 @@ class TestControl:
     def test_clipped_at_one(self, side, seed):
         # On these draws the control is kept and mu_c + mean(g - g_c) lies
         # above 1 for the outer band, which BcpEstimate would reject unclipped.
-        # (4 + 2 sin(pi t) and -3.5 - 2 sin(pi t), the cases with chords, drop
-        # the fitted control: their lines lie far above the ends where the
-        # paths cross.)
+        # (With 32 control columns, 4 + 2 sin(pi t) and -3.5 - 2 sin(pi t)
+        # reach the clip with a kept control on none of seeds 1-400.)
         args = build_parser().parse_args(
             ["bm", side, "--T", "1", "--n", "16", "--paths", "4096", "--seed", seed])
         r = run_request(args).results
@@ -686,8 +709,8 @@ class TestControl:
         # control mean of -0.5 puts it there.  The straight band is its own
         # control, so the control is kept on every draw.
         control = bcp.mc._control
-        monkeypatch.setattr(bcp.mc, "_control",
-                            lambda band: (*control(band)[:2], lambda: (-0.5, 0.0), 0.0))
+        monkeypatch.setattr(bcp.mc, "_control", lambda band: [
+            (*c[:2], lambda: (-0.5, 0.0), 0.0) for c in control(band)])
         args = build_parser().parse_args(
             ["bm", "--upper", "1+0.5*t", "--T", "1", "--paths", "4096", "--seed", "1"])
         r = run_request(args).results
@@ -695,10 +718,13 @@ class TestControl:
 
     @pytest.mark.parametrize("expr, kept", [
         ("1+sin(3.14159*t)", True), ("2-1.9*sin(3.14159*t)", True),
-        ("4+2*sin(3.14159*t)", False), ("0.0005+sqrt(t)", False)])
+        ("4+2*sin(3.14159*t)", False), ("0.0005+sqrt(t)", True),
+        ("0.3+2*t-1.9*sin(3.14159*t)", False)])
     def test_control_kept_only_where_it_lowers_the_error(self, expr, kept):
-        # Var(g - g_c) / Var(g) at n = 128, with the fitted lines: 0.54,
-        # 0.80, 1.00 and 1.30 (with chords: 0.59, 1.04, 0.04 and 0.68).
+        # Var(g - g_c) / Var(g) at n = 128 for the control the pilot picks:
+        # the fitted line's 0.54, 0.80 and 1.00, the chord's 0.63, and 11.4
+        # for the chord of 0.3 + 2t - 1.9 sin(pi t), whose fit starts at
+        # -0.91, below the start.
         p = uniform_partition(1.0, 128)
         _, outer = envelopes(GeneralBoundary(parse_boundary(expr), "upper", 1.0), p, 50)
         band = PiecewiseLinearBand(PiecewiseLinearBoundary.infinite(p, "lower"), outer)
@@ -707,12 +733,34 @@ class TestControl:
         assert (est.std_error < plain.std_error) == kept
         assert (est == plain) != kept
 
+    @pytest.mark.parametrize("expr, picked", [
+        ("0.0005+sqrt(t)", 1), ("0.5 - t*log(0.25+0.25*sqrt(1+8*exp(-1/t)))", 0)],
+        ids=["chord", "fit"])
+    def test_pilot_picks_the_lines_whose_control_varies_less(self, expr, picked, monkeypatch):
+        # Var g / Var(g - g_c) at n = 128 for the fitted line and the chord:
+        # 0.77 and 1.58 on 0.0005 + sqrt(t), whose paths cross mostly near
+        # the start, where the fit lies 0.24 above the side; 18.3 and 9.0 on
+        # Daniels.  The pilot, 256 rows drawn from its own stream, picks;
+        # the estimate is then the one with that candidate alone.
+        p = uniform_partition(1.0, 128)
+        _, outer = envelopes(GeneralBoundary(parse_boundary(expr), "upper", 1.0), p, 50)
+        band = PiecewiseLinearBand(PiecewiseLinearBoundary.infinite(p, "lower"), outer)
+        candidates = bcp.mc._control(band)
+        cfg = McConfig(paths=16384, seed=2)
+        assert len(candidates) == 2
+        assert pilot_pick(band, candidates, 2, cfg.paths) is candidates[picked]
+        est = bcp.mc._estimate(band, band, cfg)
+        monkeypatch.setattr(bcp.mc, "_control", lambda band: [candidates[picked]])
+        assert bcp.mc._estimate(band, band, cfg) == est
+        assert est.std_error < estimate_bcp(band, cfg).std_error
+
     def test_term_counts_once_per_band(self, monkeypatch):
         # Each band's J comes from one _term_counts call per estimate, where
         # every 1024-row block once made its own: 16 calls for these 8192 paths.
-        # The bands are the inner, the outer, the control and the chords'
-        # one-interval band, which `line_probability` builds and plans once
-        # for both its floor and its quadrature.
+        # The bands are the inner, the outer, and for each of the two
+        # candidate controls, the fitted lines' and the chords', its band and
+        # its lines' one-interval band, which `line_probability` builds and
+        # plans once for both its floor and its quadrature.
         calls = []
 
         def counted(band, min_terms):
@@ -725,8 +773,8 @@ class TestControl:
         est = estimate_bcp_bracketed(
             GeneralBoundary.constant(-1.0, "lower", 1.0), GeneralBoundary(daniels, "upper", 1.0),
             uniform_partition(1.0, 128), 50, McConfig(paths=8192, seed=1))
-        assert sorted(band.partition.n for band in calls) == [1, 32, 128, 128]
-        assert len({id(band) for band in calls if band.partition.n > 1}) == 3
+        assert sorted(band.partition.n for band in calls) == [1, 1, 32, 32, 128, 128]
+        assert len({id(band) for band in calls}) == 6
         assert est.bracket[0] < est.bracket[1]
 
 

@@ -236,12 +236,14 @@ class GeneralBoundary:
 
 
 def _values(gb: GeneralBoundary, ts: np.ndarray) -> np.ndarray:
-    """gb on the grid ts, raising at the first NaN in row-major order."""
+    """gb on the grid ts, raising at the first NaN in row-major order, or
+    the first infinity where gb is a finite side."""
     vals = gb(ts)
-    bad = np.isnan(vals)
+    bad = ~np.isfinite(vals) if gb.finite else np.isnan(vals)
     if bad.any():
-        t = float(ts.flat[np.argmax(bad)])
-        raise EvaluationError(f"boundary evaluated to NaN at t={t}", t=t)
+        i = np.argmax(bad)
+        t = float(ts.flat[i])
+        raise EvaluationError(f"{gb.side} boundary evaluated to {vals.flat[i]} at t={t}", t=t)
     return vals
 
 

@@ -511,8 +511,3 @@ def line_probability(lower: tuple[float, float] | None, upper: tuple[float, floa
 
     return floor, mean
 
-
-def bcp_linear_two_sided(lower: tuple[float, float], upper: tuple[float, float],
-                         T: float) -> tuple[float, float]:
-    """(mu, eps) of `line_probability` for two lines."""
-    return line_probability(lower, upper, T)[1]()

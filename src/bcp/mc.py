@@ -22,10 +22,9 @@ Every band with a finite side is estimated against a control variate
 (Glasserman 2003, sec. 4.1): the kernel g_c of the band between straight
 lines standing in for the outer band's finite sides, on at most 32 of its
 intervals.  The lines are the sides' least-squares fits over all band
-nodes or their chords, the lines through their values at s = 0 and
-s = S; where both sets make a control, a pilot of at most one block,
-drawn from its own stream, keeps the one whose g - g_c varies less
-(`_control`, `_estimate`).  Its mean mu_c is the probability of the lines' band, from
+nodes, or, where those make no control or a larger quadrature floor,
+their chords, the lines through their values at s = 0 and s = S
+(`_control`).  Its mean mu_c is the probability of the lines' band, from
 one call of `kernels.line_probability`: exact for one side, and for two
 a one-dimensional quadrature of the one-interval kernel, with an error
 eps of about 1e-13.  Each bracket end is mu_c + mean(g - g_c),
@@ -35,8 +34,8 @@ seed and chunk size alone.  The ends are widened by eps each way, so the
 bracket covers the quadrature's error.  On the four paper7 cases the
 variance falls 18-38x, and on (-1, Daniels) 11x; a straight band whose
 chords are its sides has g - g_c = 0.  A line can still lie far from
-where the paths cross: on 4 + 2 sin(pi t) at n = 128 the pilot keeps a
-fitted line that no path reaches, and the chord of
+where the paths cross: on 4 + 2 sin(pi t) at n = 128 the fitted line
+is one that no path reaches, and the chord of
 0.3 + 2t - 1.9 sin(pi t) makes g - g_c vary 11x as much as g, so the
 engine also sums g alone and keeps the control only where its standard
 error plus eps is the smaller.
@@ -183,24 +182,25 @@ def _side_lines(side: PiecewiseLinearBoundary, nodes: np.ndarray, q: Partition) 
     return (fit if inside and math.isfinite(fit[1] - fit[0]) else chord), chord
 
 
-def _control(band: PiecewiseLinearBand) -> list[tuple]:
-    """The candidate controls of a band: none where it has no finite side,
-    else the fitted lines' and then the chords' where they differ.
+def _control(band: PiecewiseLinearBand) -> tuple | None:
+    """The control of a band: None where it has no finite side, else the
+    band between the fitted lines or, failing those, the chords.
 
-    Each is the band between straight lines standing in for the band's
-    finite sides (`_side_lines`), on at most CONTROL_INTERVALS intervals
-    ending at S: (that band, the index array of the node columns it reads,
-    a function giving its mean and that mean's error (mu_c, eps), and a
-    floor on eps known beforehand).  On the coarse nodes the kernel of
-    straight sides is exact, so mu_c is the probability of the lines'
+    The control is the band between straight lines standing in for the
+    band's finite sides (`_side_lines`), on at most CONTROL_INTERVALS
+    intervals ending at S: (that band, the index array of the node columns
+    it reads, a function giving its mean and that mean's error (mu_c, eps),
+    and a floor on eps known beforehand).  On the coarse nodes the kernel
+    of straight sides is exact, so mu_c is the probability of the lines'
     band, and the function and floor are `line_probability`'s for the
     lines' ends.  Where the lines' band has the band's nodes and bit-equal
-    side values, the band itself is returned.  A set of lines gives no
-    candidate where a finite side has no line (a chord's rise overflows),
+    side values, the band itself is returned.  A set of lines makes no
+    control where a finite side has no line (a chord's rise overflows),
     where the lines cross (fitted lines can, and chords only ulps apart by
     rounding), or where their band on one interval would need more than
-    MAX_TERMS series terms; fitted lines give none either where their
-    floor is above the chords', so a fit never widens the bracket.
+    MAX_TERMS series terms; the fitted lines give way to the chords also
+    where their floor is above the chords', so a fit never widens the
+    bracket.
     """
     p = band.partition
     m = min(p.n, CONTROL_INTERVALS)
@@ -208,10 +208,10 @@ def _control(band: PiecewiseLinearBand) -> list[tuple]:
     q = Partition(p.nodes[nodes])
     sides = (band.lower, band.upper)
     if all(side.is_infinite for side in sides):
-        return []
+        return None
     pairs = [(None, None) if side.is_infinite else _side_lines(side, nodes, q) for side in sides]
     fitted, chords = zip(*pairs)
-    candidates = []
+    control = None
     for ends in [chords] + [fitted] * (fitted != chords):
         if any(e is None and not s.is_infinite for e, s in zip(ends, sides)):
             continue  # a finite side without a line
@@ -220,22 +220,13 @@ def _control(band: PiecewiseLinearBand) -> list[tuple]:
                                  and np.array_equal(line.left, s.left)
                                  for line, s in zip(lines, sides))
         try:
-            control = band if own else PiecewiseLinearBand(*lines)
+            control_band = band if own else PiecewiseLinearBand(*lines)
             floor, mean = line_probability(*ends, q.T)
         except (InvalidBoundariesError, NumericFailureError):  # crossed, or > MAX_TERMS terms
             continue
-        if candidates and floor > candidates[0][3]:
-            continue  # fitted lines whose floor is above the chords'
-        candidates.insert(0, (control, nodes[1:] - 1, mean, floor))
-    return candidates
-
-
-#: Philox chunk index of the pilot that picks between two candidate
-#: controls; no estimate reaches that many chunks.
-PILOT_CHUNK = 2**64 - 1
-#: The pilot draws paths // PILOT_SHARE rows, at most one block, so it
-#: costs a small share of any estimate.
-PILOT_SHARE = 64
+        if control is None or floor <= control[3]:  # fitted lines replace the chords
+            control = (control_band, nodes[1:] - 1, mean, floor)
+    return control
 
 
 def _estimate(
@@ -252,21 +243,17 @@ def _estimate(
     put the inner g above the outer one.  Sums run in chunk order.
 
     The SE is the larger of the two ends' SEs.  When controlled, an
-    outer band with a finite side has a control (`_control`), evaluated
-    like the bands on each block, at its node columns; a band that is its
-    own control is evaluated once, and its g is g_c.  Where `_control`
-    offers two, a pilot picks one before any chunk runs: on cfg.paths //
-    PILOT_SHARE rows, at most one block, from the stream of chunk
-    PILOT_CHUNK, it evaluates the outer band's g and each candidate's g_c,
-    and keeps the candidate whose g - g_c has the smaller variance, the
-    first on a tie.  The pilot's paths enter no sum.  Each bracket end is
-    then the control's mean mu_c plus the mean of g - g_c (coefficient 1),
-    widened by mu_c's error eps (0 for one side) away from the other end,
-    or the plain mean of g; either is clipped to [0, 1].  The control is
-    taken only when its SE plus eps is strictly below the plain one.  The
-    quadrature behind a two-sided mu_c runs only when the control's SE
-    plus eps's floor, known beforehand, is below the plain SE; so never
-    where that SE is 0.
+    outer band with a finite side has a control (`_control`), chosen from
+    the band alone and evaluated like the bands on each block, at its node
+    columns; a band that is its own control is evaluated once, and its g
+    is g_c.  Only the streams of chunks 0 .. n_chunks - 1 are drawn.  Each
+    bracket end is the control's mean mu_c plus the mean of g - g_c
+    (coefficient 1), widened by mu_c's error eps (0 for one side) away from
+    the other end, or the plain mean of g; either is clipped to [0, 1].
+    The control is taken only when its SE plus eps is strictly below the
+    plain one.  The quadrature behind a two-sided mu_c runs only when the
+    control's SE plus eps's floor, known beforehand, is below the plain
+    SE; so never where that SE is 0.
     Subtracting the same g_c keeps each end unbiased and inner <= outer
     path by path.  The keep-or-drop choice looks at the same samples, but
     only through their spread, which moves the mean by O(1/paths) against
@@ -285,19 +272,11 @@ def _estimate(
             g = 0.5 * (g + g2)
         return g
 
-    candidates = [(c, None if c[0] is outer else kernel_plan(c[0]))
-                  for c in (_control(outer) if controlled else [])]
-
-    def pilot():  # the candidate whose g - g_c varies less on the pilot's block
-        x = sample_nodes(p, _chunk_stream(cfg.seed, PILOT_CHUNK),
-                         np.empty((min(block, max(1, cfg.paths // PILOT_SHARE)), p.n)))
-        g = kernel(outer, plans[-1], x)
-
-        def spread(candidate):
-            (band, cols, _, _), plan = candidate
-            return np.var(g - kernel(band, plan, x[:, cols]))
-
-        return min(candidates, key=spread)
+    control = _control(outer) if controlled else None
+    if control is not None:
+        control_band, cols, control_mean, floor = control
+        own = control_band is outer  # g_c is the outer band's g
+        control_plan = None if own else kernel_plan(control_band)
 
     def sums(g):  # (sum, sum of squared deviations from the mean) of each row of g
         out = []
@@ -325,12 +304,6 @@ def _estimate(
         return count, (sums(g) if control is None else sums(g) + sums(g - gc))
 
     with ThreadPoolExecutor(_worker_lanes(n_chunks)) as pool:
-        if len(candidates) > 1:  # on a worker, whose chunks reuse the memory it frees
-            candidates = [pool.submit(pilot).result()]
-        control = candidates[0] if candidates else None
-        if control is not None:
-            (control_band, cols, control_mean, floor), control_plan = control
-            own = control_band is outer  # g_c is the outer band's g
         results = list(pool.map(run_chunk, range(n_chunks)))
     # (sum, SE) of g for each band, then of g - g_c when controlled
     totals = [_totals([(count, *stats[b]) for count, stats in results])

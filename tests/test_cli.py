@@ -222,6 +222,19 @@ class TestExitCodes:
         code, _, _ = run_capture(["bm", "--upper", "inf", "--T", "1"] + FAST, capsys)
         assert code == EXIT_BAND
 
+    @pytest.mark.parametrize("upper, message", [
+        ("1/t", "upper boundary evaluated to inf at t=0.0"),
+        ("1/(t-0.5)", "upper boundary evaluated to inf at t=0.5")], ids=["at_start", "inside"])
+    def test_infinite_boundary_value(self, upper, message, capsys):
+        # These once exited 4 with "finite and infinite segments cannot mix
+        # in one boundary", naming neither the value nor the time.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run_capture(
+                ["bm", "--upper", upper, "--T", "1", "--paths", "100", "--seed", "1"], capsys)
+        assert code == EXIT_BAND
+        assert message in err
+
     def test_expression_syntax_error(self, capsys):
         code, _, err = run_capture(["bm", "--upper", "1+*2", "--T", "1"] + FAST, capsys)
         assert code == EXIT_USAGE
@@ -562,14 +575,16 @@ class TestEmptyInnerBand:
     # the curvature pad, excludes the start or closes; these requests once
     # exited 4.  The inner band's probability is 0, the lower end.  The
     # first two upper ends were re-recorded when the control came to run on
-    # 32 columns, where a pilot picks the chord over the least-squares line
-    # (0.169 and 0.0691 with 16 columns; both within 0.17 combined SEs).
+    # 32 columns (0.169 and 0.0691 with 16 columns; both within 0.17
+    # combined SEs), and the third when the least-squares line replaced the
+    # chord as the control, which then loses to the plain mean (0.1905,
+    # within 0.1 combined SEs).
     @pytest.mark.parametrize(
         "argv, upper",
         [(["bm", "--upper", "0.0005+sqrt(t)"], 0.170),
          (["bm", "--lower=-1", "--upper", "0.0005+sqrt(t)"], 0.0696),
          (["ou", "--kappa", "0.5", "--alpha", "0", "--sigma2", "1", "--x0", "0",
-           "--upper", "0.0005+sqrt(t)"], 0.190),
+           "--upper", "0.0005+sqrt(t)"], 0.191),
          (["bm", "--lower", "sqrt(t)-0.0005", "--upper", "sqrt(t)+0.002", "--n", "16"], 0.0)],
         ids=["bm_one_sided", "bm_two_sided", "ou", "inner_band_closes"],
     )
@@ -591,13 +606,14 @@ class TestEmptyInnerBand:
 # controlled SE came to cover both bracket ends.  The two-sided rows, bm_pm1,
 # gbm_lower and growth_lower, were re-recorded when two-sided bands gained the
 # chord control, each within 1.3 combined SEs of its plain value.  The rows
-# whose pilot picks the sides' least-squares lines were re-recorded when those
-# lines joined the chords as candidate controls, each mean within 1.6 combined
-# SEs of its chord value.  gbm_lower, whose fitted lines' quadrature floor
-# lies above the chords', and gbm_zero_lower, whose pilot picks the chords,
-# keep their values.  The rounding-level SEs of ou_td_const and
+# whose control is the sides' least-squares lines were re-recorded when those
+# lines joined the chords as controls, each mean within 1.6 combined SEs of
+# its chord value.  gbm_lower, whose fitted lines' quadrature floor lies above
+# the chords', keeps its values.  The rounding-level SEs of ou_td_const and
 # gbm_zero_lower moved (the latter by one ulp) when the SE came to be summed
-# from each chunk's deviations about its own mean.
+# from each chunk's deviations about its own mean, and gbm_zero_lower's again,
+# from 3.17e-17 to 3.06e-17 with its mean and bracket unchanged, when its
+# control became the fitted lines in place of the chords.
 FAMILY_PINS = [
     (["bm", "--upper", DANIELS],
      (0.5206080124365846, 0.0008080934363765314, 0.5204515561704748, 0.5207644687026944)),
@@ -627,7 +643,7 @@ FAMILY_PINS = [
      (0.9786075836664023, 0.0003575905164377156, 0.9785908244154348, 0.9786243429173699)),
     (["gbm", "--sigma", "0.3", "--rate", "0.02", "--x0", "2", "--lower", "0",
       "--upper", "3*exp(0.1*t)"],
-     (0.9047714610820947, 3.167958336306223e-17, 0.9047714610820945, 0.9047714610820949)),
+     (0.9047714610820947, 3.06107623624609e-17, 0.9047714610820945, 0.9047714610820949)),
 ]
 
 

@@ -598,7 +598,7 @@ class TestLinearClosedForm:
 class TestLinearTwoSided:
     """`line_probability`: the probability of a band between two lines, by
     quadrature of the one-interval kernel, with an error bound eps; of one
-    line, exact.  `bcp_linear_two_sided` returns its (mu, eps)."""
+    line, exact.  `line_probability(lower, upper, T)[1]()` is its (mu, eps)."""
 
     @pytest.mark.parametrize("lower, upper, line", [
         (None, (1.0, 1.5), (1.0, 0.25)), ((-0.75, -0.25), None, (0.75, -0.25))],
@@ -616,7 +616,7 @@ class TestLinearTwoSided:
         # (-30, 30) 0.81; the range is cut to |y| <= 10 sqrt(T).  On
         # (-0.3, 1e6) the kernel's differences lose 3.5e-11, the same in
         # both rules, which the rounding floor's far-side term covers.
-        mu, eps = bcp.kernels.bcp_linear_two_sided((a, a), (b, b), T)
+        mu, eps = bcp.kernels.line_probability((a, a), (b, b), T)[1]()
         truth = two_barrier_survival(a, b, T)
         assert abs(mu - truth) <= eps < most
 
@@ -626,17 +626,17 @@ class TestLinearTwoSided:
         terms = kernel_plan(band)[1]
         lib = quad_of_kernel_n1(lambda y: band_kernel_unfused(band, [[y]], terms)[0],
                                 lower[1], upper[1], 1.5)
-        mu, eps = bcp.kernels.bcp_linear_two_sided(lower, upper, 1.5)
+        mu, eps = bcp.kernels.line_probability(lower, upper, 1.5)[1]()
         assert abs(mu - lib) < 1e-10 and eps < 1e-12
 
     @settings(max_examples=40, deadline=None)
     @given(a0=st.floats(-3.0, -0.05), b0=st.floats(0.05, 3.0), a1=st.floats(-3.0, 3.0),
            gap=st.floats(0.05, 4.0), T=st.floats(0.1, 4.0))
     def test_doubled_rule_inside_error_bound(self, a0, b0, a1, gap, T):
-        mu, eps = bcp.kernels.bcp_linear_two_sided((a0, a1), (b0, a1 + gap), T)
+        mu, eps = bcp.kernels.line_probability((a0, a1), (b0, a1 + gap), T)[1]()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(bcp.kernels, "QUAD_NODES", 128)
-            fine, _ = bcp.kernels.bcp_linear_two_sided((a0, a1), (b0, a1 + gap), T)
+            fine, _ = bcp.kernels.line_probability((a0, a1), (b0, a1 + gap), T)[1]()
         assert 0.0 <= mu <= 1.0 and abs(mu - fine) <= eps
 
     @pytest.mark.parametrize("h, floor", [
@@ -653,4 +653,4 @@ class TestLinearTwoSided:
 
     def test_past_term_cap_raises(self):
         with pytest.raises(NumericFailureError, match="series terms"):
-            bcp.kernels.bcp_linear_two_sided((-1e-16, -1e-16), (1e-16, 1e-16), 1.0)
+            bcp.kernels.line_probability((-1e-16, -1e-16), (1e-16, 1e-16), 1.0)[1]()

@@ -26,8 +26,8 @@ from bcp import (
 )
 from bcp.boundary import Partition
 from bcp.cli import build_parser, run_request
-from bcp.kernels import bcp_linear_two_sided, kernel_plan, line_probability
-from bcp.mc import PILOT_CHUNK, PILOT_SHARE, _chunk_stream, _worker_lanes, sample_nodes
+from bcp.kernels import kernel_plan, line_probability
+from bcp.mc import _chunk_stream, _worker_lanes, sample_nodes
 from oracles import quad_one_sided_n1, reflection_one_sided, two_barrier_survival
 
 
@@ -131,6 +131,26 @@ class TestReproducibility:
         b = estimate_bcp(band, McConfig(paths=20_000, seed=1, chunk_size=2_000))
         # Chunk size is part of the stream layout, not just performance.
         assert a.mean != b.mean
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_estimate_draws_only_its_chunk_streams(self, threads, monkeypatch):
+        # The seed and chunk size fix the result: a controlled estimate of
+        # 20 000 paths in chunks of 4096 draws the streams (seed, 0) ..
+        # (seed, 4), each once, and no other.
+        keys = []
+
+        def recorded(seed, chunk_index):
+            keys.append((seed, chunk_index))
+            return chunk_stream(seed, chunk_index)
+
+        chunk_stream = bcp.mc._chunk_stream
+        monkeypatch.setattr(bcp.mc, "_chunk_stream", recorded)
+        monkeypatch.setenv("BCP_THREADS", threads)
+        daniels = parse_boundary("0.5 - t*log(0.25+0.25*sqrt(1+8*exp(-1/t)))")
+        estimate_bcp_bracketed(None, GeneralBoundary(daniels, "upper", 1.0),
+                               uniform_partition(1.0, 128), 50,
+                               McConfig(paths=20_000, seed=7, chunk_size=4096))
+        assert sorted(keys) == [(7, k) for k in range(5)]
 
     def test_env_var_thread_override(self, monkeypatch):
         band = upper_band(np.linspace(1.0, 1.5, 5))
@@ -310,7 +330,7 @@ class TestBracketing:
             GeneralBoundary.constant(1.0, "upper", 1.0), uniform_partition(1.0, 128), 50, cfg,
         )
         assert calls == [4096] * 2
-        mu, eps = bcp_linear_two_sided((-1.0, -1.0), (1.0, 1.0), 1.0)
+        mu, eps = line_probability((-1.0, -1.0), (1.0, 1.0), 1.0)[1]()
         assert est.bracket == (mu - eps, mu + eps) and est.std_error == 0.0
         assert est.bracket[0] <= two_barrier_survival(-1.0, 1.0, 1.0) <= est.bracket[1]
         assert abs(est.mean - plain.mean) < 4.0 * plain.std_error
@@ -318,8 +338,7 @@ class TestBracketing:
     def test_empty_inner_band_gives_zero_lower_end(self, monkeypatch):
         # The inner envelope of 0.0005 + sqrt(t) lies below 0 at t = 0, so
         # the inner band excludes the start: only the outer band and its
-        # control are evaluated, per 1024-row block, after the pilot's three
-        # calls (the band and both candidate controls) on 8192 // 64 rows.
+        # control are evaluated, per 1024-row block.
         p = uniform_partition(1.0, 128)
         cfg = McConfig(paths=8192, seed=1)
         gb = GeneralBoundary(parse_boundary("0.0005+sqrt(t)"), "upper", 1.0)
@@ -329,7 +348,7 @@ class TestBracketing:
         upper = bcp.mc._estimate(band, band, cfg)
         calls = self._count_kernel_calls(monkeypatch)
         est = estimate_bcp_bracketed(None, gb, p, 50, cfg)
-        assert sorted(calls) == [128] * 3 + [1024] * 16
+        assert calls == [1024] * 16
         assert est.bracket == (0.0, upper.mean) and est.std_error == upper.std_error
         assert est.mean == 0.5 * upper.mean
 
@@ -381,7 +400,7 @@ class TestBracketing:
                                float(np.sum(g_out)) / 4096)
         # Against the chord control, kept here, the capped inner g still
         # gives the lower end: mu_c + mean(min(g_in, g_out) - g_c) - eps.
-        [(control, cols, mean, _)] = bcp.mc._control(outer)
+        control, cols, mean, _ = bcp.mc._control(outer)
         g_c, _ = band_kernel(control, x[:, cols])
         mu, eps = mean()
         assert bcp.mc._estimate(inner, outer, cfg).bracket == (
@@ -401,7 +420,7 @@ class TestBracketing:
             GeneralBoundary(parse_boundary(upper), "upper", 1.0), p, 50,
             McConfig(paths=8192, seed=3),
         )
-        mu, eps = bcp_linear_two_sided((-1.0, -1.0), (1.0, 1.5 if "t" in upper else 1.0), 1.0)
+        mu, eps = line_probability((-1.0, -1.0), (1.0, 1.5 if "t" in upper else 1.0), 1.0)[1]()
         assert calls == [4096] * 2 and est.std_error == 0.0
         assert est.bracket == (mu - eps, mu + eps)  # width 2 eps, 1.8e-13 and 2.1e-13
 
@@ -430,22 +449,11 @@ def line_ends(line):
     return line.right[0], line.right[-1]
 
 
-def pilot_pick(band, candidates, seed, paths):
-    """The candidate whose g - g_c varies less on the pilot: paths // 64
-    rows, at most one 1024-row block at n = 128, drawn from its own stream."""
-    p = band.partition
-    rows = min(1024, paths // PILOT_SHARE)
-    x = sample_nodes(p, _chunk_stream(seed, PILOT_CHUNK), np.empty((rows, p.n)))
-    g = band_kernel(band, x)[0]
-    return min(candidates, key=lambda c: np.var(g - band_kernel(c[0], x[:, c[1]])[0]))
-
-
 class TestControl:
-    """A band's candidate controls: the bands between straight lines standing
-    in for its finite sides, least-squares lines and chords, on at most 32
+    """A band's control: the band between straight lines standing in for its
+    finite sides, the least-squares lines or else the chords, on at most 32
     intervals, whose mean `bcp_linear_one_sided` gives exactly for one side,
-    and `bcp_linear_two_sided` to within its eps for two.  Where there are
-    two, a pilot picks one."""
+    and `line_probability` to within its eps for two."""
 
     @pytest.mark.parametrize("side, c0, c_end, n", [
         ("upper", 1.0, 1.6, 128), ("upper", 1.0, 0.3, 128), ("lower", -0.8, -0.2, 128),
@@ -462,7 +470,7 @@ class TestControl:
             p, side, c0 + (c_end - c0) * p.nodes / p.T + bend)
         other = PiecewiseLinearBoundary.infinite(p, "lower" if side == "upper" else "upper")
         band = PiecewiseLinearBand(*((other, finite) if side == "upper" else (finite, other)))
-        (control, cols, mean, floor), chord = bcp.mc._control(band)
+        control, cols, mean, floor = bcp.mc._control(band)
         (mean, eps), line = mean(), control.upper if side == "upper" else control.lower
         assert eps == floor == 0.0
         # Every (n/32)-th column, rounded where 32 does not divide n = 40.
@@ -471,8 +479,8 @@ class TestControl:
         ends = line_ends(line)
         assert ends == pytest.approx(fitted_ends(finite), rel=1e-12, abs=1e-12)
         assert min(abs(ends[0] - c0), abs(ends[1] - c_end)) > 0.05
-        chord = chord[0].upper if side == "upper" else chord[0].lower
-        assert line_ends(chord) == line_ends(finite)
+        _, chord = bcp.mc._side_lines(finite, np.r_[0, cols + 1], control.partition)
+        assert chord == line_ends(finite)
         g = np.concatenate([
             band_kernel(control, sample_nodes(p, _chunk_stream(17, k), np.empty((20_000, n)))[:, cols])[0]
             for k in range(10)])
@@ -492,7 +500,7 @@ class TestControl:
             PiecewiseLinearBoundary.infinite(p, side) if v is None
             else PiecewiseLinearBoundary.from_values(p, side, v)
             for side, v in (("lower", lower), ("upper", upper))))
-        assert bcp.mc._control(band) == []
+        assert bcp.mc._control(band) is None
 
     def test_overflowing_chord_takes_the_fitted_line(self):
         # The chord's rise from 1e308 to -1e308 overflows, but the
@@ -500,7 +508,7 @@ class TestControl:
         # below it, and its mean is exact and finite.
         p = uniform_partition(1.0, 8)
         side = PiecewiseLinearBoundary.from_values(p, "upper", np.r_[1e308, np.zeros(7), -1e308])
-        [(control, _, mean, floor)] = bcp.mc._control(
+        control, _, mean, floor = bcp.mc._control(
             PiecewiseLinearBand(PiecewiseLinearBoundary.infinite(p, "lower"), side))
         ends = line_ends(control.upper)
         assert ends == pytest.approx((1e308 / 1.875, -1e308 / 1.875), rel=1e-12)
@@ -535,32 +543,29 @@ class TestControl:
         ("-1-0.5*sin(3.14159*t)", "1+0.5*sin(3.14159*t)", 4, 35, True)],
         ids=["bulge", "widening", "narrowing", "widening_n40", "bulge_n4"])
     def test_two_sided_mean_within_error(self, lower, upper, n, seed, fitted):
-        # The candidate controls of a curved two-sided band are the bands
-        # between its sides' least-squares lines and between their chords,
-        # on up to 32 of its intervals; the straight -1.5 + t keeps its
-        # chord, which is also its fit.  The widening band's fitted upper
-        # line passes 0.06-0.07 above the start, where the chord passes 0.4:
-        # the floor's rounding term grows as 1/r, to 1.1-1.3e-12, above the
-        # chords', so only the chords are offered.  E[g_c] = mu_c for each,
-        # and eps is below 1e-12.
+        # The control of a curved two-sided band is the band between its
+        # sides' least-squares lines, on up to 32 of its intervals; the
+        # straight -1.5 + t keeps its chord, which is also its fit.  The
+        # widening band's fitted upper line passes 0.06-0.07 above the
+        # start, where the chord passes 0.4: the floor's rounding term grows
+        # as 1/r, to 1.1-1.3e-12, above the chords', so the chords are the
+        # control.  E[g_c] = mu_c, and eps is below 1e-12.
         p = uniform_partition(1.0, n)
         (_, lo), (_, hi) = (envelopes(GeneralBoundary(parse_boundary(e), side, 1.0), p, 50)
                             for e, side in ((lower, "lower"), (upper, "upper")))
-        candidates = bcp.mc._control(PiecewiseLinearBand(lo, hi))
+        control, cols, mean, floor = bcp.mc._control(PiecewiseLinearBand(lo, hi))
         fits, chords = [fitted_ends(s) for s in (lo, hi)], [line_ends(s) for s in (lo, hi)]
         assert (line_probability(*fits, 1.0)[0] < line_probability(*chords, 1.0)[0]) == fitted
-        assert len(candidates) == 1 + fitted
-        for (control, cols, mean, floor), ends in zip(candidates, [fits] * fitted + [chords]):
-            assert control.partition.n == min(n, 32) and 0.0 < floor < 1e-12
-            assert np.ravel([line_ends(control.lower), line_ends(control.upper)]) == (
-                pytest.approx(np.ravel(ends), rel=1e-12, abs=1e-12))
-            mu, eps = mean()
-            assert floor <= eps < 1e-12  # eps = floor + |Q_K - Q_2K|
-            g = np.concatenate([
-                band_kernel(control, sample_nodes(p, _chunk_stream(seed, k),
-                                                  np.empty((20_000, n)))[:, cols])[0]
-                for k in range(5)])
-            assert abs(g.mean() - mu) < 4.0 * g.std(ddof=1) / math.sqrt(g.size)
+        assert control.partition.n == min(n, 32) and 0.0 < floor < 1e-12
+        assert np.ravel([line_ends(control.lower), line_ends(control.upper)]) == (
+            pytest.approx(np.ravel(fits if fitted else chords), rel=1e-12, abs=1e-12))
+        mu, eps = mean()
+        assert floor <= eps < 1e-12  # eps = floor + |Q_K - Q_2K|
+        g = np.concatenate([
+            band_kernel(control, sample_nodes(p, _chunk_stream(seed, k),
+                                              np.empty((20_000, n)))[:, cols])[0]
+            for k in range(5)])
+        assert abs(g.mean() - mu) < 4.0 * g.std(ddof=1) / math.sqrt(g.size)
         # A fitted upper line passes through neither end of its side.
         assert min(abs(fits[1][0] - chords[1][0]), abs(fits[1][1] - chords[1][1])) > 0.03
 
@@ -624,21 +629,21 @@ class TestControl:
         assert np.any(-c + (a1 + c) * q >= c + (b1 - c) * q)
         (a0, a_end), (b0, b_end) = (fitted_ends(side) for side in (band.lower, band.upper))
         assert a0 < 0.0 < b0 and a_end > b_end
-        assert bcp.mc._control(band) == []
+        assert bcp.mc._control(band) is None
         cfg = McConfig(paths=4096, seed=1)
         assert bcp.mc._estimate(band, band, cfg) == estimate_bcp(band, cfg)
 
     def test_crossed_fitted_lines_take_the_chords(self):
         # (-0.5, 0.5) parted by 400 s exp(-30 s): the least-squares lines,
-        # -2.06 to 0.18 and 2.06 to -0.18, cross, so the only candidate is
-        # the band between the chords, which lowers the SE from 1.1e-3 to
+        # -2.06 to 0.18 and 2.06 to -0.18, cross, so the control is the
+        # band between the chords, which lowers the SE from 1.1e-3 to
         # 7.5e-4.
         p = uniform_partition(1.0, 128)
         bump = 400.0 * p.nodes * np.exp(-30.0 * p.nodes)
         band = self._band(-0.5 - bump, 0.5 + bump, p)
         (a0, a_end), (b0, b_end) = (fitted_ends(side) for side in (band.lower, band.upper))
         assert a0 < 0.0 < b0 and a_end > b_end
-        [(control, _, _, _)] = bcp.mc._control(band)
+        control, _, _, _ = bcp.mc._control(band)
         for line, side in ((control.lower, band.lower), (control.upper, band.upper)):
             assert line_ends(line) == line_ends(side)
         cfg = McConfig(paths=8192, seed=1)
@@ -653,14 +658,13 @@ class TestControl:
         _, outer = envelopes(GeneralBoundary(parse_boundary("0.01+2*t*t"), "upper", 1.0), p, 50)
         assert fitted_ends(outer)[0] == pytest.approx(-0.32, abs=5e-3)
         band = PiecewiseLinearBand(PiecewiseLinearBoundary.infinite(p, "lower"), outer)
-        [(control, _, mean, _)] = bcp.mc._control(band)
+        control, _, mean, _ = bcp.mc._control(band)
         assert line_ends(control.upper) == line_ends(outer)
         assert mean() == (bcp_linear_one_sided(outer.right[0], outer.left[-1] - outer.right[0],
                                                1.0), 0.0)
 
     def test_large_chunk_runs_control_per_block(self, monkeypatch):
-        # One 20 000-row chunk: its control, the candidate the pilot picks
-        # after its three calls on 312 rows, runs on each block, 19 of 1024
+        # One 20 000-row chunk: its control runs on each block, 19 of 1024
         # rows and one of 544, and the estimate is mu_c plus the mean of
         # g - g_c over the chunk.
         p = uniform_partition(1.0, 128)
@@ -669,9 +673,8 @@ class TestControl:
         band = PiecewiseLinearBand(PiecewiseLinearBoundary.infinite(p, "lower"), outer)
         calls = TestBracketing._count_kernel_calls(monkeypatch)
         est = bcp.mc._estimate(band, band, McConfig(paths=20_000, seed=6, chunk_size=20_000))
-        assert calls[:3] == [312] * 3  # the pilot's: the band, then each candidate
-        assert calls[3::2] == calls[4::2] == [1024] * 19 + [544]  # the control's, the band's
-        control, cols, mean, _ = pilot_pick(band, bcp.mc._control(band), 6, 20_000)
+        assert calls[::2] == calls[1::2] == [1024] * 19 + [544]  # the control's, the band's
+        control, cols, mean, _ = bcp.mc._control(band)
         x = sample_nodes(p, _chunk_stream(6, 0), np.empty((20_000, p.n)))
         d = band_kernel(band, x)[0] - band_kernel(control, x[:, cols])[0]
         s1 = float(np.sum(d))
@@ -709,8 +712,8 @@ class TestControl:
         # control mean of -0.5 puts it there.  The straight band is its own
         # control, so the control is kept on every draw.
         control = bcp.mc._control
-        monkeypatch.setattr(bcp.mc, "_control", lambda band: [
-            (*c[:2], lambda: (-0.5, 0.0), 0.0) for c in control(band)])
+        monkeypatch.setattr(bcp.mc, "_control",
+                            lambda band: (*control(band)[:2], lambda: (-0.5, 0.0), 0.0))
         args = build_parser().parse_args(
             ["bm", "--upper", "1+0.5*t", "--T", "1", "--paths", "4096", "--seed", "1"])
         r = run_request(args).results
@@ -718,13 +721,12 @@ class TestControl:
 
     @pytest.mark.parametrize("expr, kept", [
         ("1+sin(3.14159*t)", True), ("2-1.9*sin(3.14159*t)", True),
-        ("4+2*sin(3.14159*t)", False), ("0.0005+sqrt(t)", True),
+        ("4+2*sin(3.14159*t)", False), ("0.0005+sqrt(t)", False),
         ("0.3+2*t-1.9*sin(3.14159*t)", False)])
     def test_control_kept_only_where_it_lowers_the_error(self, expr, kept):
-        # Var(g - g_c) / Var(g) at n = 128 for the control the pilot picks:
-        # the fitted line's 0.54, 0.80 and 1.00, the chord's 0.63, and 11.4
-        # for the chord of 0.3 + 2t - 1.9 sin(pi t), whose fit starts at
-        # -0.91, below the start.
+        # Var(g - g_c) / Var(g) at n = 128: the fitted line's 0.54, 0.80,
+        # 1.00 and 1.30, and 11.4 for the chord of 0.3 + 2t - 1.9 sin(pi t),
+        # whose fit starts at -0.91, below the start.
         p = uniform_partition(1.0, 128)
         _, outer = envelopes(GeneralBoundary(parse_boundary(expr), "upper", 1.0), p, 50)
         band = PiecewiseLinearBand(PiecewiseLinearBoundary.infinite(p, "lower"), outer)
@@ -733,34 +735,30 @@ class TestControl:
         assert (est.std_error < plain.std_error) == kept
         assert (est == plain) != kept
 
-    @pytest.mark.parametrize("expr, picked", [
-        ("0.0005+sqrt(t)", 1), ("0.5 - t*log(0.25+0.25*sqrt(1+8*exp(-1/t)))", 0)],
-        ids=["chord", "fit"])
-    def test_pilot_picks_the_lines_whose_control_varies_less(self, expr, picked, monkeypatch):
-        # Var g / Var(g - g_c) at n = 128 for the fitted line and the chord:
-        # 0.77 and 1.58 on 0.0005 + sqrt(t), whose paths cross mostly near
-        # the start, where the fit lies 0.24 above the side; 18.3 and 9.0 on
-        # Daniels.  The pilot, 256 rows drawn from its own stream, picks;
-        # the estimate is then the one with that candidate alone.
+    @pytest.mark.parametrize("expr", [
+        "0.0005+sqrt(t)", "0.5 - t*log(0.25+0.25*sqrt(1+8*exp(-1/t)))"],
+        ids=["sqrt", "daniels"])
+    def test_control_takes_the_fitted_line(self, expr):
+        # Both sets of lines make a control here, and the fitted line's
+        # floor, 0 for one side, is not above the chord's, so the fit is the
+        # control: Var g / Var(g - g_c) at n = 128 is 17.0 against the
+        # chord's 8.7 on Daniels, but 0.77 against 1.58 on 0.0005 + sqrt(t),
+        # whose paths cross mostly near the start, where the fit lies 0.24
+        # above the side.
         p = uniform_partition(1.0, 128)
         _, outer = envelopes(GeneralBoundary(parse_boundary(expr), "upper", 1.0), p, 50)
         band = PiecewiseLinearBand(PiecewiseLinearBoundary.infinite(p, "lower"), outer)
-        candidates = bcp.mc._control(band)
-        cfg = McConfig(paths=16384, seed=2)
-        assert len(candidates) == 2
-        assert pilot_pick(band, candidates, 2, cfg.paths) is candidates[picked]
-        est = bcp.mc._estimate(band, band, cfg)
-        monkeypatch.setattr(bcp.mc, "_control", lambda band: [candidates[picked]])
-        assert bcp.mc._estimate(band, band, cfg) == est
-        assert est.std_error < estimate_bcp(band, cfg).std_error
+        control, _, _, floor = bcp.mc._control(band)
+        assert floor == 0.0 and line_ends(outer) != line_ends(control.upper)
+        assert line_ends(control.upper) == pytest.approx(fitted_ends(outer), rel=1e-12)
 
     def test_term_counts_once_per_band(self, monkeypatch):
         # Each band's J comes from one _term_counts call per estimate, where
         # every 1024-row block once made its own: 16 calls for these 8192 paths.
-        # The bands are the inner, the outer, and for each of the two
-        # candidate controls, the fitted lines' and the chords', its band and
-        # its lines' one-interval band, which `line_probability` builds and
-        # plans once for both its floor and its quadrature.
+        # The bands are the inner, the outer, the control, and the
+        # one-interval bands of the fitted lines and of the chords, which
+        # `line_probability` builds and plans once for both its floor and
+        # its quadrature.
         calls = []
 
         def counted(band, min_terms):
@@ -773,8 +771,8 @@ class TestControl:
         est = estimate_bcp_bracketed(
             GeneralBoundary.constant(-1.0, "lower", 1.0), GeneralBoundary(daniels, "upper", 1.0),
             uniform_partition(1.0, 128), 50, McConfig(paths=8192, seed=1))
-        assert sorted(band.partition.n for band in calls) == [1, 1, 32, 32, 128, 128]
-        assert len({id(band) for band in calls}) == 6
+        assert sorted(band.partition.n for band in calls) == [1, 1, 32, 128, 128]
+        assert len({id(band) for band in calls}) == 5
         assert est.bracket[0] < est.bracket[1]
 
 
